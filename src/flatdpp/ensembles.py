@@ -49,7 +49,9 @@ class NNP:
     q : rank of Ltilde; q <= n - p.
     logdet_vtv : log det(V^T V), 0.0 when p = 0.
 
-    Immutable after construction; build through :func:`make_nnp`.
+    Immutable after construction; build through :func:`make_nnp`. The
+    fixed-size sampler caches its read-only acceptance tables here, keyed by
+    the number of eigenvectors drawn, on first use.
     """
 
     def __init__(self, L, V, Q, Ltilde, lam, U, logdet_vtv, psd_tol):
@@ -64,6 +66,7 @@ class NNP:
         self.n = L.shape[0]
         self.p = V.shape[1]
         self.q = lam.size
+        self._acceptance_tables: dict[int, np.ndarray] = {}
         for arr in (self.L, self.V, self.Q, self.Ltilde, self.lam, self.U):
             arr.setflags(write=False)
 
@@ -222,6 +225,17 @@ def elementary_symmetric(values: Sequence[float], k: int) -> float:
     return float(row[k])
 
 
+def _log_esp_table(lam: np.ndarray, k: int) -> np.ndarray:
+    """log e_l(lam_1..lam_j) for l <= k, j <= len(lam), in log space."""
+    qn = lam.size
+    T = np.full((k + 1, qn + 1), -math.inf)
+    T[0, :] = 0.0
+    for j in range(1, qn + 1):
+        lg = math.log(lam[j - 1]) if lam[j - 1] > 0 else -math.inf
+        T[1:, j] = np.logaddexp(T[1:, j - 1], lg + T[:-1, j - 1])
+    return T
+
+
 def log_elementary_symmetric(values: Sequence[float], k: int) -> float:
     """log e_k for nonnegative values, accumulated in log space."""
     values = np.asarray(values, dtype=float)
@@ -229,12 +243,17 @@ def log_elementary_symmetric(values: Sequence[float], k: int) -> float:
         raise ValueError("log-space recurrence requires nonnegative values")
     if k < 0 or k > values.size:
         return -math.inf
-    logrow = np.full(k + 1, -math.inf)
-    logrow[0] = 0.0
-    for v in values:
-        if v > 0.0:
-            logrow[1:] = np.logaddexp(logrow[1:], math.log(v) + logrow[:-1])
-    return float(logrow[k])
+    return float(_log_esp_table(values, k)[k, -1])
+
+
+def _poisson_binomial(probs: Sequence[float]) -> np.ndarray:
+    """Law of the number of successes among independent Bernoulli(probs) trials."""
+    pmf = np.zeros(len(probs) + 1)
+    pmf[0] = 1.0
+    for j, b in enumerate(probs, start=1):
+        pmf[1 : j + 1] = pmf[1 : j + 1] * (1.0 - b) + b * pmf[:j]
+        pmf[0] *= 1.0 - b
+    return pmf
 
 
 def size_distribution(e: NNP) -> np.ndarray:
@@ -245,13 +264,7 @@ def size_distribution(e: NNP) -> np.ndarray:
     the same quantity without overflow.
     """
     pmf = np.zeros(e.n + 1)
-    block = np.zeros(e.q + 1)
-    block[0] = 1.0
-    for lam_i in e.lam:
-        b = lam_i / (1.0 + lam_i)
-        block[1:] = block[1:] * (1.0 - b) + b * block[:-1]
-        block[0] *= 1.0 - b
-    pmf[e.p : e.p + e.q + 1] = block
+    pmf[e.p : e.p + e.q + 1] = _poisson_binomial(e.lam / (1.0 + e.lam))
     return pmf
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import CPDViolationError, NNP, make_nnp, nnp_to_dict
+from .ensembles import CPDViolationError, NNP, _poisson_binomial, make_nnp, nnp_to_dict
 from .geometry import PointSet, distance_power_matrix
 from .kernels import StationaryKernel, kernel_matrix
 from .polybasis import count_poly, orthonormal_basis, vandermonde, vandermonde_block
@@ -180,8 +180,8 @@ def limit_size_distribution(ps: PointSet, kernel: StationaryKernel, p: int,
     """Limiting distribution of |X| over 0..n for the alpha * eps^{-p} scaling.
 
     Computed directly from the regime formulas (point masses, or elementary
-    symmetric polynomials of the projected limit matrix), independently of the
-    cached ensemble spectra.
+    symmetric polynomials of the projected limit matrix's eigenvalues, summed
+    as a Poisson-binomial law), independently of the cached ensemble spectra.
     """
     p, l = _varying_params(p, alpha)
     d, r = ps.d, kernel.smoothness
@@ -211,15 +211,11 @@ def limit_size_distribution(ps: PointSet, kernel: StationaryKernel, p: int,
             "limit size law undefined: the projected limit matrix is not PSD "
             "(requires sign(f_{2r-1}) = (-1)^r at critical scaling)"
         )
-    w = np.clip(w, 0.0, None)
-    w[w <= 1e-12 * wmax] = 0.0
-    denom = float(np.prod(1.0 + w))
-    row = np.zeros(n + 1)
-    row[0] = 1.0
-    for v in w:
-        row[1:] = row[1:] + v * row[:-1]
-    for m in range(base, n + 1):
-        out[m] = row[m - base] / denom
+    w = w[w > 1e-12 * wmax]
+    # P(|X| = base + j) = e_j(w) / prod(1 + w), as the Poisson-binomial law of
+    # inclusions w / (1 + w), which neither overflows nor divides inf by inf
+    pmf = _poisson_binomial(w / (1.0 + w))
+    out[base : base + pmf.size] = pmf[: n + 1 - base]
     return out
 
 

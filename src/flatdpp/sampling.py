@@ -4,7 +4,12 @@ Varying size: the projective part (columns of Q) is included surely, each
 eigenvector of Ltilde independently with probability lam/(1+lam), and the
 resulting orthonormal stack feeds a chain-rule projection sampler. Fixed size:
 the eigenvector subset is drawn through the elementary-symmetric-polynomial
-backward recursion instead of Bernoulli draws.
+backward recursion instead of Bernoulli draws; its acceptance table is built
+once per (ensemble, size) and cached on the ensemble.
+
+The projection sampler runs the chain rule in Gram-Schmidt form on the n x m
+basis itself and never forms the n x n kernel U U^T: a draw of m points costs
+O(n m^2) time and O(n m) memory.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 
 import numpy as np
 
-from .ensembles import NNP
+from .ensembles import NNP, _log_esp_table
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -24,47 +29,47 @@ def rng_from_seed(seed) -> np.random.Generator:
 def sample_projection(U: np.ndarray, rng: np.random.Generator) -> list[int]:
     """Draw a subset of exactly m = U.shape[1] indices with P(X) = det(U_X)^2.
 
-    Chain rule on the projection kernel P = U U^T: draw an index from the
-    residual leverage (the diagonal of P), then deflate the selected
-    coordinate with a rank-one downdate. The downdate zeroes the selected row
-    and column exactly, so no index can repeat.
+    Chain rule on the projection kernel P = U U^T, in Gram-Schmidt form: draw
+    an index i from the residual leverages (the diagonal of the residual
+    kernel), then deflate it by the residual kernel's column at i, kept as
+    c = (U U_i - sum_s c_s c_s[i]) / sqrt(residual leverage of i). Only the
+    leverages and the m - 1 columns c are stored, so a draw costs O(n m^2)
+    time and O(n m) memory. The selected index's leverage is zeroed, so no
+    index can repeat.
     """
     U = np.asarray(U, dtype=float)
     n, m = U.shape
     if m == 0:
         return []
-    gram_err = np.max(np.abs(U.T @ U - np.eye(m)))
+    gram = U.T @ U
+    gram.flat[:: m + 1] -= 1.0
+    gram_err = np.max(np.abs(gram))
     if gram_err > 1e-10:
         raise ValueError(f"U is not orthonormal (max |U^T U - I| = {gram_err:.3e})")
-    P = U @ U.T
+    lev = np.einsum("ij,ij->i", U, U)
+    C = np.empty((m - 1, n))
     selected: list[int] = []
     for step in range(m):
-        lev = np.diagonal(P).clip(min=0.0)
+        np.maximum(lev, 0.0, out=lev)
         cum = np.cumsum(lev)
         u = rng.random() * cum[-1]
-        i = int(np.searchsorted(cum, u, side="right"))
-        i = min(i, n - 1)
+        i = min(int(np.searchsorted(cum, u, side="right")), n - 1)
         selected.append(i)
         if step == m - 1:
             break
-        col = P[:, i].copy()
-        P = P - np.outer(col / col[i], col)
+        c = U @ U[i] - C[:step, i] @ C[:step]
+        c /= math.sqrt(c[i])
+        C[step] = c
+        lev -= c * c
+        lev[i] = 0.0
     return sorted(selected)
 
 
 def _stack_basis(e: NNP, chosen: np.ndarray) -> np.ndarray:
-    cols = [e.Q]
-    if chosen.size:
-        cols.append(e.U[:, chosen])
-    B = np.hstack(cols)
-    k = B.shape[1]
-    if k == 0:
-        return B
-    # Q and the eigenvectors are orthogonal up to eigensolver round-off; fall
-    # back to one QR only if that round-off ever grows noticeable.
-    if np.max(np.abs(B.T @ B - np.eye(k))) > 1e-12:
-        B, _ = np.linalg.qr(B)
-    return B
+    # make_nnp guarantees [Q | U] orthonormal; sample_projection checks it
+    if not chosen.size:
+        return e.Q
+    return np.hstack((e.Q, e.U[:, chosen]))
 
 
 def sample(e: NNP, rng: np.random.Generator) -> list[int]:
@@ -74,38 +79,43 @@ def sample(e: NNP, rng: np.random.Generator) -> list[int]:
     return sample_projection(_stack_basis(e, chosen), rng)
 
 
-def _log_esp_table(lam: np.ndarray, k: int) -> np.ndarray:
-    """log e_l(lam_1..lam_j) for l <= k, j <= len(lam), in log space."""
-    qn = lam.size
-    T = np.full((k + 1, qn + 1), -math.inf)
-    T[0, :] = 0.0
-    for j in range(1, qn + 1):
-        lg = math.log(lam[j - 1]) if lam[j - 1] > 0 else -math.inf
-        T[1:, j] = np.logaddexp(T[1:, j - 1], lg + T[:-1, j - 1])
-    return T
+def _acceptance_table(e: NNP, k: int) -> np.ndarray:
+    """A[r-1, j-1] = lam_j e_{r-1}(lam_<j) / e_r(lam_<=j), r <= k, j <= q.
+
+    The probability that the backward recursion, with r eigenvectors still to
+    choose among the first j, takes the j-th. It is 1 for j <= r, where every
+    remaining eigenvector must be taken. Cached read-only on the ensemble.
+    """
+    A = e._acceptance_tables.get(k)
+    if A is None:
+        T = _log_esp_table(e.lam, k)
+        with np.errstate(invalid="ignore"):  # -inf - -inf where j < r
+            A = np.exp(np.log(e.lam) + T[:-1, :-1] - T[1:, 1:])
+        A[np.arange(e.q) <= np.arange(k)[:, None]] = 1.0
+        A.setflags(write=False)
+        e._acceptance_tables[k] = A
+    return A
 
 
 def sample_fixed(e: NNP, m: int, rng: np.random.Generator) -> list[int]:
-    """One draw from the fixed-size law; |X| = m exactly, p <= m <= p + q."""
+    """One draw from the fixed-size law; |X| = m exactly, p <= m <= p + q.
+
+    The eigenvector subset is drawn by the backward recursion over j = q..1
+    with one uniform per eigenvector, all drawn at once: each of at most
+    m - p vectorised scans takes the highest remaining j whose uniform falls
+    below its acceptance probability.
+    """
     if m < e.p or m > e.p + e.q:
         raise ValueError(
             f"fixed size m={m} outside the support [p, p+q] = [{e.p}, {e.p + e.q}]"
         )
     k = m - e.p
-    chosen: list[int] = []
+    chosen = np.empty(k, dtype=int)
     if k > 0:
-        T = _log_esp_table(e.lam, k)
-        remaining = k
-        for j in range(e.q, 0, -1):
-            if remaining == 0:
-                break
-            if j == remaining:
-                chosen.extend(range(j))
-                remaining = 0
-                break
-            num = math.log(e.lam[j - 1]) + T[remaining - 1, j - 1]
-            pr = math.exp(num - T[remaining, j]) if math.isfinite(num) else 0.0
-            if rng.random() < pr:
-                chosen.append(j - 1)
-                remaining -= 1
-    return sample_projection(_stack_basis(e, np.asarray(chosen, dtype=int)), rng)
+        A = _acceptance_table(e, k)
+        u = rng.random(e.q)
+        hi = e.q
+        for r in range(k, 0, -1):
+            hi = int(np.flatnonzero(u[:hi] < A[r - 1, :hi])[-1])
+            chosen[r - 1] = hi
+    return sample_projection(_stack_basis(e, chosen), rng)

@@ -291,6 +291,16 @@ def test_limit_size_matches_process_spectrum():
         np.testing.assert_allclose(vec, size_distribution(proc), atol=1e-10)
 
 
+def test_limit_size_large_alpha_stays_finite():
+    # prod(1 + w) over the spectrum overflows float64 at this n and alpha
+    ps = uniform_points(200, 2, seed=7)
+    vec = limit_size_distribution(ps, EXPO, 1, 1000.0)
+    assert np.all(np.isfinite(vec))
+    assert vec.sum() == pytest.approx(1.0, abs=1e-8)
+    proc = varying_size_limit(ps, EXPO, 1, 1000.0).process
+    np.testing.assert_allclose(vec, size_distribution(proc), atol=1e-8)
+
+
 def test_limit_size_support_bracket():
     ps = uniform_points(6, 1, seed=15)
     vec = limit_size_distribution(ps, GAUSS, 2)  # l = 1: support {1, 2}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,48 @@ def test_sample_fixed_empirical_law():
     exact = brute_force_distribution(e, 3)
     tv, _ = empirical_check(lambda r: sample_fixed(e, 3, r), exact, 40000, seed=53)
     assert tv <= 0.05
+
+
+def test_sample_fixed_empirical_law_scan_skips_eigenvectors():
+    # q = 7 eigenvectors, k = 2 chosen: each scan passes over rejected ones
+    e = random_nnp(8, 1, seed=59)
+    assert e.q == 7
+    exact = brute_force_distribution(e, 3)
+    tv, _ = empirical_check(lambda r: sample_fixed(e, 3, r), exact, 40000, seed=61)
+    assert tv <= 0.05
+
+
+@pytest.mark.parametrize("extra", [0, 3])
+def test_sample_fixed_support_ends(extra):
+    # m = p takes no eigenvector, m = p + q takes all of them
+    rng0 = np.random.default_rng(67)
+    B = rng0.standard_normal((6, 3))
+    e = make_nnp(B @ B.T, rng0.standard_normal((6, 1)))
+    assert (e.p, e.q) == (1, 3)
+    exact = brute_force_distribution(e, e.p + extra)
+    tv, _ = empirical_check(lambda r: sample_fixed(e, e.p + extra, r), exact, 40000,
+                            seed=71 + extra)
+    assert tv <= 0.05
+
+
+def test_sample_fixed_caches_read_only_table():
+    e = random_nnp(6, 1, seed=73)
+    assert not e._acceptance_tables
+    first = sample_fixed(e, 3, rng_from_seed(79))
+    table = e._acceptance_tables[2]
+    assert not table.flags.writeable
+    assert sample_fixed(e, 3, rng_from_seed(79)) == first
+    assert e._acceptance_tables[2] is table
+
+
+def test_projection_memory_is_linear_in_n():
+    n, m = 4000, 10
+    U, _ = np.linalg.qr(np.random.default_rng(83).standard_normal((n, m)))
+    tracemalloc.start()
+    try:
+        X = sample_projection(U, rng_from_seed(89))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(set(X)) == m
+    assert peak < n * n * 8 / 8
