@@ -28,7 +28,7 @@ from .ensembles import (
     mask_of,
 )
 from .flatlimit import _fixed_size_dispatch, fixed_size_limit, limit_size_distribution
-from .geometry import DISTINCT_TOL, PointSet, distance_matrix
+from .geometry import DISTINCT_TOL, PointSet
 from .kernels import StationaryKernel, kernel_matrix
 
 #: Enumeration guards: 2^16 subsets for varying size, 1e6 combinations fixed.
@@ -111,13 +111,17 @@ def _needs_mp(mmax: int, eps: float) -> bool:
 
 
 def _mp_kernel_matrix(kernel: StationaryKernel, ps: PointSet, eps: float):
-    dist = distance_matrix(ps)
+    # distances at working precision from the exact coordinates: a distance
+    # rounded to float64 perturbs its entry by far more than the flat-regime
+    # minors, which collapse like eps^(m(m-1)), can absorb
+    coords = [[mp.mpf(float(c)) for c in row] for row in ps.coords]
     eps_mp = mp.mpf(eps)
     n = ps.n
     M = mpmath.matrix(n, n)
     for i in range(n):
         for j in range(i, n):
-            v = kernel.eval_mp(eps_mp * mp.mpf(float(dist[i, j])))
+            dist = mp.sqrt(mp.fsum((a - b) ** 2 for a, b in zip(coords[i], coords[j])))
+            v = kernel.eval_mp(eps_mp * dist)
             M[i, j] = v
             M[j, i] = v
     return M

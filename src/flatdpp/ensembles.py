@@ -9,7 +9,8 @@ semi-definite with respect to V. Subset probabilities are bordered
 evaluated in log space with sign tracking because they underflow rapidly with
 |X|. The sign convention (-1)^p is folded in throughout, so every returned
 unnormalized mass is nonnegative for a valid ensemble, as is the normalizer
-Z = det(I + Ltilde) det(V^T V).
+Z = det(I + N^T L N) det(V^T V), where the columns of N are an orthonormal
+basis of the orthogonal complement of span(V).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .polybasis import orthonormal_basis
 
 
 class RankDeficientError(ValueError):
@@ -44,9 +47,10 @@ class NNP:
     ----------
     L, V : the defining pair; V has shape (n, p), possibly p = 0.
     Q : orthonormal basis of span(V), shape (n, p).
-    Ltilde : (I - QQ^T) L (I - QQ^T).
-    lam, U : positive eigenvalues of Ltilde (descending) and their vectors.
-    q : rank of Ltilde; q <= n - p.
+    lam, U : positive eigenvalues (descending) of N^T L N, where [Q | N] is
+        an orthonormal basis of R^n, and their eigenvectors lifted back as
+        U = N W; U is column-major and orthogonal to Q by construction.
+    q : number of positive eigenvalues; q <= n - p.
     logdet_vtv : log det(V^T V), 0.0 when p = 0.
 
     Immutable after construction; build through :func:`make_nnp`. The
@@ -54,11 +58,10 @@ class NNP:
     the number of eigenvectors drawn, on first use.
     """
 
-    def __init__(self, L, V, Q, Ltilde, lam, U, logdet_vtv, psd_tol):
+    def __init__(self, L, V, Q, lam, U, logdet_vtv, psd_tol):
         self.L = L
         self.V = V
         self.Q = Q
-        self.Ltilde = Ltilde
         self.lam = lam
         self.U = U
         self.logdet_vtv = logdet_vtv
@@ -67,7 +70,7 @@ class NNP:
         self.p = V.shape[1]
         self.q = lam.size
         self._acceptance_tables: dict[int, np.ndarray] = {}
-        for arr in (self.L, self.V, self.Q, self.Ltilde, self.lam, self.U):
+        for arr in (self.L, self.V, self.Q, self.lam, self.U):
             arr.setflags(write=False)
 
     def __repr__(self) -> str:
@@ -77,8 +80,11 @@ class NNP:
 def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
     """Validate a pair (L; V) and cache its spectral decomposition.
 
-    Eigenvalues of Ltilde inside [-psd_tol, 0] are clipped to zero; anything
-    below -psd_tol raises :class:`CPDViolationError`. The default tolerance is
+    The law depends on V only through span(V), so the spectrum is that of
+    N^T L N, L compressed to the orthogonal complement N of span(V); both
+    bases come from one SVD of V (none when V is the identity). Eigenvalues
+    inside [-psd_tol, 0] are clipped to zero; anything below -psd_tol raises
+    :class:`CPDViolationError`. The default tolerance is
     1e-10 * (1 + max |eigenvalue|).
     """
     L = np.asarray(L, dtype=float)
@@ -101,20 +107,23 @@ def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
     if p > n:
         raise RankDeficientError(f"V has {p} > n = {n} columns")
 
-    if p > 0:
-        Uv, sv, _ = np.linalg.svd(V, full_matrices=False)
-        if sv[-1] <= max(n, p) * np.finfo(float).eps * sv[0] or sv[0] == 0.0:
+    if p == n and np.count_nonzero(V) == n and np.all(np.diagonal(V) == 1.0):
+        # V = I, the sure full set: already orthonormal, nothing to factor
+        Q, N, logdet_vtv = V, np.zeros((n, 0)), 0.0
+    elif p > 0:
+        Q, N = orthonormal_basis(V, complement=True)
+        if Q.shape[1] < p:
             raise RankDeficientError("V is rank deficient")
-        Q = Uv
-        logdet_vtv = 2.0 * float(np.sum(np.log(sv)))
+        # V = Q (Q^T V), so det(V^T V) = det(Q^T V)^2
+        logdet_vtv = 2.0 * float(np.linalg.slogdet(Q.T @ V)[1])
     else:
-        Q = np.zeros((n, 0))
-        logdet_vtv = 0.0
+        Q, N, logdet_vtv = np.zeros((n, 0)), None, 0.0
 
-    proj = np.eye(n) - Q @ Q.T
-    Ltilde = proj @ L @ proj
-    Ltilde = 0.5 * (Ltilde + Ltilde.T)
-    w, vecs = np.linalg.eigh(Ltilde)
+    if scale == 0.0:
+        # every projection regime: nothing to decompose
+        w, W = np.zeros(0), np.zeros((n - p, 0))
+    else:
+        w, W = np.linalg.eigh(L if N is None else N.T @ L @ N)
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
     if psd_tol is None:
         psd_tol = 1e-10 * (1.0 + wmax)
@@ -125,23 +134,13 @@ def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
         )
     w = np.where((w >= -psd_tol) & (w <= 0.0), 0.0, w)
     # eigenvalues below ~1e3 times the eigensolver noise floor are
-    # indistinguishable from zero modes and would entangle with span(V)
-    rank_cut = 1e-12 * wmax
-    keep = w > rank_cut
+    # indistinguishable from zero modes
+    keep = w > 1e-12 * wmax
     lam = w[keep][::-1].copy()
-    U = vecs[:, keep][:, ::-1]
-    if p and lam.size:
-        # near-degenerate eigenvectors can pick up span(V) components of
-        # order eps/lam; deflate them so U^T Q vanishes structurally
-        U = U - Q @ (Q.T @ U)
-        U, _ = np.linalg.qr(U)
-    U = np.ascontiguousarray(U)
-
-    nnp = NNP(L, V, Q, Ltilde, lam, U, logdet_vtv, psd_tol)
-    if p and nnp.q:
-        assert np.max(np.abs(U.T @ Q)) < 1e-10
-    assert nnp.q <= n - p
-    return nnp
+    W = W[:, keep][:, ::-1]
+    # column-major, so the samplers gather chosen eigenvectors contiguously
+    U = np.asfortranarray(W) if N is None else np.matmul(N, W, order="F")
+    return NNP(L, V, Q, lam, U, logdet_vtv, psd_tol)
 
 
 def bordered_matrix(e: NNP, idx: np.ndarray) -> np.ndarray:
@@ -170,7 +169,7 @@ def log_unnorm_prob(e: NNP, X: Iterable[int]) -> tuple[float, float]:
 
 
 def log_normalizer(e: NNP) -> float:
-    """log Z with Z = det(I + Ltilde) det(V^T V) (sign already folded out)."""
+    """log Z with Z = det(I + N^T L N) det(V^T V) (sign already folded out)."""
     return float(np.sum(np.log1p(e.lam)) + e.logdet_vtv)
 
 
@@ -183,7 +182,10 @@ def log_prob(e: NNP, X: Iterable[int]) -> float:
 
 
 def marginal_kernel(e: NNP) -> np.ndarray:
-    """K = QQ^T + Ltilde (I + Ltilde)^{-1}; eigenvalue 1 with multiplicity p."""
+    """K = QQ^T + U diag(lam / (1 + lam)) U^T; eigenvalue 1 with multiplicity p.
+
+    With U = N W, the second term is N M (I + M)^{-1} N^T for M = N^T L N.
+    """
     K = e.Q @ e.Q.T
     if e.q:
         K = K + (e.U * (e.lam / (1.0 + e.lam))) @ e.U.T

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import CPDViolationError, NNP, _poisson_binomial, make_nnp, nnp_to_dict
+from .ensembles import CPDViolationError, NNP, make_nnp, nnp_to_dict, size_distribution
 from .geometry import PointSet, distance_power_matrix
 from .kernels import StationaryKernel, kernel_matrix
-from .polybasis import count_poly, orthonormal_basis, vandermonde, vandermonde_block
+from .polybasis import count_poly, vandermonde, vandermonde_block
 from .wronskian import schur_block, wronskian_matrix
 
 PROJECTION_SMOOTH = "ProjectionSmooth"
@@ -177,46 +177,9 @@ def varying_size_limit(ps: PointSet, kernel: StationaryKernel, p: int,
 
 def limit_size_distribution(ps: PointSet, kernel: StationaryKernel, p: int,
                             alpha: float = 1.0) -> np.ndarray:
-    """Limiting distribution of |X| over 0..n for the alpha * eps^{-p} scaling.
-
-    Computed directly from the regime formulas (point masses, or elementary
-    symmetric polynomials of the projected limit matrix's eigenvalues, summed
-    as a Poisson-binomial law), independently of the cached ensemble spectra.
-    """
-    p, l = _varying_params(p, alpha)
-    d, r = ps.d, kernel.smoothness
-    n = ps.n
-    half = (p + 1) / 2
-    out = np.zeros(n + 1)
-    if count_poly(l - 1, d) >= n or r < half:
-        out[n] = 1.0
-        return out
-    if r > half and p % 2 == 1:
-        out[count_poly(l - 1, d)] = 1.0
-        return out
-    if r > half:
-        Wbar = schur_block(wronskian_matrix(kernel, l, d))
-        Vl = vandermonde_block(ps, l)
-        L = alpha * (Vl @ Wbar @ Vl.T)
-    else:
-        # here l = r = (p+1)/2
-        L = alpha * kernel.coeff(p) * distance_power_matrix(ps, p)
-    base = count_poly(l - 1, d)
-    Q = orthonormal_basis(vandermonde(ps, l - 1)) if l >= 1 else np.zeros((n, 0))
-    proj = np.eye(n) - Q @ Q.T
-    w = np.linalg.eigvalsh(proj @ L @ proj)
-    wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and w[0] < -1e-10 * (1.0 + wmax):
-        raise CPDViolationError(
-            "limit size law undefined: the projected limit matrix is not PSD "
-            "(requires sign(f_{2r-1}) = (-1)^r at critical scaling)"
-        )
-    w = w[w > 1e-12 * wmax]
-    # P(|X| = base + j) = e_j(w) / prod(1 + w), as the Poisson-binomial law of
-    # inclusions w / (1 + w), which neither overflows nor divides inf by inf
-    pmf = _poisson_binomial(w / (1.0 + w))
-    out[base : base + pmf.size] = pmf[: n + 1 - base]
-    return out
+    """Limiting distribution of |X| over 0..n for the alpha * eps^{-p} scaling:
+    the size distribution of the varying-size limit."""
+    return size_distribution(varying_size_limit(ps, kernel, p, alpha).process)
 
 
 def scaled_ensemble(ps: PointSet, kernel: StationaryKernel, eps: float,

@@ -244,13 +244,13 @@ def custom_kernel(coeffs: Sequence[float], evaluator: Callable | None = None,
 def kernel_from_config(cfg) -> StationaryKernel:
     """Build a kernel from a JSON-style dict: {"name": ...} or {"coeffs": [...]}.
 
-    A coefficient entry may set "eval": "series" (the default and only mode):
-    the profile is evaluated from the truncated series itself.
+    A coefficient kernel's profile is evaluated from its truncated series.
     """
+    unknown = set(cfg) - {"name", "coeffs"}
+    if unknown:
+        raise ValueError(f"unknown kernel config keys {sorted(unknown)}")
     if "name" in cfg:
         return builtin_kernel(cfg["name"])
     if "coeffs" in cfg:
-        if cfg.get("eval", "series") != "series":
-            raise ValueError("coefficient kernels only support series evaluation")
         return custom_kernel([float(c) for c in cfg["coeffs"]])
     raise ValueError("kernel config needs 'name' or 'coeffs'")

@@ -96,37 +96,46 @@ def vandermonde(ps: PointSet, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("need k >= 0")
-    basis = MonomialBasis(ps.d, k)
-    cols = [np.prod(ps.coords ** np.asarray(alpha, dtype=float), axis=1)
-            for alpha in basis.indices]
-    return np.column_stack(cols)
+    return _monomial_columns(ps, MonomialBasis(ps.d, k).indices)
 
 
 def vandermonde_block(ps: PointSet, degree: int) -> np.ndarray:
     """The degree-`degree` homogeneous block of the Vandermonde matrix."""
-    full = vandermonde(ps, degree)
-    basis = MonomialBasis(ps.d, degree)
-    return full[:, basis.block(degree)]
+    if degree < 0:
+        raise ValueError("need degree >= 0")
+    return _monomial_columns(ps, homogeneous_indices(degree, ps.d))
 
 
-def orthonormal_basis(M: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+def _monomial_columns(ps: PointSet, indices) -> np.ndarray:
+    """One column per multi-index: the monomial evaluated at every point."""
+    return np.column_stack([np.prod(ps.coords ** np.asarray(alpha, dtype=float), axis=1)
+                            for alpha in indices])
+
+
+def orthonormal_basis(M: np.ndarray, rank_tol: float | None = None,
+                      complement: bool = False):
     """Orthonormal basis Q of span(M), rank decided by a singular-value cut.
 
     Rank-deficient input is allowed; the default threshold is the standard
-    numerical-rank rule max(n, p) * machine-eps * sigma_max.
+    numerical-rank rule max(n, p) * machine-eps * sigma_max. With
+    complement=True, returns (Q, N) from the same SVD, where the columns of N
+    are an orthonormal basis of the orthogonal complement of span(M), so that
+    [Q | N] is orthogonal.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a matrix")
     n, p = M.shape
     if p == 0 or n == 0:
-        return np.zeros((n, 0))
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((n, 0))
-    if rank_tol is None:
-        cut = max(n, p) * np.finfo(float).eps * s[0]
+        Q = np.zeros((n, 0))
+        return (Q, np.eye(n)) if complement else Q
+    U, s, _ = np.linalg.svd(M, full_matrices=complement)
+    if s[0] == 0.0:
+        rank = 0
     else:
-        cut = rank_tol * s[0]
-    rank = int(np.sum(s > cut))
-    return U[:, :rank]
+        cut = (max(n, p) * np.finfo(float).eps if rank_tol is None else rank_tol) * s[0]
+        rank = int(np.sum(s > cut))
+    if not complement:
+        return U[:, :rank]
+    # a copy, so that the n x n U is freed once the caller drops N
+    return U[:, :rank].copy(), U[:, rank:]

@@ -1,7 +1,7 @@
 """Exact samplers for extended L-ensembles via the mixture/projection route.
 
 Varying size: the projective part (columns of Q) is included surely, each
-eigenvector of Ltilde independently with probability lam/(1+lam), and the
+eigenvector in U independently with probability lam/(1+lam), and the
 resulting orthonormal stack feeds a chain-rule projection sampler. Fixed size:
 the eigenvector subset is drawn through the elementary-symmetric-polynomial
 backward recursion instead of Bernoulli draws; its acceptance table is built

@@ -180,6 +180,16 @@ def test_conditional_eps_tends_to_limit():
     assert gaps[2] <= 5e-3
 
 
+def test_conditional_mp_backend_tracks_smooth_limit():
+    # the mp backend must see the points' exact distances: float64-rounded
+    # ones leave a TV of about 0.77 here
+    Y = np.array([0.1, 0.3, 0.5, 0.9])
+    grid = np.linspace(0, 1, 200)
+    target = conditional_density(GAUSS, Y, grid, eps=None)
+    dens = conditional_density(GAUSS, Y, grid, eps=0.01)
+    assert tv_distance(dens, target) <= 1e-3
+
+
 def test_conditional_shape_validation():
     with pytest.raises(ValueError, match="m - 1"):
         conditional_density(GAUSS, [0.1, 0.2], [0.5], eps=None, m=5)

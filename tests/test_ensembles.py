@@ -69,7 +69,8 @@ def test_negative_distance_matrix_is_cpd_wrt_ones():
     ps = PointSet(np.sort(np.random.default_rng(0).uniform(size=5)))
     e = make_nnp(-distance_power_matrix(ps, 1), np.ones((5, 1)))
     assert np.all(e.lam >= 0)
-    w = np.linalg.eigvalsh(e.Ltilde)
+    proj = np.eye(e.n) - e.Q @ e.Q.T
+    w = np.linalg.eigvalsh(proj @ e.L @ proj)
     assert w.min() >= -1e-10 * (1 + abs(w).max())
 
 
@@ -343,6 +344,55 @@ def test_invariance_under_column_mixing():
         for X in itertools.combinations(range(6), size):
             assert math.exp(log_prob(e, X)) == pytest.approx(
                 math.exp(log_prob(e2, X)), abs=1e-10)
+
+
+def _assert_same_law(e, e2):
+    lam, lam2 = (np.pad(x, (0, e.n - x.size)) for x in (e.lam, e2.lam))
+    np.testing.assert_allclose(lam2, lam, atol=1e-10)
+    np.testing.assert_allclose(size_distribution(e2), size_distribution(e), atol=1e-10)
+    for size in range(e.n + 1):
+        for X in itertools.combinations(range(e.n), size):
+            lp, lp2 = log_prob(e, X), log_prob(e2, X)
+            if lp == -math.inf:
+                assert math.exp(lp2) <= 1e-10
+            else:
+                assert lp2 == pytest.approx(lp, abs=1e-10)
+
+
+def test_law_invariant_under_symmetric_span_v_shift():
+    # L + V A^T + A V^T has the bordered determinants of L for every A
+    rng = np.random.default_rng(47)
+    n = 6
+    for p in (1, 3, 1, 3):
+        A0 = rng.standard_normal((n, n))
+        L = A0 @ A0.T / n
+        V = rng.standard_normal((n, p))
+        A = rng.standard_normal((n, p))
+        _assert_same_law(make_nnp(L, V), make_nnp(L + V @ A.T + A @ V.T, V))
+    # L = 0: the projection ensemble of span(V)
+    V = rng.standard_normal((n, 2))
+    A = rng.standard_normal((n, 2))
+    e = make_nnp(np.zeros((n, n)), V)
+    assert e.q == 0 and e.U.shape == (n, 0)
+    _assert_same_law(e, make_nnp(V @ A.T + A @ V.T, V))
+    # p = n: the sure full set, whatever L is
+    V = rng.standard_normal((n, n))
+    A = rng.standard_normal((n, n))
+    L = A @ A.T
+    e = make_nnp(L, V)
+    assert e.q == 0 and size_distribution(e)[n] == pytest.approx(1.0)
+    _assert_same_law(e, make_nnp(L + V @ A.T + A @ V.T, V))
+
+
+def test_eigenvectors_column_major_orthonormal_and_orthogonal_to_v():
+    for n, p in ((7, 0), (7, 1), (7, 3), (40, 5)):
+        e = random_nnp(n, p, seed=n + p)
+        assert e.U.flags.f_contiguous and e.q == n - p
+        np.testing.assert_allclose(e.U.T @ e.U, np.eye(e.q), atol=1e-12)
+        assert np.max(np.abs(e.U.T @ e.Q), initial=0.0) < 1e-12
+        # L U = U diag(lam) up to span(V): the compressed eigenproblem
+        R = e.L @ e.U - e.U * e.lam
+        np.testing.assert_allclose(R - e.Q @ (e.Q.T @ R), 0.0, atol=1e-10)
 
 
 def test_scaling_leaves_minimal_fixed_size_law_invariant():

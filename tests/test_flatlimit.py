@@ -23,6 +23,7 @@ from flatdpp.flatlimit import (
 )
 from flatdpp.geometry import PointSet, distance_power_matrix, uniform_points
 from flatdpp.kernels import builtin_kernel, custom_kernel, kernel_matrix
+from flatdpp.polybasis import orthonormal_basis, vandermonde, vandermonde_block
 from flatdpp.wronskian import schur_block, wronskian_matrix
 
 GAUSS = builtin_kernel("gaussian")
@@ -136,7 +137,8 @@ def test_produced_ensembles_are_cpd():
     for ps, kern, m in cases:
         e = fixed_size_limit(ps, kern, m).process
         assert np.all(e.lam >= 0)
-        w = np.linalg.eigvalsh(e.Ltilde)
+        proj = np.eye(e.n) - e.Q @ e.Q.T
+        w = np.linalg.eigvalsh(proj @ e.L @ proj)
         assert w.min() >= -1e-10 * (1 + abs(w).max())
 
 
@@ -282,13 +284,32 @@ def test_limit_size_point_masses():
     assert vec[2] == 1.0
 
 
+def _projected_size_law(ps, kern, p, alpha):
+    """Size law of a non-point-mass varying limit, from the regime formula for
+    L and eigvalsh((I - QQ^T) L (I - QQ^T)), independently of make_nnp."""
+    l = (p + 1) // 2
+    if kern.smoothness > (p + 1) / 2:
+        Vl = vandermonde_block(ps, l)
+        L = alpha * (Vl @ schur_block(wronskian_matrix(kern, l, ps.d)) @ Vl.T)
+    else:
+        L = alpha * kern.coeff(p) * distance_power_matrix(ps, p)
+    Q = orthonormal_basis(vandermonde(ps, l - 1))
+    proj = np.eye(ps.n) - Q @ Q.T
+    w = np.linalg.eigvalsh(proj @ L @ proj)
+    w = w[w > 1e-12 * np.abs(w).max()]
+    law = np.zeros(ps.n + 1)
+    law[Q.shape[1]] = 1.0
+    for incl in w / (1.0 + w):  # one Bernoulli(incl) per eigenvalue
+        law = law * (1.0 - incl) + np.concatenate(([0.0], law[:-1])) * incl
+    return law
+
+
 def test_limit_size_matches_process_spectrum():
     ps = uniform_points(5, 1, seed=14)
     for kern, p, alpha in [(EXPO, 1, 1.0), (GAUSS, 2, 0.5), (R2A, 3, 2.0)]:
         vec = limit_size_distribution(ps, kern, p, alpha)
         assert vec.sum() == pytest.approx(1.0, abs=1e-12)
-        proc = varying_size_limit(ps, kern, p, alpha).process
-        np.testing.assert_allclose(vec, size_distribution(proc), atol=1e-10)
+        np.testing.assert_allclose(vec, _projected_size_law(ps, kern, p, alpha), atol=1e-10)
 
 
 def test_limit_size_large_alpha_stays_finite():
@@ -297,8 +318,7 @@ def test_limit_size_large_alpha_stays_finite():
     vec = limit_size_distribution(ps, EXPO, 1, 1000.0)
     assert np.all(np.isfinite(vec))
     assert vec.sum() == pytest.approx(1.0, abs=1e-8)
-    proc = varying_size_limit(ps, EXPO, 1, 1000.0).process
-    np.testing.assert_allclose(vec, size_distribution(proc), atol=1e-8)
+    np.testing.assert_allclose(vec, _projected_size_law(ps, EXPO, 1, 1000.0), atol=1e-8)
 
 
 def test_limit_size_support_bracket():
