@@ -1,15 +1,25 @@
 """Brute-force oracles, total-variation distances and convergence sweeps.
 
 Everything here evaluates probability laws by exhaustive enumeration so the
-constructors and samplers can be verified against them. Subset determinants of
-near-flat kernel matrices are badly conditioned (relative accuracy degrades
-like eps^(-2(m-1))), so the enumeration of pre-limit ensembles switches to
-arbitrary precision (mpmath) once float64 would return noise; builtin kernels
-evaluate their closed forms at working precision.
+constructors and samplers can be verified against them. The float64 oracles
+take one batched ``slogdet`` per subset size.
+
+Subset determinants of near-flat kernel matrices are badly conditioned
+(relative accuracy degrades like eps^(-2(m-1)) at size m), so the enumeration
+of pre-limit ensembles switches to arbitrary precision (mpmath) once float64
+would return noise: when that eps rule, or log10 of the condition number of
+the float64 kernel matrix (which bounds every principal minor's for a
+positive-definite kernel, and catches clustered points), exceeds
+``FLOAT_DIGIT_BUDGET`` digits. The mp backend evaluates builtin kernels'
+closed forms at working-precision distances and walks the subsets depth-first:
+a subset's determinant is its prefix's times one Schur-complement pivot, and
+each prefix's Schur complement is formed once for all its descendants. The
+choice is logged at DEBUG level on the ``flatdpp.diagnostics`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -21,6 +31,8 @@ from mpmath import mp
 from .ensembles import (
     NNP,
     SubsetDistribution,
+    bordered_matrix,
+    indices_of,
     log_fixed_size_normalizer,
     log_normalizer,
     log_unnorm_prob,
@@ -31,6 +43,8 @@ from .flatlimit import _fixed_size_dispatch, fixed_size_limit, limit_size_distri
 from .geometry import DISTINCT_TOL, PointSet
 from .kernels import StationaryKernel, kernel_matrix
 
+logger = logging.getLogger(__name__)
+
 #: Enumeration guards: 2^16 subsets for varying size, 1e6 combinations fixed.
 MAX_GROUND_VARYING = 16
 MAX_COMBINATIONS = 10**6
@@ -39,16 +53,40 @@ MAX_COMBINATIONS = 10**6
 FLOAT_DIGIT_BUDGET = 10
 
 
-def _all_masks(n: int):
-    if n > MAX_GROUND_VARYING:
+def _check_enumerable(n: int, m: int | None) -> None:
+    if m is None and n > MAX_GROUND_VARYING:
         raise ValueError(f"varying-size enumeration limited to n <= {MAX_GROUND_VARYING}")
-    return range(1 << n)
-
-
-def _fixed_subsets(n: int, m: int):
-    if math.comb(n, m) > MAX_COMBINATIONS:
+    if m is not None and math.comb(n, m) > MAX_COMBINATIONS:
         raise ValueError(f"C({n},{m}) exceeds the enumeration guard {MAX_COMBINATIONS}")
-    return combinations(range(n), m)
+
+
+def _slogdets_by_size(n: int, m: int | None, minors):
+    """(masks, sizes, sign, log|det|) over every enumerated subset.
+
+    The subsets are every subset of range(n) in increasing mask order when m
+    is None, else the m-subsets in lexicographic order. minors maps a
+    (count, k) array of index rows to the stack of matrices whose
+    determinants are wanted, or to None when they all vanish; it is called
+    once per subset size, so each size costs one batched slogdet.
+    """
+    if m is not None:
+        combos = list(combinations(range(n), m))
+        idx = np.array(combos, dtype=np.intp).reshape(len(combos), m)
+        masks = (1 << idx).sum(axis=1)
+        sizes = np.full(masks.size, m)
+        stacks = [(slice(None), idx)]
+    else:
+        masks = np.arange(1 << n)
+        bits = (masks[:, None] >> np.arange(n)) & 1
+        sizes = bits.sum(axis=1)
+        rows = [np.flatnonzero(sizes == k) for k in range(n + 1)]
+        stacks = [(r, np.nonzero(bits[r])[1].reshape(r.size, k)) for k, r in enumerate(rows)]
+    sign, logabs = np.zeros(masks.size), np.full(masks.size, -math.inf)
+    for rows, idx in stacks:
+        mats = minors(idx)
+        if mats is not None:
+            sign[rows], logabs[rows] = np.linalg.slogdet(mats)
+    return masks, sizes, sign, logabs
 
 
 def brute_force_distribution(e: NNP, m: int | None = None) -> SubsetDistribution:
@@ -58,25 +96,20 @@ def brute_force_distribution(e: NNP, m: int | None = None) -> SubsetDistribution
     (rel. 1e-8) before renormalizing, so a silent inconsistency between the
     determinant path and the spectral path cannot pass through.
     """
-    if m is None:
-        subsets = ([i for i in range(e.n) if mask >> i & 1] for mask in _all_masks(e.n))
-        logZ = log_normalizer(e)
-    else:
-        subsets = _fixed_subsets(e.n, m)
-        logZ = log_fixed_size_normalizer(e, m)
-    probs: dict[int, float] = {}
-    total = 0.0
-    for X in subsets:
-        logabs, sign = log_unnorm_prob(e, X)
-        val = sign * math.exp(logabs - logZ) if sign != 0.0 else 0.0
-        total += val
-        if val > 0.0:
-            probs[mask_of(X)] = val
+    _check_enumerable(e.n, m)
+    logZ = log_normalizer(e) if m is None else log_fixed_size_normalizer(e, m)
+    # |X| < p leaves the bordered matrix singular: no mass
+    masks, _, sign, logabs = _slogdets_by_size(
+        e.n, m, lambda idx: bordered_matrix(e, idx) if idx.shape[1] >= e.p else None)
+    folded = sign if e.p % 2 == 0 else -sign
+    vals = folded * np.exp(logabs - logZ)
+    total = float(np.sum(vals))
     if abs(total - 1.0) > 1e-8:
         raise RuntimeError(
             f"enumerated mass {total!r} disagrees with the analytic normalizer"
         )
-    return SubsetDistribution(e.n, {k: v / total for k, v in probs.items()})
+    return SubsetDistribution(e.n, {k: v / total for k, v in zip(masks.tolist(), vals.tolist())
+                                    if v > 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -96,46 +129,134 @@ def _digits_lost(m: int, eps: float) -> float:
     return 2 * (m - 1) * math.log10(1.0 / eps) + 1.0
 
 
+def _digits_at_risk(L: np.ndarray, m: int, eps: float) -> float:
+    """The eps rule, or log10 of the kernel matrix's condition number if larger.
+
+    For a positive-definite kernel the condition number of L bounds that of
+    every principal minor; it sees clustered points, which the eps rule
+    (points at unit spacing) does not.
+    """
+    with np.errstate(all="ignore"):
+        cond = float(np.linalg.cond(L))
+    return max(_digits_lost(m, eps), math.log10(cond) if cond < math.inf else math.inf)
+
+
 def _mp_digits(m: int, eps: float) -> int:
     """Working precision for the mp backend: dynamic range plus head room.
 
-    The determinant value itself collapses like eps^(m(m-1)), so the partial
-    LU pivots span that many digits; carry them all plus a safety margin.
+    The determinant value itself collapses like eps^(m(m-1)), so the
+    Schur-complement pivots span that many digits; carry them all plus a
+    safety margin.
     """
     span = m * (m - 1) * math.log10(1.0 / eps) if eps < 1.0 else 0.0
     return int(math.ceil(span)) + 30
 
 
-def _needs_mp(mmax: int, eps: float) -> bool:
-    return _digits_lost(mmax, eps) > FLOAT_DIGIT_BUDGET
+def _mp_points(coords: np.ndarray) -> list[list]:
+    return [[mp.mpf(float(c)) for c in row] for row in coords]
 
 
-def _mp_kernel_matrix(kernel: StationaryKernel, ps: PointSet, eps: float):
+def _mp_dist(a, b):
     # distances at working precision from the exact coordinates: a distance
     # rounded to float64 perturbs its entry by far more than the flat-regime
     # minors, which collapse like eps^(m(m-1)), can absorb
-    coords = [[mp.mpf(float(c)) for c in row] for row in ps.coords]
-    eps_mp = mp.mpf(eps)
-    n = ps.n
-    M = mpmath.matrix(n, n)
+    return mp.sqrt(mp.fsum((u - v) ** 2 for u, v in zip(a, b)))
+
+
+def _mp_kernel_matrix(kernel: StationaryKernel, pts: list, eps_mp) -> list[list]:
+    """[f(eps * ||x_i - x_j||)] at working precision, as lists of mpf rows."""
+    n = len(pts)
+    K = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            dist = mp.sqrt(mp.fsum((a - b) ** 2 for a, b in zip(coords[i], coords[j])))
-            v = kernel.eval_mp(eps_mp * dist)
-            M[i, j] = v
-            M[j, i] = v
-    return M
+            K[i][j] = K[j][i] = kernel.eval_mp(eps_mp * _mp_dist(pts[i], pts[j]))
+    return K
 
 
-def _mp_subdet(M, idx) -> mpmath.mpf:
-    k = len(idx)
-    if k == 0:
-        return mp.mpf(1)
-    S = mpmath.matrix(k, k)
-    for a, ia in enumerate(idx):
-        for b, ib in enumerate(idx):
-            S[a, b] = M[ia, ib]
-    return mpmath.det(S)
+def _mp_direct_det(K: list[list], idx) -> mpmath.mpf:
+    return mpmath.det(mpmath.matrix([[K[a][b] for b in idx] for a in idx]))
+
+
+def _mp_subset_dets(K: list[list], m: int | None = None) -> dict[int, mpmath.mpf]:
+    """Principal minors det K_S keyed by mask: every S, or every |S| = m.
+
+    Depth-first over S in increasing index order, at the working precision:
+    det K_{S+i} = det K_S * C_ii, where C is the Schur complement of K_S over
+    the indices after max(S). Each prefix forms its C once for all of its
+    descendants; a prefix one short of m needs only C's diagonal. Below an
+    exactly zero pivot C does not exist, so that prefix's descendants take a
+    direct mpmath.det each. The result is in depth-first order, which for
+    fixed m is lexicographic.
+    """
+    n = len(K)
+    depth = n if m is None else m
+    dets: dict[int, mpmath.mpf] = {}
+    if depth == 0 or m is None:
+        dets[0] = mp.mpf(1)
+
+    def direct(mask: int, lo: int, d: int) -> None:
+        prefix = list(indices_of(mask))
+        for k in range(1, n - lo + 1) if m is None else [m - d]:
+            for rest in combinations(range(lo, n), k):
+                idx = prefix + list(rest)
+                dets[mask_of(idx)] = _mp_direct_det(K, idx)
+
+    def walk(mask: int, det, lo: int, C: list[list], d: int) -> None:
+        # C is the Schur complement over indices lo..n-1 of the d-subset mask
+        last = n if m is None else n - (m - d) + 1  # leave room to reach size m
+        for i in range(lo, last):
+            a = i - lo
+            piv = C[a][a]
+            child, cdet = mask | 1 << i, det * piv
+            if m is None or d + 1 == m:
+                dets[child] = cdet
+            if d + 1 == depth or i == n - 1:
+                continue
+            if piv == 0:
+                direct(child, i + 1, d + 1)
+                continue
+            col = C[a][a + 1:]
+            t = [c / piv for c in col]
+            if d + 2 == depth:
+                # the children of child are leaves: only the diagonal matters
+                for j, (tj, cj) in enumerate(zip(t, col), start=a + 1):
+                    dets[child | 1 << (lo + j)] = cdet * (C[j][j] - tj * cj)
+            else:
+                walk(child, cdet, i + 1,
+                     [[x - tj * y for x, y in zip(C[j][a + 1:], col)]
+                      for j, tj in enumerate(t, start=a + 1)], d + 1)
+
+    if depth > 0:
+        walk(0, mp.mpf(1), 0, K, 0)
+    return dets
+
+
+def _mp_conditional_logdets(kernel: StationaryKernel, Y: np.ndarray, xs: np.ndarray,
+                            eps: float) -> list[float]:
+    """log det K_{Y+x} for each row x of xs (-inf unless positive), in mp.
+
+    K_Y is factored once (LU with pivoting, so a zero diagonal does no harm);
+    each x then costs m - 1 kernel values and one Schur pivot,
+    det K_{Y+x} = det K_Y * (f(0) - k_x^T K_Y^{-1} k_x). A singular K_Y has
+    no inverse, and each x then takes a direct determinant.
+    """
+    eps_mp = mp.mpf(eps)
+    ys = _mp_points(Y)
+    KY = _mp_kernel_matrix(kernel, ys, eps_mp)
+    f0 = kernel.eval_mp(mp.mpf(0))
+    MY = mpmath.matrix(KY)
+    det_y = mpmath.det(MY)
+    inv = mpmath.inverse(MY).tolist() if det_y != 0 else None
+    out = []
+    for x in _mp_points(xs):
+        k = [kernel.eval_mp(eps_mp * _mp_dist(x, y)) for y in ys]
+        if inv is None:
+            Kx = [row + [kj] for row, kj in zip(KY, k)] + [k + [f0]]
+            det = _mp_direct_det(Kx, range(len(Kx)))
+        else:
+            det = det_y * (f0 - mpmath.fdot(k, [mpmath.fdot(row, k) for row in inv]))
+        out.append(float(mp.log(det)) if det > 0 else -math.inf)
+    return out
 
 
 def eps_ensemble_distribution(ps: PointSet, kernel: StationaryKernel, eps: float,
@@ -145,46 +266,42 @@ def eps_ensemble_distribution(ps: PointSet, kernel: StationaryKernel, eps: float
     """Exact subset law of DPP(alpha * eps^{-p} L(eps)), by enumeration.
 
     With m given, the law is conditioned on |X| = m (the scaling then cancels).
-    precision is one of "auto", "float", "mp".
+    precision is one of "auto", "float", "mp"; "auto" takes mp when the
+    digits at risk (see the module docstring) exceed FLOAT_DIGIT_BUDGET. dps
+    overrides the mp working precision.
     """
     n = ps.n
     mmax = n if m is None else m
-    use_mp = precision == "mp" or (precision == "auto" and _needs_mp(mmax, eps))
-    if m is None:
-        subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in _all_masks(n)]
-    else:
-        subsets = list(_fixed_subsets(n, m))
+    _check_enumerable(n, m)
+    L = kernel_matrix(kernel, ps, eps)
+    risk = _digits_at_risk(L, mmax, eps)
+    use_mp = precision == "mp" or (precision == "auto" and risk > FLOAT_DIGIT_BUDGET)
+    wanted = (_mp_digits(mmax, eps) if dps is None else dps) if use_mp else None
+    logger.debug("eps_ensemble_distribution: %s backend, dps=%s, %.1f digits at risk "
+                 "(n=%d, m=%s, eps=%g)", "mp" if use_mp else "float", wanted, risk,
+                 n, m, eps)
 
     if use_mp:
-        wanted = _mp_digits(mmax, eps) if dps is None else dps
         with mp.workdps(wanted):
-            M = _mp_kernel_matrix(kernel, ps, eps)
-            scale = mp.mpf(alpha) * mp.mpf(eps) ** (-p)
-            weights = [_mp_subdet(M, idx) * scale ** len(idx) for idx in subsets]
+            eps_mp = mp.mpf(eps)
+            dets = _mp_subset_dets(_mp_kernel_matrix(kernel, _mp_points(ps.coords), eps_mp), m)
+            scale = mp.mpf(alpha) * eps_mp ** (-p)
+            pows = [scale ** k for k in range(mmax + 1)]
+            masks = sorted(dets) if m is None else list(dets)
+            weights = [dets[k] * pows[bin(k).count("1")] for k in masks]
             total = mpmath.fsum(weights)
-            probs = {mask_of(idx): float(w / total)
-                     for idx, w in zip(subsets, weights) if w > 0}
+            probs = {k: float(w / total) for k, w in zip(masks, weights) if w > 0}
         return SubsetDistribution(n, probs)
 
-    L = kernel_matrix(kernel, ps, eps)
-    log_scale = math.log(alpha) - p * math.log(eps)
-    logvals, signs = [], []
-    for idx in subsets:
-        if len(idx) == 0:
-            logvals.append(0.0)
-            signs.append(1.0)
-            continue
-        sign, logabs = np.linalg.slogdet(L[np.ix_(idx, idx)])
-        logvals.append(logabs + len(idx) * log_scale)
-        signs.append(sign)
-    positive = [lv for lv, s in zip(logvals, signs) if s > 0]
-    if not positive:
+    masks, sizes, sign, logabs = _slogdets_by_size(
+        n, m, lambda idx: L[idx[:, :, None], idx[:, None, :]])
+    positive = sign > 0
+    if not positive.any():
         raise ValueError("no subset has positive mass; kernel matrix indefinite")
-    ref = max(positive)
-    weights = [s * math.exp(lv - ref) if s > 0 else 0.0
-               for lv, s in zip(logvals, signs)]
-    total = sum(weights)
-    probs = {mask_of(idx): w / total for idx, w in zip(subsets, weights) if w > 0}
+    logvals = logabs + sizes * (math.log(alpha) - p * math.log(eps))
+    weights = np.where(positive, np.exp(logvals - np.max(logvals[positive])), 0.0)
+    total = float(np.sum(weights))
+    probs = {k: w / total for k, w in zip(masks.tolist(), weights.tolist()) if w > 0}
     return SubsetDistribution(n, probs)
 
 
@@ -229,27 +346,30 @@ def conditional_density(kernel: StationaryKernel, Y, x_grid,
     if m != Y.shape[0] + 1:
         raise ValueError("conditioning set must have m - 1 points")
 
-    use_mp = eps is not None and (
-        precision == "mp" or (precision == "auto" and _needs_mp(m, eps)))
     logvals = np.full(x_grid.shape[0], -math.inf)
-    for g, x in enumerate(x_grid):
-        if np.min(np.linalg.norm(Y - x[None, :], axis=1)) <= DISTINCT_TOL:
-            continue
-        pts = PointSet(np.vstack([Y, x[None, :]]))
-        if eps is None:
-            res = _fixed_size_dispatch(pts, kernel, m)
+    free = [g for g, x in enumerate(x_grid)
+            if np.min(np.linalg.norm(Y - x[None, :], axis=1)) > DISTINCT_TOL]
+    if eps is None:
+        for g in free:
+            res = _fixed_size_dispatch(PointSet(np.vstack([Y, x_grid[g][None, :]])), kernel, m)
             logabs, sign = log_unnorm_prob(res.process, range(m))
             if sign > 0:
                 logvals[g] = logabs
-        elif use_mp:
-            with mp.workdps(_mp_digits(m, eps)):
-                det = _mp_subdet(_mp_kernel_matrix(kernel, pts, eps), list(range(m)))
-                if det > 0:
-                    logvals[g] = float(mp.log(det))
+    else:
+        risk = _digits_lost(m, eps)
+        use_mp = precision == "mp" or (precision == "auto" and risk > FLOAT_DIGIT_BUDGET)
+        wanted = _mp_digits(m, eps) if use_mp else None
+        logger.debug("conditional_density: %s backend, dps=%s, %.1f digits at risk "
+                     "(m=%d, eps=%g)", "mp" if use_mp else "float", wanted, risk, m, eps)
+        if use_mp:
+            with mp.workdps(wanted):
+                logvals[free] = _mp_conditional_logdets(kernel, Y, x_grid[free], eps)
         else:
-            sign, logabs = np.linalg.slogdet(kernel_matrix(kernel, pts, eps))
-            if sign > 0:
-                logvals[g] = logabs
+            for g in free:
+                sign, logabs = np.linalg.slogdet(
+                    kernel_matrix(kernel, PointSet(np.vstack([Y, x_grid[g][None, :]])), eps))
+                if sign > 0:
+                    logvals[g] = logabs
     ref = np.max(logvals)
     if not math.isfinite(ref):
         raise ValueError("conditional density vanished on the whole grid")

@@ -85,7 +85,9 @@ def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
     bases come from one SVD of V (none when V is the identity). Eigenvalues
     inside [-psd_tol, 0] are clipped to zero; anything below -psd_tol raises
     :class:`CPDViolationError`. The default tolerance is
-    1e-10 * (1 + max |eigenvalue|).
+    1e-10 * (1 + max |eigenvalue|). When no eigenvalue exceeds
+    n^2 * machine epsilon * max |L| in magnitude, N^T L N is rounding noise
+    and the spectrum is empty (q = 0).
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -125,6 +127,10 @@ def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
     else:
         w, W = np.linalg.eigh(L if N is None else N.T @ L @ N)
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
+    if wmax <= n * n * np.finfo(float).eps * scale:
+        # N^T L N is rounding noise of the compression (L lies in the
+        # V-combinations), not spectrum
+        w, W, wmax = w[:0], W[:, :0], 0.0
     if psd_tol is None:
         psd_tol = 1e-10 * (1.0 + wmax)
     if w.size and w[0] < -psd_tol:
@@ -144,11 +150,15 @@ def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
 
 
 def bordered_matrix(e: NNP, idx: np.ndarray) -> np.ndarray:
-    m = idx.size
-    B = np.zeros((m + e.p, m + e.p))
-    B[:m, :m] = e.L[np.ix_(idx, idx)]
-    B[:m, m:] = e.V[idx, :]
-    B[m:, :m] = e.V[idx, :].T
+    """[[L_X, V_X], [V_X^T, 0]] for the indices X; for a (count, m) array of
+    index rows, the stack of one bordered matrix per row."""
+    idx = np.asarray(idx)
+    m = idx.shape[-1]
+    B = np.zeros(idx.shape[:-1] + (m + e.p, m + e.p))
+    B[..., :m, :m] = e.L[idx[..., :, None], idx[..., None, :]]
+    VX = e.V[idx, :]
+    B[..., :m, m:] = VX
+    B[..., m:, :m] = np.swapaxes(VX, -1, -2)
     return B
 
 

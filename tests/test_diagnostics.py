@@ -1,10 +1,20 @@
 import itertools
+import logging
+import math
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath import mp
 
 from flatdpp.diagnostics import (
     ConvergenceCurve,
+    _mp_conditional_logdets,
+    _mp_digits,
+    _mp_kernel_matrix,
+    _mp_points,
+    _mp_subset_dets,
+    _slogdets_by_size,
     brute_force_distribution,
     conditional_density,
     convergence_curve,
@@ -13,10 +23,17 @@ from flatdpp.diagnostics import (
     inclusion_probabilities,
     tv_distance,
 )
-from flatdpp.ensembles import make_nnp, size_distribution
+from flatdpp.ensembles import (
+    bordered_matrix,
+    indices_of,
+    log_unnorm_prob,
+    make_nnp,
+    mask_of,
+    size_distribution,
+)
 from flatdpp.flatlimit import fixed_size_limit, scaled_ensemble
 from flatdpp.geometry import PointSet, uniform_points
-from flatdpp.kernels import builtin_kernel, kernel_matrix
+from flatdpp.kernels import builtin_kernel, custom_kernel, kernel_matrix
 from flatdpp.polybasis import vandermonde
 from flatdpp.sampling import sample_projection
 
@@ -109,6 +126,131 @@ def test_deep_flat_regime_uses_mp_and_stays_normalized():
     dist = eps_ensemble_distribution(ps, GAUSS, 1e-3, m=4)
     assert dist.total() == pytest.approx(1.0, abs=1e-10)
     assert min(dist.probs.values()) >= 0.0
+
+
+def test_batched_slogdets_equal_per_subset_calls():
+    ps = uniform_points(7, 2, seed=17)
+    L = kernel_matrix(EXPO, ps, 0.7)
+    for m in (None, 3):
+        masks, sizes, sign, logabs = _slogdets_by_size(
+            7, m, lambda idx: L[idx[:, :, None], idx[:, None, :]])
+        subsets = ([indices_of(k) for k in range(1 << 7)] if m is None
+                   else list(itertools.combinations(range(7), m)))
+        assert masks.tolist() == [mask_of(X) for X in subsets]
+        for X, k, s, la in zip(subsets, sizes, sign, logabs):
+            ref = np.linalg.slogdet(L[np.ix_(X, X)])
+            assert (k, s, la) == (len(X), ref.sign, ref.logabsdet)
+    # bordered minors against log_unnorm_prob, one subset at a time
+    for p in (1, 2):
+        e = random_nnp(7, p, seed=18 + p)
+        masks, _, sign, logabs = _slogdets_by_size(
+            7, None, lambda idx: bordered_matrix(e, idx) if idx.shape[1] >= e.p else None)
+        folded = sign if p % 2 == 0 else -sign
+        for k, s, la in zip(masks.tolist(), folded, logabs):
+            assert log_unnorm_prob(e, indices_of(k)) == (la, s)
+
+
+def _direct_dets(K, masks):
+    """Reference: one mpmath.det per subset."""
+    out = {}
+    for k in masks:
+        idx = indices_of(k)
+        out[k] = (mpmath.det(mpmath.matrix([[K[a][b] for b in idx] for a in idx]))
+                  if idx else mp.mpf(1))
+    return out
+
+
+def _enumerated_masks(n, m):
+    if m is None:
+        return set(range(1 << n))
+    return {mask_of(X) for X in itertools.combinations(range(n), m)}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_mp_schur_enumeration_matches_per_subset_det(d):
+    ps = uniform_points(6, d, seed=30 + d)
+    names = ("gaussian", "exponential", "(1+d)exp(-d)", "sin(d+pi/4)exp(-d)",
+             "(3+3d+d^2)exp(-d)")
+    for name in names:
+        for eps in (0.5, 1e-2, 1e-3):
+            for m in (None, 3):
+                with mp.workdps(_mp_digits(6 if m is None else m, eps)):
+                    K = _mp_kernel_matrix(builtin_kernel(name), _mp_points(ps.coords),
+                                          mp.mpf(eps))
+                    dets = _mp_subset_dets(K, m)
+                    assert set(dets) == _enumerated_masks(6, m)
+                    big = max(abs(v) for v in dets.values())
+                    ref = _direct_dets(K, dets)
+                    assert max(abs(dets[k] - ref[k]) for k in dets) <= 1e-20 * big
+
+
+def test_mp_zero_pivot_falls_back_to_direct_det():
+    # f(d) = d: every diagonal pivot is exactly zero
+    kern = custom_kernel([0, 1])
+    ps = uniform_points(6, 1, seed=33)
+    with mp.workdps(60):
+        K = _mp_kernel_matrix(kern, _mp_points(ps.coords), mp.mpf(0.5))
+        for m in (None, 2, 3):
+            dets = _mp_subset_dets(K, m)
+            assert set(dets) == _enumerated_masks(6, m)
+            assert dets == _direct_dets(K, dets)
+    # conditional density: zero diagonal in K_Y, and a singular K_Y
+    grid = np.linspace(0.0, 1.0, 9)[1:-1]
+    Y = np.array([[0.05], [0.97]])
+    with mp.workdps(60):
+        got = _mp_conditional_logdets(kern, Y, grid[:, None], 0.5)
+        for x, lg in zip(grid, got):
+            K = _mp_kernel_matrix(kern, _mp_points(np.vstack([Y, [[x]]])), mp.mpf(0.5))
+            assert lg == pytest.approx(float(mp.log(_direct_dets(K, [7])[7])), rel=1e-14)
+        assert _mp_conditional_logdets(kern, Y[:1], grid[:, None], 0.5) == [-math.inf] * 7
+
+
+def test_mp_rank_deficient_kernel_law():
+    # f(d) = 1 - d^2 has rank 3 on the line: minors of size >= 4 are noise
+    # under both methods and must not carry mass
+    kern = custom_kernel([1, 0, -1])
+    ps = uniform_points(6, 1, seed=34)
+    with mp.workdps(_mp_digits(6, 0.5)):
+        K = _mp_kernel_matrix(kern, _mp_points(ps.coords), mp.mpf(0.5))
+        dets = _mp_subset_dets(K, None)
+        ref = _direct_dets(K, dets)
+
+        def law(w):
+            pos = {k: v for k, v in w.items() if v > 0}
+            total = mpmath.fsum(pos.values())
+            return {k: v / total for k, v in pos.items()}
+
+        a, b = law(dets), law(ref)
+        assert mpmath.fsum(abs(a.get(k, 0) - b.get(k, 0)) for k in dets) <= 1e-20
+
+
+def test_auto_backend_reads_clustered_cloud():
+    # two of these 8 points are 2.3e-3 apart: at eps = 0.1 the eps rule alone
+    # kept float64 for m = 5 (TV 1.03e-2 against 3.66e-4 on mp) and the
+    # curve rose; the kernel matrix's condition number sends it to mp
+    rng = np.random.default_rng(np.random.SeedSequence(3).spawn(2)[0])
+    ps = PointSet(rng.uniform(size=(8, 1)))
+    curve = convergence_curve(ps, GAUSS, [4.0, 1.5, 0.5, 0.1, 0.01, 1e-3], "full-law", m=5)
+    assert all(b <= a for a, b in zip(curve.values, curve.values[1:]))
+    target = brute_force_distribution(fixed_size_limit(ps, GAUSS, 5).process, 5)
+    auto = tv_distance(eps_ensemble_distribution(ps, GAUSS, 0.1, m=5), target)
+    exact = tv_distance(eps_ensemble_distribution(ps, GAUSS, 0.1, m=5, precision="mp"),
+                        target)
+    assert abs(auto - exact) <= 1e-8
+
+
+def test_backend_choice_is_logged(caplog):
+    ps = uniform_points(5, 1, seed=3)
+    with caplog.at_level(logging.DEBUG, logger="flatdpp.diagnostics"):
+        eps_ensemble_distribution(ps, EXPO, 0.9, m=2)
+        eps_ensemble_distribution(ps, GAUSS, 1e-3, m=4)
+        conditional_density(EXPO, [0.2, 0.6], np.linspace(0, 1, 5), eps=1e-3)
+    msgs = [r.getMessage() for r in caplog.records if r.name == "flatdpp.diagnostics"]
+    assert len(msgs) == 3 and all("digits at risk" in msg for msg in msgs)
+    assert msgs[0].startswith("eps_ensemble_distribution: float backend, dps=None")
+    assert msgs[1].startswith(
+        f"eps_ensemble_distribution: mp backend, dps={_mp_digits(4, 1e-3)}")
+    assert msgs[2].startswith(f"conditional_density: mp backend, dps={_mp_digits(3, 1e-3)}")
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,26 @@ def test_law_invariant_under_symmetric_span_v_shift():
     _assert_same_law(e, make_nnp(L + V @ A.T + A @ V.T, V))
 
 
+def test_span_v_combinations_leave_no_spectrum():
+    # N^T (V A^T + A V^T) N = 0: the eigensolver's rounding noise (up to
+    # ~2e-15 here) must not count as spectrum, while a genuine eigenvalue
+    # far above the n^2 eps max|L| floor must survive
+    n = 6
+    for seed in range(10):
+        for p in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            V = rng.standard_normal((n, p))
+            A = rng.standard_normal((n, p))
+            L = V @ A.T + A @ V.T
+            e = make_nnp(L, V)
+            assert e.q == 0 and e.U.shape == (n, 0)
+            assert size_distribution(e)[p] == 1.0
+            b = rng.standard_normal(n)
+            e2 = make_nnp(L + 1e-8 * np.outer(b, b), V)
+            r = b - e2.Q @ (e2.Q.T @ b)
+            assert e2.lam[0] == pytest.approx(1e-8 * (r @ r), rel=1e-6)
+
+
 def test_eigenvectors_column_major_orthonormal_and_orthogonal_to_v():
     for n, p in ((7, 0), (7, 1), (7, 3), (40, 5)):
         e = random_nnp(n, p, seed=n + p)
