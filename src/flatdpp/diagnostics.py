@@ -2,15 +2,17 @@
 
 Everything here evaluates probability laws by exhaustive enumeration so the
 constructors and samplers can be verified against them. The float64 oracles
-take one batched ``slogdet`` per subset size.
+take one batched ``slogdet`` per subset size; a float conditional density
+takes one per block of ``CONDITIONAL_BLOCK`` grid points, stacked after Y.
 
 Subset determinants of near-flat kernel matrices are badly conditioned
-(relative accuracy degrades like eps^(-2(m-1)) at size m), so the enumeration
-of pre-limit ensembles switches to arbitrary precision (mpmath) once float64
-would return noise: when that eps rule, or log10 of the condition number of
-the float64 kernel matrix (which bounds every principal minor's for a
-positive-definite kernel, and catches clustered points), exceeds
-``FLOAT_DIGIT_BUDGET`` digits. The mp backend evaluates builtin kernels'
+(relative accuracy degrades like eps^(-2(m-1)) at size m), so the pre-limit
+oracles switch to arbitrary precision (mpmath) once float64 would return
+noise: when that eps rule, or log10 of a float64 kernel matrix's condition
+number, exceeds ``FLOAT_DIGIT_BUDGET`` digits. For a positive-definite kernel,
+cond(L) bounds that of every principal minor of L and cond(K_Y) is a lower
+bound on every cond(K_{Y+x}): the enumeration reads the whole kernel matrix,
+the conditional density reads K_Y. The mp backend evaluates builtin kernels'
 closed forms at working-precision distances and walks the subsets depth-first:
 a subset's determinant is its prefix's times one Schur-complement pivot, and
 each prefix's Schur complement is formed once for all its descendants. The
@@ -30,8 +32,8 @@ from mpmath import mp
 
 from .ensembles import (
     NNP,
+    RankDeficientError,
     SubsetDistribution,
-    bordered_matrix,
     indices_of,
     log_fixed_size_normalizer,
     log_normalizer,
@@ -52,6 +54,10 @@ MAX_COMBINATIONS = 10**6
 #: Estimated decimal digits float64 may lose before the mp backend kicks in.
 FLOAT_DIGIT_BUDGET = 10
 
+#: Grid points per ground set of a float conditional density; bounds each
+#: block's matrices, and the flat limit's decomposition, to (m + 128)^2 entries.
+CONDITIONAL_BLOCK = 128
+
 
 def _check_enumerable(n: int, m: int | None) -> None:
     if m is None and n > MAX_GROUND_VARYING:
@@ -60,14 +66,14 @@ def _check_enumerable(n: int, m: int | None) -> None:
         raise ValueError(f"C({n},{m}) exceeds the enumeration guard {MAX_COMBINATIONS}")
 
 
-def _slogdets_by_size(n: int, m: int | None, minors):
+def _slogdets_by_size(n: int, m: int | None, slogdets):
     """(masks, sizes, sign, log|det|) over every enumerated subset.
 
     The subsets are every subset of range(n) in increasing mask order when m
-    is None, else the m-subsets in lexicographic order. minors maps a
-    (count, k) array of index rows to the stack of matrices whose
-    determinants are wanted, or to None when they all vanish; it is called
-    once per subset size, so each size costs one batched slogdet.
+    is None, else the m-subsets in lexicographic order. slogdets maps a
+    (count, k) array of index rows to (sign, log|det|) of the wanted
+    determinants, one per row; it is called once per subset size, so each
+    size costs one batched slogdet.
     """
     if m is not None:
         combos = list(combinations(range(n), m))
@@ -83,9 +89,7 @@ def _slogdets_by_size(n: int, m: int | None, minors):
         stacks = [(r, np.nonzero(bits[r])[1].reshape(r.size, k)) for k, r in enumerate(rows)]
     sign, logabs = np.zeros(masks.size), np.full(masks.size, -math.inf)
     for rows, idx in stacks:
-        mats = minors(idx)
-        if mats is not None:
-            sign[rows], logabs[rows] = np.linalg.slogdet(mats)
+        sign[rows], logabs[rows] = slogdets(idx)
     return masks, sizes, sign, logabs
 
 
@@ -98,11 +102,9 @@ def brute_force_distribution(e: NNP, m: int | None = None) -> SubsetDistribution
     """
     _check_enumerable(e.n, m)
     logZ = log_normalizer(e) if m is None else log_fixed_size_normalizer(e, m)
-    # |X| < p leaves the bordered matrix singular: no mass
     masks, _, sign, logabs = _slogdets_by_size(
-        e.n, m, lambda idx: bordered_matrix(e, idx) if idx.shape[1] >= e.p else None)
-    folded = sign if e.p % 2 == 0 else -sign
-    vals = folded * np.exp(logabs - logZ)
+        e.n, m, lambda idx: log_unnorm_prob(e, idx)[::-1])
+    vals = sign * np.exp(logabs - logZ)
     total = float(np.sum(vals))
     if abs(total - 1.0) > 1e-8:
         raise RuntimeError(
@@ -117,28 +119,26 @@ def brute_force_distribution(e: NNP, m: int | None = None) -> SubsetDistribution
 # ---------------------------------------------------------------------------
 
 
-def _digits_lost(m: int, eps: float) -> float:
-    """Decimal digits a float64 subset determinant loses in the flat regime.
+def _backend(caller: str, L: np.ndarray, m: int, eps: float, precision: str,
+             dps: int | None = None) -> int | None:
+    """mp working precision, or None for float64; logged at DEBUG.
 
-    The relative error of an LU determinant is governed by the condition
-    number, which grows like eps^(-2(m-1)) for a size-m minor of a smooth
-    kernel matrix (singular values 1, eps^2, ..., eps^(2(m-1))).
-    """
-    if eps >= 1.0:
-        return 0.0
-    return 2 * (m - 1) * math.log10(1.0 / eps) + 1.0
-
-
-def _digits_at_risk(L: np.ndarray, m: int, eps: float) -> float:
-    """The eps rule, or log10 of the kernel matrix's condition number if larger.
-
-    For a positive-definite kernel the condition number of L bounds that of
-    every principal minor; it sees clustered points, which the eps rule
-    (points at unit spacing) does not.
+    The digits at risk are the larger of the eps rule, about 2(m-1) log10(1/eps)
+    for a size-m minor of a smooth kernel matrix at unit spacing (singular
+    values 1, eps^2, ..., eps^(2(m-1))), and log10 of the condition number of
+    the float64 kernel matrix L. "auto" takes mp when they exceed
+    FLOAT_DIGIT_BUDGET; dps overrides the mp working precision.
     """
     with np.errstate(all="ignore"):
         cond = float(np.linalg.cond(L))
-    return max(_digits_lost(m, eps), math.log10(cond) if cond < math.inf else math.inf)
+    lost = 2 * (m - 1) * math.log10(1.0 / eps) + 1.0 if eps < 1.0 else 0.0
+    risk = max(lost, math.log10(cond) if cond < math.inf else math.inf)
+    use_mp = precision == "mp" or (precision == "auto" and risk > FLOAT_DIGIT_BUDGET)
+    wanted = (_mp_digits(m, eps) if dps is None else dps) if use_mp else None
+    logger.debug("%s: %s backend, dps=%s, %.1f digits at risk (m=%d, eps=%g, "
+                 "condition number of a %d-point kernel matrix)", caller,
+                 "mp" if use_mp else "float", wanted, risk, m, eps, L.shape[0])
+    return wanted
 
 
 def _mp_digits(m: int, eps: float) -> int:
@@ -267,21 +267,16 @@ def eps_ensemble_distribution(ps: PointSet, kernel: StationaryKernel, eps: float
 
     With m given, the law is conditioned on |X| = m (the scaling then cancels).
     precision is one of "auto", "float", "mp"; "auto" takes mp when the
-    digits at risk (see the module docstring) exceed FLOAT_DIGIT_BUDGET. dps
-    overrides the mp working precision.
+    digits at risk (see the module docstring) exceed FLOAT_DIGIT_BUDGET, read
+    on the whole kernel matrix. dps overrides the mp working precision.
     """
     n = ps.n
     mmax = n if m is None else m
     _check_enumerable(n, m)
     L = kernel_matrix(kernel, ps, eps)
-    risk = _digits_at_risk(L, mmax, eps)
-    use_mp = precision == "mp" or (precision == "auto" and risk > FLOAT_DIGIT_BUDGET)
-    wanted = (_mp_digits(mmax, eps) if dps is None else dps) if use_mp else None
-    logger.debug("eps_ensemble_distribution: %s backend, dps=%s, %.1f digits at risk "
-                 "(n=%d, m=%s, eps=%g)", "mp" if use_mp else "float", wanted, risk,
-                 n, m, eps)
+    wanted = _backend("eps_ensemble_distribution", L, mmax, eps, precision, dps)
 
-    if use_mp:
+    if wanted is not None:
         with mp.workdps(wanted):
             eps_mp = mp.mpf(eps)
             dets = _mp_subset_dets(_mp_kernel_matrix(kernel, _mp_points(ps.coords), eps_mp), m)
@@ -294,7 +289,7 @@ def eps_ensemble_distribution(ps: PointSet, kernel: StationaryKernel, eps: float
         return SubsetDistribution(n, probs)
 
     masks, sizes, sign, logabs = _slogdets_by_size(
-        n, m, lambda idx: L[idx[:, :, None], idx[:, None, :]])
+        n, m, lambda idx: np.linalg.slogdet(L[idx[:, :, None], idx[:, None, :]]))
     positive = sign > 0
     if not positive.any():
         raise ValueError("no subset has positive mass; kernel matrix indefinite")
@@ -324,57 +319,58 @@ def tv_distance(P, Q) -> float:
     return float(np.sum(np.abs(P - Q)))
 
 
+def _block_slogdets(kernel: StationaryKernel, Z: PointSet, idx: np.ndarray,
+                    eps: float | None):
+    """(sign, log|det|) per index row of the ground set Z, from one batched slogdet:
+    kernel-matrix minors at inverse scale eps, or (eps=None) bordered minors of
+    the flat limit of size idx.shape[1] built on Z."""
+    if eps is not None:
+        return np.linalg.slogdet(kernel_matrix(kernel, Z, eps)[idx[:, :, None], idx[:, None, :]])
+    try:
+        e = _fixed_size_dispatch(Z, kernel, idx.shape[1]).process
+    except RankDeficientError:
+        # V has rank < p on Z, hence on every subset of Z: no mass
+        return np.zeros(idx.shape[0]), np.full(idx.shape[0], -math.inf)
+    return log_unnorm_prob(e, idx)[::-1]
+
+
 def conditional_density(kernel: StationaryKernel, Y, x_grid,
-                        eps: float | None = None, m: int | None = None,
+                        eps: float | None = None,
                         precision: str = "auto") -> np.ndarray:
     """Density of the last point given the others, over the evaluation grid.
 
-    Each grid point is appended to Y in turn; the value is the unnormalized
-    mass of the full augmented set, either under the kernel matrix at inverse
-    scale eps or (eps=None) under the flat-limit process built on those
-    points. Values are normalized to sum to one over the grid and vanish at
-    grid points coinciding with an element of Y.
+    The value at a grid point x is the unnormalized mass of Y + x, either
+    under the kernel matrix at inverse scale eps or (eps=None) under the
+    size-(len(Y) + 1) flat limit, whose bordered minor over Y + x is the same
+    on any ground set that contains it. Values are normalized to sum to one
+    over the grid and vanish at grid points coinciding with an element of Y
+    (and, in the limit, where V is singular on Y + x). precision is as in
+    eps_ensemble_distribution, with the digits at risk read on K_Y.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.ndim == 1:
-        x_grid = x_grid[:, None]
-    if m is None:
-        m = Y.shape[0] + 1
-    if m != Y.shape[0] + 1:
-        raise ValueError("conditioning set must have m - 1 points")
-
-    logvals = np.full(x_grid.shape[0], -math.inf)
-    free = [g for g, x in enumerate(x_grid)
-            if np.min(np.linalg.norm(Y - x[None, :], axis=1)) > DISTINCT_TOL]
-    if eps is None:
-        for g in free:
-            res = _fixed_size_dispatch(PointSet(np.vstack([Y, x_grid[g][None, :]])), kernel, m)
-            logabs, sign = log_unnorm_prob(res.process, range(m))
-            if sign > 0:
-                logvals[g] = logabs
+    Y = np.asarray(Y, dtype=float).reshape(len(Y), -1)
+    x_grid = np.asarray(x_grid, dtype=float).reshape(len(x_grid), -1)
+    k = Y.shape[0]
+    free = np.min(np.linalg.norm(x_grid[:, None, :] - Y, axis=2), axis=1) > DISTINCT_TOL
+    xs, where = np.unique(x_grid[free], axis=0, return_inverse=True)
+    wanted = None if eps is None else _backend(
+        "conditional_density", kernel_matrix(kernel, PointSet(Y), eps), k + 1, eps, precision)
+    if wanted is not None:
+        with mp.workdps(wanted):
+            vals = np.array(_mp_conditional_logdets(kernel, Y, xs, eps))
     else:
-        risk = _digits_lost(m, eps)
-        use_mp = precision == "mp" or (precision == "auto" and risk > FLOAT_DIGIT_BUDGET)
-        wanted = _mp_digits(m, eps) if use_mp else None
-        logger.debug("conditional_density: %s backend, dps=%s, %.1f digits at risk "
-                     "(m=%d, eps=%g)", "mp" if use_mp else "float", wanted, risk, m, eps)
-        if use_mp:
-            with mp.workdps(wanted):
-                logvals[free] = _mp_conditional_logdets(kernel, Y, x_grid[free], eps)
-        else:
-            for g in free:
-                sign, logabs = np.linalg.slogdet(
-                    kernel_matrix(kernel, PointSet(np.vstack([Y, x_grid[g][None, :]])), eps))
-                if sign > 0:
-                    logvals[g] = logabs
+        vals = np.full(xs.shape[0], -math.inf)
+        for lo in range(0, xs.shape[0], CONDITIONAL_BLOCK):
+            Z = PointSet(np.vstack([Y, xs[lo:lo + CONDITIONAL_BLOCK]]))
+            idx = np.column_stack([np.tile(np.arange(k), (Z.n - k, 1)), np.arange(k, Z.n)])
+            sign, logabs = _block_slogdets(kernel, Z, idx, eps)
+            vals[lo:lo + Z.n - k] = np.where(sign > 0, logabs, -math.inf)
+    logvals = np.full(x_grid.shape[0], -math.inf)
+    logvals[free] = vals[where.reshape(-1)]
     ref = np.max(logvals)
     if not math.isfinite(ref):
         raise ValueError("conditional density vanished on the whole grid")
-    vals = np.exp(logvals - ref)
-    return vals / vals.sum()
+    dens = np.exp(logvals - ref)
+    return dens / dens.sum()
 
 
 def inclusion_probabilities(e: NNP, m: int | None = None) -> np.ndarray:

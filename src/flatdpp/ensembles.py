@@ -162,20 +162,23 @@ def bordered_matrix(e: NNP, idx: np.ndarray) -> np.ndarray:
     return B
 
 
-def log_unnorm_prob(e: NNP, X: Iterable[int]) -> tuple[float, float]:
+def log_unnorm_prob(e: NNP, X: Iterable[int] | np.ndarray) -> tuple:
     """(log |bordered determinant|, sign) with the (-1)^p convention folded in.
 
     The folded sign is +1 for every subset of positive mass, 0 when the mass
-    vanishes (including |X| < p, where the bordered matrix is singular).
+    vanishes (including |X| < p, where the bordered matrix is singular). For
+    a (count, m) array of index rows (distinct, in range), both are arrays
+    with one entry per row, from one batched slogdet.
     """
-    idx = _as_indices(X, e.n)
-    if idx.size < e.p:
-        return -math.inf, 0.0
-    sign, logabs = np.linalg.slogdet(bordered_matrix(e, idx))
-    if sign == 0.0:
-        return -math.inf, 0.0
-    folded = sign if e.p % 2 == 0 else -sign
-    return float(logabs), float(folded)
+    stacked = isinstance(X, np.ndarray) and X.ndim == 2
+    idx = X if stacked else _as_indices(X, e.n)[None]
+    sign, logabs = np.zeros(len(idx)), np.full(len(idx), -math.inf)
+    if idx.shape[1] >= e.p:
+        sign, logabs = np.linalg.slogdet(bordered_matrix(e, idx))
+        sign = (-1) ** e.p * sign
+    if stacked:
+        return logabs, sign
+    return (float(logabs[0]), float(sign[0])) if sign[0] else (-math.inf, 0.0)
 
 
 def log_normalizer(e: NNP) -> float:

@@ -128,10 +128,8 @@ def _fixed_size_dispatch(ps: PointSet, kernel: StationaryKernel, m: int) -> Flat
         meta.update(k=k, bracket=(count_poly(k - 1, d), count_poly(k, d)))
         return FlatLimitResult(regime, _wronskian_process(ps, kernel, k), m, meta)
     r = int(r)
-    L = (-1.0) ** r * distance_power_matrix(ps, 2 * r - 1)
-    V = vandermonde(ps, r - 1)
     meta.update(k=r, bracket=(count_poly(r - 1, d), None))
-    return FlatLimitResult(regime, make_nnp(L, V), m, meta)
+    return FlatLimitResult(regime, default_ensemble(ps, 2 * r - 1, 1.0), m, meta)
 
 
 def _varying_params(p: int, alpha: float):

@@ -112,11 +112,10 @@ def _monomial_columns(ps: PointSet, indices) -> np.ndarray:
                             for alpha in indices])
 
 
-def orthonormal_basis(M: np.ndarray, rank_tol: float | None = None,
-                      complement: bool = False):
+def orthonormal_basis(M: np.ndarray, complement: bool = False):
     """Orthonormal basis Q of span(M), rank decided by a singular-value cut.
 
-    Rank-deficient input is allowed; the default threshold is the standard
+    Rank-deficient input is allowed; the threshold is the standard
     numerical-rank rule max(n, p) * machine-eps * sigma_max. With
     complement=True, returns (Q, N) from the same SVD, where the columns of N
     are an orthonormal basis of the orthogonal complement of span(M), so that
@@ -130,11 +129,7 @@ def orthonormal_basis(M: np.ndarray, rank_tol: float | None = None,
         Q = np.zeros((n, 0))
         return (Q, np.eye(n)) if complement else Q
     U, s, _ = np.linalg.svd(M, full_matrices=complement)
-    if s[0] == 0.0:
-        rank = 0
-    else:
-        cut = (max(n, p) * np.finfo(float).eps if rank_tol is None else rank_tol) * s[0]
-        rank = int(np.sum(s > cut))
+    rank = int(np.sum(s > max(n, p) * np.finfo(float).eps * s[0]))
     if not complement:
         return U[:, :rank]
     # a copy, so that the n x n U is freed once the caller drops N

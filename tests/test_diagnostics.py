@@ -1,12 +1,14 @@
 import itertools
 import logging
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from mpmath import mp
 
+from flatdpp import flatlimit
 from flatdpp.diagnostics import (
     ConvergenceCurve,
     _mp_conditional_logdets,
@@ -24,6 +26,7 @@ from flatdpp.diagnostics import (
     tv_distance,
 )
 from flatdpp.ensembles import (
+    RankDeficientError,
     bordered_matrix,
     indices_of,
     log_unnorm_prob,
@@ -31,7 +34,15 @@ from flatdpp.ensembles import (
     mask_of,
     size_distribution,
 )
-from flatdpp.flatlimit import fixed_size_limit, scaled_ensemble
+from flatdpp.flatlimit import (
+    FINITE_SMOOTHNESS,
+    NONMAGIC_WRONSKIAN,
+    PROJECTION_SMOOTH,
+    _fixed_size_dispatch,
+    classify_fixed,
+    fixed_size_limit,
+    scaled_ensemble,
+)
 from flatdpp.geometry import PointSet, uniform_points
 from flatdpp.kernels import builtin_kernel, custom_kernel, kernel_matrix
 from flatdpp.polybasis import vandermonde
@@ -133,21 +144,27 @@ def test_batched_slogdets_equal_per_subset_calls():
     L = kernel_matrix(EXPO, ps, 0.7)
     for m in (None, 3):
         masks, sizes, sign, logabs = _slogdets_by_size(
-            7, m, lambda idx: L[idx[:, :, None], idx[:, None, :]])
+            7, m, lambda idx: np.linalg.slogdet(L[idx[:, :, None], idx[:, None, :]]))
         subsets = ([indices_of(k) for k in range(1 << 7)] if m is None
                    else list(itertools.combinations(range(7), m)))
         assert masks.tolist() == [mask_of(X) for X in subsets]
         for X, k, s, la in zip(subsets, sizes, sign, logabs):
             ref = np.linalg.slogdet(L[np.ix_(X, X)])
             assert (k, s, la) == (len(X), ref.sign, ref.logabsdet)
-    # bordered minors against log_unnorm_prob, one subset at a time
+    # log_unnorm_prob on a stack of index rows, against one subset at a time
+    # and against the bordered matrix with the (-1)^p fold made here
     for p in (1, 2):
         e = random_nnp(7, p, seed=18 + p)
         masks, _, sign, logabs = _slogdets_by_size(
-            7, None, lambda idx: bordered_matrix(e, idx) if idx.shape[1] >= e.p else None)
-        folded = sign if p % 2 == 0 else -sign
-        for k, s, la in zip(masks.tolist(), folded, logabs):
-            assert log_unnorm_prob(e, indices_of(k)) == (la, s)
+            7, None, lambda idx: log_unnorm_prob(e, idx)[::-1])
+        for k, s, la in zip(masks.tolist(), sign, logabs):
+            X = indices_of(k)
+            assert log_unnorm_prob(e, X) == (la, s)
+            if len(X) >= p:
+                ref = np.linalg.slogdet(bordered_matrix(e, np.array(X)))
+                assert (la, s) == (ref.logabsdet, (-1) ** p * ref.sign)
+            else:
+                assert (la, s) == (-math.inf, 0.0)
 
 
 def _direct_dets(K, masks):
@@ -332,9 +349,119 @@ def test_conditional_mp_backend_tracks_smooth_limit():
     assert tv_distance(dens, target) <= 1e-3
 
 
-def test_conditional_shape_validation():
-    with pytest.raises(ValueError, match="m - 1"):
-        conditional_density(GAUSS, [0.1, 0.2], [0.5], eps=None, m=5)
+def _reference_density(kernel, Y, grid, eps=None):
+    """One PointSet, flat limit or kernel matrix and determinant per grid point."""
+    Y = np.asarray(Y, dtype=float).reshape(len(Y), -1)
+    grid = np.asarray(grid, dtype=float).reshape(len(grid), -1)
+    m = Y.shape[0] + 1
+    logvals = np.full(grid.shape[0], -math.inf)
+    for g, x in enumerate(grid):
+        if np.min(np.linalg.norm(Y - x, axis=1)) <= 1e-12:
+            continue
+        ps = PointSet(np.vstack([Y, x]))
+        if eps is None:
+            try:
+                logabs, sign = log_unnorm_prob(_fixed_size_dispatch(ps, kernel, m).process,
+                                               range(m))
+            except RankDeficientError:
+                continue
+        else:
+            sign, logabs = np.linalg.slogdet(kernel_matrix(kernel, ps, eps))
+        if sign > 0:
+            logvals[g] = logabs
+    vals = np.exp(logvals - np.max(logvals))
+    return vals / vals.sum()
+
+
+def _grid_2d(k):
+    ax = np.linspace(0.0, 1.0, k)
+    return np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_conditional_density_matches_per_point_reference(d):
+    # every limit regime the dimension has; the grids span three blocks,
+    # repeat points and hit a point of Y
+    rng = np.random.default_rng(40 + d)
+    if d == 1:
+        grid = np.linspace(0.0, 1.0, 300)[:, None]
+        cases = [(GAUSS, 4), (EXPO, 3), (builtin_kernel("(1+d)exp(-d)"), 1),
+                 (builtin_kernel("(1+d)exp(-d)"), 3)]
+    else:
+        grid = _grid_2d(18)
+        cases = [(GAUSS, 2), (GAUSS, 4), (EXPO, 3), (builtin_kernel("(1+d)exp(-d)"), 1),
+                 (builtin_kernel("(1+d)exp(-d)"), 3)]
+    regimes = {classify_fixed(d, kernel.smoothness, k + 1)[0] for kernel, k in cases}
+    assert regimes == ({PROJECTION_SMOOTH, FINITE_SMOOTHNESS} if d == 1 else
+                       {PROJECTION_SMOOTH, NONMAGIC_WRONSKIAN, FINITE_SMOOTHNESS})
+    for kernel, k in cases:
+        Y = rng.uniform(size=(k, d))
+        pts = np.vstack([grid, grid[::7], Y[-1:]])
+        assert pts.shape[0] > 2 * 128
+        for eps in (None, 1.5, 0.5):
+            dens = conditional_density(kernel, Y, pts, eps=eps, precision="float")
+            ref = _reference_density(kernel, Y, pts, eps)
+            np.testing.assert_allclose(dens, ref, rtol=1e-12, atol=0)
+            assert dens[-1] == 0.0
+            np.testing.assert_array_equal(dens[grid.shape[0]:-1], dens[:grid.shape[0]:7])
+
+
+def test_conditional_density_builds_one_limit_per_block(monkeypatch):
+    calls = []
+    monkeypatch.setattr(flatlimit, "make_nnp",
+                        lambda *a, **kw: calls.append(1) or make_nnp(*a, **kw))
+    Y = np.array([[0.2, 0.3], [0.7, 0.4], [0.5, 0.9], [0.1, 0.8]])
+    dens = conditional_density(GAUSS, Y, _grid_2d(50), eps=None)
+    assert len(calls) == math.ceil(2500 / 128)
+    assert dens.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_conditional_density_memory_is_bounded_by_blocks():
+    # one ground set of 2504 points would hold a 2504 x 2504 L (50 MB) and more
+    Y = np.array([[0.2, 0.3], [0.7, 0.4], [0.5, 0.9], [0.1, 0.8]])
+    grid = _grid_2d(50)
+    conditional_density(GAUSS, Y, grid, eps=None)
+    tracemalloc.start()
+    try:
+        conditional_density(GAUSS, Y, grid, eps=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def test_conditional_singular_grid_points_get_no_mass():
+    # V_{Y+x} = [1, x, y] is singular for the grid's 11 diagonal points
+    Y = np.array([[0.05, 0.05], [0.45, 0.45]])
+    grid = _grid_2d(11)
+    diag = grid[:, 0] == grid[:, 1]
+    dens = conditional_density(GAUSS, Y, grid, eps=None)
+    assert diag.sum() == 11 and dens[diag].max() <= 1e-12
+    assert dens.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(dens[~diag], _reference_density(GAUSS, Y, grid)[~diag],
+                               rtol=1e-12)
+    # blocks follow lexicographic order: the 12 points on the line x = 0.9
+    # through Y fill the second block alone, whose V is singular: no mass,
+    # no error
+    Y = np.array([[0.9, 0.1], [0.9, 0.5]])
+    left = np.stack(np.meshgrid(np.linspace(0.0, 0.8, 8), np.linspace(0.0, 1.0, 16),
+                                indexing="ij"), axis=-1).reshape(-1, 2)
+    line = np.column_stack([np.full(12, 0.9), np.linspace(0.0, 1.0, 12)])
+    pts = np.vstack([left, line])
+    dens = conditional_density(GAUSS, Y, pts, eps=None)
+    assert left.shape[0] == 128 and dens[128:].max() == 0.0
+    np.testing.assert_allclose(dens, _reference_density(GAUSS, Y, pts), rtol=1e-12, atol=0)
+
+
+def test_conditional_auto_backend_reads_conditioning_points():
+    # 0.3 and 0.302 make log10 cond(K_Y) = 13.7 at eps = 0.1, where the eps
+    # rule alone says 9.0 and float64 gave TV 0.156 to the limit
+    Y = [0.3, 0.302, 0.6, 0.9]
+    grid = np.linspace(0.0, 1.0, 200)
+    target = conditional_density(GAUSS, Y, grid, eps=None)
+    auto = tv_distance(conditional_density(GAUSS, Y, grid, eps=0.1), target)
+    exact = tv_distance(conditional_density(GAUSS, Y, grid, eps=0.1, precision="mp"), target)
+    assert abs(auto - exact) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
