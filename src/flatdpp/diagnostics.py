@@ -42,7 +42,7 @@ from .ensembles import (
     mask_of,
 )
 from .flatlimit import _fixed_size_dispatch, fixed_size_limit, limit_size_distribution
-from .geometry import DISTINCT_TOL, PointSet
+from .geometry import DISTINCT_TOL, PointSet, _pairwise_sq_dists
 from .kernels import StationaryKernel, kernel_matrix
 
 logger = logging.getLogger(__name__)
@@ -334,6 +334,20 @@ def _block_slogdets(kernel: StationaryKernel, Z: PointSet, idx: np.ndarray,
     return log_unnorm_prob(e, idx)[::-1]
 
 
+def _near_duplicate_representatives(xs: np.ndarray) -> np.ndarray:
+    """rep[j]: the earliest row kept that lies within DISTINCT_TOL of row j, or j.
+
+    Rows are taken in order and a row is kept unless an earlier kept row lies
+    within DISTINCT_TOL of it, so the kept rows form a valid PointSet.
+    """
+    rep = np.arange(xs.shape[0])
+    close = np.triu(np.sqrt(_pairwise_sq_dists(xs)) <= DISTINCT_TOL, 1)
+    for i, j in zip(*np.nonzero(close)):
+        if rep[i] == i and rep[j] == j:
+            rep[j] = i
+    return rep
+
+
 def conditional_density(kernel: StationaryKernel, Y, x_grid,
                         eps: float | None = None,
                         precision: str = "auto") -> np.ndarray:
@@ -344,8 +358,10 @@ def conditional_density(kernel: StationaryKernel, Y, x_grid,
     size-(len(Y) + 1) flat limit, whose bordered minor over Y + x is the same
     on any ground set that contains it. Values are normalized to sum to one
     over the grid and vanish at grid points coinciding with an element of Y
-    (and, in the limit, where V is singular on Y + x). precision is as in
-    eps_ensemble_distribution, with the digits at risk read on K_Y.
+    (and, in the limit, where V is singular on Y + x). A grid point within
+    DISTINCT_TOL of another grid point of its block takes that point's value.
+    precision is as in eps_ensemble_distribution, with the digits at risk
+    read on K_Y.
     """
     Y = np.asarray(Y, dtype=float).reshape(len(Y), -1)
     x_grid = np.asarray(x_grid, dtype=float).reshape(len(x_grid), -1)
@@ -360,10 +376,15 @@ def conditional_density(kernel: StationaryKernel, Y, x_grid,
     else:
         vals = np.full(xs.shape[0], -math.inf)
         for lo in range(0, xs.shape[0], CONDITIONAL_BLOCK):
-            Z = PointSet(np.vstack([Y, xs[lo:lo + CONDITIONAL_BLOCK]]))
-            idx = np.column_stack([np.tile(np.arange(k), (Z.n - k, 1)), np.arange(k, Z.n)])
+            block = xs[lo:lo + CONDITIONAL_BLOCK]
+            rep = _near_duplicate_representatives(block)
+            own = np.flatnonzero(rep == np.arange(rep.size))
+            Z = PointSet(np.vstack([Y, block[own]]))
+            idx = np.column_stack([np.tile(np.arange(k), (own.size, 1)), np.arange(k, Z.n)])
             sign, logabs = _block_slogdets(kernel, Z, idx, eps)
-            vals[lo:lo + Z.n - k] = np.where(sign > 0, logabs, -math.inf)
+            block_vals = np.empty(rep.size)
+            block_vals[own] = np.where(sign > 0, logabs, -math.inf)
+            vals[lo:lo + rep.size] = block_vals[rep]
     logvals = np.full(x_grid.shape[0], -math.inf)
     logvals[free] = vals[where.reshape(-1)]
     ref = np.max(logvals)

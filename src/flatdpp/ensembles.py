@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import base64
 import json
+import logging
 import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .polybasis import orthonormal_basis
+
+logger = logging.getLogger(__name__)
 
 
 class RankDeficientError(ValueError):
@@ -40,54 +43,178 @@ def _as_indices(X: Iterable[int], n: int) -> np.ndarray:
     return idx
 
 
+#: Rows per block of the in-place rank-2p update in _compress; bounds its
+#: temporary to this many rows of M.
+_UPDATE_ROWS = 256
+
+
+def _reflectors(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compact-WY form (Y, T) of the Householder QR of Q: H = I - Y T Y^T.
+
+    H is orthogonal and its first p columns span span(Q), so its last n - p
+    columns are an orthonormal basis N of the complement. Y is unit lower
+    trapezoidal (n x p) and T upper triangular (p x p), as in LAPACK's dlarft.
+    """
+    p = Q.shape[1]
+    h, tau = np.linalg.qr(Q, mode="raw")
+    Y = np.tril(h.T, -1)
+    Y[np.arange(p), np.arange(p)] = 1.0
+    T = np.zeros((p, p))
+    for i in range(p):
+        T[:i, i] = -tau[i] * (T[:i, :i] @ (Y[:, :i].T @ Y[:, i]))
+        T[i, i] = tau[i]
+    return Y, T
+
+
+def _compress(L: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, Y, T): M = N^T L N as a new array, in O(n^2 p), and the reflectors
+    (Y, T) of Q whose H = I - Y T Y^T has the columns N past its first p.
+
+    L is first projected to L1 = P L P, P = I - Q Q^T, as L - W Q^T - Q W^T
+    with W = L Q - Q (Q^T L Q) / 2. Rounded to float64, L1 is on the scale of
+    N^T L N, so the reflector step adds errors on that scale rather than on
+    the scale of L's span(V) part (applied to L itself, it leaves rounding
+    noise several times larger, enough to move the rank cut). Only L1's
+    strip L1[:, :p] and trailing block L1[p:, p:] are formed. With Z = L1 Y,
+    H^T L1 H = L1 - X Y^T - Y X^T for X = Z T - Y T^T (Y^T Z) T / 2, whose
+    trailing block is M, updated in place.
+    """
+    p = Q.shape[1]
+    Y, T = _reflectors(Q)
+    if p == 0:
+        return L.copy(), Y, T
+    ZQ = L @ Q
+    W = ZQ - 0.5 * (Q @ (Q.T @ ZQ))
+    strip = L[:, :p] - (W @ Q[:p].T + Q @ W[:p].T)
+    M = np.matmul(np.hstack((W, Q))[p:], np.hstack((Q, W))[p:].T)
+    np.subtract(L[p:, p:], M, out=M)
+    Z = strip @ Y[:p] + np.vstack((strip[p:].T @ Y[p:], M @ Y[p:]))
+    X = Z @ T - 0.5 * (Y @ (T.T @ (Y.T @ Z) @ T))
+    A, B = np.hstack((X, Y))[p:], np.hstack((Y, X))[p:]
+    for lo in range(0, M.shape[0], _UPDATE_ROWS):
+        M[lo:lo + _UPDATE_ROWS] -= A[lo:lo + _UPDATE_ROWS] @ B.T
+    return M, Y, T
+
+
+def _lift(W: np.ndarray, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """N W = H [0; W], column-major, in O(n q p)."""
+    p = Y.shape[1]
+    U = np.zeros((Y.shape[0], W.shape[1]), order="F")
+    U[p:] = W
+    if p:
+        U -= Y @ (T @ (Y[p:].T @ W))
+    return U
+
+
+def _positive_spectrum(w: np.ndarray, noise_floor: float) -> tuple[np.ndarray, float]:
+    """(lam, wmax): the ascending eigenvalues w that are spectrum, descending,
+    and max |w|; (empty, 0.0) when all of w is rounding noise of the
+    compression."""
+    wmax = float(np.max(np.abs(w))) if w.size else 0.0
+    if wmax <= noise_floor:
+        logger.debug("N^T L N is rounding noise: the noise floor forced q = 0 "
+                     "(max |eigenvalue| %.3e <= n^2 eps max|L| = %.3e)", wmax, noise_floor)
+        return w[:0].copy(), 0.0
+    # eigenvalues below ~1e3 times the eigensolver noise floor are
+    # indistinguishable from zero modes
+    return w[w > 1e-12 * wmax][::-1].copy(), wmax
+
+
 class NNP:
-    """Validated extended L-ensemble with eagerly cached spectral data.
+    """Validated extended L-ensemble whose spectrum is computed on first use.
 
     Attributes
     ----------
     L, V : the defining pair; V has shape (n, p), possibly p = 0.
     Q : orthonormal basis of span(V), shape (n, p).
-    lam, U : positive eigenvalues (descending) of N^T L N, where [Q | N] is
-        an orthonormal basis of R^n, and their eigenvectors lifted back as
-        U = N W; U is column-major and orthogonal to Q by construction.
+    lam : positive eigenvalues (descending) of N^T L N, where [Q | N] is an
+        orthonormal basis of R^n; one cached eigvalsh on first read.
+    U : their eigenvectors lifted back as U = N W, column-major and
+        orthogonal to Q by construction; one cached eigh on first read, which
+        also sets lam when it is not yet known (otherwise U keeps the top q).
     q : number of positive eigenvalues; q <= n - p.
     logdet_vtv : log det(V^T V), 0.0 when p = 0.
+    psd_tol : the tolerance that accepted the pair (see :func:`make_nnp`).
 
-    Immutable after construction; build through :func:`make_nnp`. The
-    fixed-size sampler caches its read-only acceptance tables here, keyed by
-    the number of eigenvectors drawn, on first use.
+    N is never formed, and N^T L N is not kept: each decomposition
+    recompresses L through the p Householder reflectors of Q. Immutable after
+    construction; build through :func:`make_nnp`. The fixed-size sampler
+    caches its read-only acceptance tables here, keyed by the number of
+    eigenvectors drawn, on first use.
     """
 
-    def __init__(self, L, V, Q, lam, U, logdet_vtv, psd_tol):
+    def __init__(self, L, V, Q, logdet_vtv, psd_tol, given_tol, noise_floor, lam):
         self.L = L
         self.V = V
         self.Q = Q
-        self.lam = lam
-        self.U = U
         self.logdet_vtv = logdet_vtv
         self.psd_tol = psd_tol
         self.n = L.shape[0]
         self.p = V.shape[1]
-        self.q = lam.size
+        self._given_tol = given_tol
+        self._noise_floor = noise_floor
+        self._lam: np.ndarray | None = None
+        self._U: np.ndarray | None = None
         self._acceptance_tables: dict[int, np.ndarray] = {}
-        for arr in (self.L, self.V, self.Q, self.lam, self.U):
+        for arr in (self.L, self.V, self.Q):
             arr.setflags(write=False)
+        if lam is not None:
+            self._set_lam(lam)
+
+    def _set_lam(self, lam: np.ndarray) -> None:
+        lam.setflags(write=False)
+        self._lam = lam
+        if not lam.size:
+            # no eigenvector to compute
+            self._U = np.zeros((self.n, 0), order="F")
+
+    @property
+    def lam(self) -> np.ndarray:
+        if self._lam is None:
+            w = np.linalg.eigvalsh(_compress(self.L, self.Q)[0])
+            self._set_lam(_positive_spectrum(w, self._noise_floor)[0])
+        return self._lam
+
+    @property
+    def q(self) -> int:
+        return self.lam.size
+
+    @property
+    def U(self) -> np.ndarray:
+        if self._U is None:
+            M, Y, T = _compress(self.L, self.Q)
+            w, W = np.linalg.eigh(M)
+            del M
+            if self._lam is None:
+                self._set_lam(_positive_spectrum(w, self._noise_floor)[0])
+            if self._U is None:
+                U = _lift(W[:, ::-1][:, : self._lam.size], Y, T)
+                U.setflags(write=False)
+                self._U = U
+        return self._U
 
     def __repr__(self) -> str:
         return f"NNP(n={self.n}, p={self.p}, q={self.q})"
 
 
 def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
-    """Validate a pair (L; V) and cache its spectral decomposition.
+    """Validate a pair (L; V); its spectrum is computed only on first use.
 
     The law depends on V only through span(V), so the spectrum is that of
-    N^T L N, L compressed to the orthogonal complement N of span(V); both
-    bases come from one SVD of V (none when V is the identity). Eigenvalues
-    inside [-psd_tol, 0] are clipped to zero; anything below -psd_tol raises
-    :class:`CPDViolationError`. The default tolerance is
-    1e-10 * (1 + max |eigenvalue|). When no eigenvalue exceeds
-    n^2 * machine epsilon * max |L| in magnitude, N^T L N is rounding noise
-    and the spectrum is empty (q = 0).
+    M = N^T L N, L compressed to the orthogonal complement N of span(V). A
+    thin SVD of V gives the rank check, Q and log det(V^T V) (none is taken
+    when V is the identity); the p Householder reflectors of Q compress L to
+    M in O(n^2 p) without forming N. Validation is one Cholesky of M + tau I
+    with tau = min(1e-10 * (1 + max diag M), psd_tol if given): if it
+    succeeds, no eigenvalue is below -tau and the pair is accepted, with
+    psd_tol = tau unless the caller gave one. Otherwise an eigvalsh of M
+    decides: anything below -psd_tol raises :class:`CPDViolationError`, the
+    default tolerance being 1e-10 * (1 + max |eigenvalue|), and eigenvalues
+    inside [-psd_tol, 0] are zero modes. When no eigenvalue exceeds
+    n^2 * machine epsilon * max |L| in magnitude, M is rounding noise of the
+    compression (L lies in the V-combinations) and the spectrum is empty
+    (q = 0). L = 0 and p = n need no decomposition. Which path decided is
+    logged at DEBUG on the ``flatdpp.ensembles`` logger.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -111,42 +238,55 @@ def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
 
     if p == n and np.count_nonzero(V) == n and np.all(np.diagonal(V) == 1.0):
         # V = I, the sure full set: already orthonormal, nothing to factor
-        Q, N, logdet_vtv = V, np.zeros((n, 0)), 0.0
+        Q, logdet_vtv = V, 0.0
     elif p > 0:
-        Q, N = orthonormal_basis(V, complement=True)
+        Q = orthonormal_basis(V)
         if Q.shape[1] < p:
             raise RankDeficientError("V is rank deficient")
         # V = Q (Q^T V), so det(V^T V) = det(Q^T V)^2
         logdet_vtv = 2.0 * float(np.linalg.slogdet(Q.T @ V)[1])
     else:
-        Q, N, logdet_vtv = np.zeros((n, 0)), None, 0.0
+        Q, logdet_vtv = np.zeros((n, 0)), 0.0
 
-    if scale == 0.0:
-        # every projection regime: nothing to decompose
-        w, W = np.zeros(0), np.zeros((n - p, 0))
+    noise_floor = n * n * np.finfo(float).eps * scale
+    tol, lam = _validate(L, Q, noise_floor, psd_tol)
+    return NNP(L, V, Q, logdet_vtv, tol, psd_tol, noise_floor, lam)
+
+
+def _validate(L: np.ndarray, Q: np.ndarray, noise_floor: float,
+              psd_tol: float | None) -> tuple[float, np.ndarray | None]:
+    """(the tolerance that accepted (L; V), lam if it was computed), or raise."""
+    n, p = Q.shape
+    if noise_floor == 0.0 or p == n:
+        # L = 0, or the sure full set: no spectrum to check
+        return (1e-10 if psd_tol is None else psd_tol), np.zeros(0)
+    M = _compress(L, Q)[0]
+    diag = M.diagonal().copy()
+    tau = 1e-10 * (1.0 + float(np.max(diag)))
+    if psd_tol is not None:
+        tau = min(tau, psd_tol)
+    M.flat[:: M.shape[0] + 1] += tau
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        np.fill_diagonal(M, diag)
     else:
-        w, W = np.linalg.eigh(L if N is None else N.T @ L @ N)
-    wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    if wmax <= n * n * np.finfo(float).eps * scale:
-        # N^T L N is rounding noise of the compression (L lies in the
-        # V-combinations), not spectrum
-        w, W, wmax = w[:0], W[:, :0], 0.0
+        logger.debug("make_nnp: Cholesky of N^T L N + %.3e I accepted the pair "
+                     "(n=%d, p=%d)", tau, n, p)
+        return (tau if psd_tol is None else psd_tol), None
+    w = np.linalg.eigvalsh(M)
+    lam, wmax = _positive_spectrum(w, noise_floor)
     if psd_tol is None:
         psd_tol = 1e-10 * (1.0 + wmax)
-    if w.size and w[0] < -psd_tol:
+    logger.debug("make_nnp: Cholesky of N^T L N + %.3e I failed; eigvalsh decided "
+                 "with min eigenvalue %.3e, psd_tol %.3e (n=%d, p=%d)",
+                 tau, w[0], psd_tol, n, p)
+    if wmax and w[0] < -psd_tol:
         raise CPDViolationError(
             f"L is not CPD with respect to V: min eigenvalue {w[0]:.3e} "
             f"< -{psd_tol:.3e}"
         )
-    w = np.where((w >= -psd_tol) & (w <= 0.0), 0.0, w)
-    # eigenvalues below ~1e3 times the eigensolver noise floor are
-    # indistinguishable from zero modes
-    keep = w > 1e-12 * wmax
-    lam = w[keep][::-1].copy()
-    W = W[:, keep][:, ::-1]
-    # column-major, so the samplers gather chosen eigenvectors contiguously
-    U = np.asfortranarray(W) if N is None else np.matmul(N, W, order="F")
-    return NNP(L, V, Q, lam, U, logdet_vtv, psd_tol)
+    return psd_tol, lam
 
 
 def bordered_matrix(e: NNP, idx: np.ndarray) -> np.ndarray:
@@ -198,10 +338,12 @@ def marginal_kernel(e: NNP) -> np.ndarray:
     """K = QQ^T + U diag(lam / (1 + lam)) U^T; eigenvalue 1 with multiplicity p.
 
     With U = N W, the second term is N M (I + M)^{-1} N^T for M = N^T L N.
+    U is read first, so one eigh serves both U and lam.
     """
+    U = e.U
     K = e.Q @ e.Q.T
     if e.q:
-        K = K + (e.U * (e.lam / (1.0 + e.lam))) @ e.U.T
+        K = K + (U * (e.lam / (1.0 + e.lam))) @ U.T
     return K
 
 
@@ -391,16 +533,19 @@ def _decode(obj: dict) -> np.ndarray:
 
 
 def nnp_to_dict(e: NNP) -> dict:
+    """L, V and the caller's PSD tolerance, null when make_nnp's default rule
+    applied: a reload re-derives that default from the identical pair."""
     return {
         "n": e.n,
         "p": e.p,
         "L": _encode(e.L),
         "V": _encode(e.V),
-        "psd_tol": e.psd_tol,
+        "psd_tol": e._given_tol,
     }
 
 
 def nnp_from_dict(obj: dict, psd_tol: float | None = None) -> NNP:
+    """Rebuild through make_nnp; psd_tol overrides the stored tolerance."""
     L = _decode(obj["L"])
     V = _decode(obj["V"])
     return make_nnp(L, V, psd_tol=psd_tol if psd_tol is not None

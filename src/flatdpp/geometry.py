@@ -33,8 +33,8 @@ class PointSet:
         self.d = d
         if n > 1:
             sq = _pairwise_sq_dists(self.coords)
-            iu = np.triu_indices(n, k=1)
-            dmin = float(np.sqrt(np.min(sq[iu])))
+            np.fill_diagonal(sq, np.inf)
+            dmin = float(np.sqrt(np.min(sq)))
             if dmin <= DISTINCT_TOL:
                 raise ValueError(
                     f"points are not pairwise distinct (min distance {dmin:.3e})"
@@ -69,8 +69,21 @@ def grid_points(n: int, d: int) -> PointSet:
 
 
 def _pairwise_sq_dists(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """n x n squared distances, accumulated one coordinate at a time.
+
+    Each term (x_ik - x_jk)^2 is symmetric in (i, j) and the terms are added
+    in the same order for both, so the result is exactly symmetric with a
+    zero diagonal; only two n x n arrays are live.
+    """
+    x = coords[:, 0]
+    sq = np.subtract.outer(x, x)
+    sq *= sq
+    for k in range(1, coords.shape[1]):
+        x = coords[:, k]
+        diff = np.subtract.outer(x, x)
+        diff *= diff
+        sq += diff
+    return sq
 
 
 def distance_matrix(ps: PointSet) -> np.ndarray:
@@ -89,15 +102,7 @@ def distance_power_matrix(ps: PointSet, p: int) -> np.ndarray:
     p = int(p)
     if p == 0:
         return np.ones((ps.n, ps.n))
-    n = ps.n
-    out = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    diff = ps.coords[iu[0]] - ps.coords[iu[1]]
-    sq = np.einsum("ij,ij->i", diff, diff)
+    sq = _pairwise_sq_dists(ps.coords)
     if p % 2 == 0:
-        vals = sq ** (p // 2)
-    else:
-        vals = np.sqrt(sq) ** p
-    out[iu] = vals
-    out += out.T
-    return out
+        return sq ** (p // 2)
+    return np.sqrt(sq) ** p

@@ -112,25 +112,19 @@ def _monomial_columns(ps: PointSet, indices) -> np.ndarray:
                             for alpha in indices])
 
 
-def orthonormal_basis(M: np.ndarray, complement: bool = False):
+def orthonormal_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis Q of span(M), rank decided by a singular-value cut.
 
     Rank-deficient input is allowed; the threshold is the standard
-    numerical-rank rule max(n, p) * machine-eps * sigma_max. With
-    complement=True, returns (Q, N) from the same SVD, where the columns of N
-    are an orthonormal basis of the orthogonal complement of span(M), so that
-    [Q | N] is orthogonal.
+    numerical-rank rule max(n, p) * machine-eps * sigma_max, applied to one
+    thin SVD.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a matrix")
     n, p = M.shape
     if p == 0 or n == 0:
-        Q = np.zeros((n, 0))
-        return (Q, np.eye(n)) if complement else Q
-    U, s, _ = np.linalg.svd(M, full_matrices=complement)
+        return np.zeros((n, 0))
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(s > max(n, p) * np.finfo(float).eps * s[0]))
-    if not complement:
-        return U[:, :rank]
-    # a copy, so that the n x n U is freed once the caller drops N
-    return U[:, :rank].copy(), U[:, rank:]
+    return U[:, :rank]

@@ -74,6 +74,7 @@ def _stack_basis(e: NNP, chosen: np.ndarray) -> np.ndarray:
 
 def sample(e: NNP, rng: np.random.Generator) -> list[int]:
     """One draw from the varying-size law of the ensemble; always |X| >= p."""
+    e.U  # one eigh gives U and lam; reading lam first would add an eigvalsh
     probs = e.lam / (1.0 + e.lam)
     chosen = np.flatnonzero(rng.random(e.q) < probs)
     return sample_projection(_stack_basis(e, chosen), rng)
@@ -105,6 +106,7 @@ def sample_fixed(e: NNP, m: int, rng: np.random.Generator) -> list[int]:
     m - p vectorised scans takes the highest remaining j whose uniform falls
     below its acceptance probability.
     """
+    e.U  # one eigh gives U and lam; reading q first would add an eigvalsh
     if m < e.p or m > e.p + e.q:
         raise ValueError(
             f"fixed size m={m} outside the support [p, p+q] = [{e.p}, {e.p + e.q}]"

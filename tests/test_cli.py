@@ -182,6 +182,21 @@ def test_psd_tol_override_accepted(capsys, tmp_path):
     assert len(out.splitlines()) == 7
 
 
+def test_limit_validates_only_and_size_dist_reads_eigenvalues_only(
+        capsys, tmp_path, decompositions):
+    lim = tmp_path / "lim.json"
+    code, _, _ = run(capsys, "limit", "--gen", "uniform", "--n", "300", "--dim", "2",
+                     "--kernel", "exponential", "--m", "20", "--out", str(lim))
+    assert code == 0 and decompositions == {"eigh": 0, "eigvalsh": 0}
+    # the default tolerance is re-derived from the identical pair on reload
+    assert json.loads(lim.read_text())["nnp"]["psd_tol"] is None
+    code, out, _ = run(capsys, "size-dist", "--ensemble", str(lim))
+    assert code == 0 and decompositions == {"eigh": 0, "eigvalsh": 1}
+    assert sum(float(r.split(",")[1]) for r in out.splitlines()[1:]) == pytest.approx(1.0)
+    code, _, _ = run(capsys, "sample", "--ensemble", str(lim), "--samples", "5")
+    assert code == 0 and decompositions == {"eigh": 1, "eigvalsh": 1}
+
+
 def test_outputs_deterministic(capsys):
     args = ("inclusion", "--gen", "uniform", "--n", "6", "--dim", "1",
             "--seed", "5", "--kernel", "gaussian", "--m", "2", "--eps", "1.0")

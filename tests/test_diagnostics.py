@@ -406,7 +406,9 @@ def test_conditional_density_matches_per_point_reference(d):
             np.testing.assert_array_equal(dens[grid.shape[0]:-1], dens[:grid.shape[0]:7])
 
 
-def test_conditional_density_builds_one_limit_per_block(monkeypatch):
+def test_conditional_density_builds_one_limit_per_block(monkeypatch, decompositions):
+    # each block's limit is only validated: the bordered minors need L and V,
+    # not the spectrum
     calls = []
     monkeypatch.setattr(flatlimit, "make_nnp",
                         lambda *a, **kw: calls.append(1) or make_nnp(*a, **kw))
@@ -414,6 +416,19 @@ def test_conditional_density_builds_one_limit_per_block(monkeypatch):
     dens = conditional_density(GAUSS, Y, _grid_2d(50), eps=None)
     assert len(calls) == math.ceil(2500 / 128)
     assert dens.sum() == pytest.approx(1.0, abs=1e-12)
+    conditional_density(EXPO, [0.1, 0.3, 0.5, 0.9], np.linspace(0.0, 1.0, 300), eps=None)
+    assert decompositions == {"eigh": 0, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("eps", [None, 0.5])
+def test_conditional_near_duplicate_grid_points_share_a_value(eps):
+    # 0.4 and 0.4 + 1e-13 are closer than DISTINCT_TOL: one block must not
+    # reject them, and both take the value the grid point 0.4 has on its own
+    dens = conditional_density(GAUSS, [0.2, 0.6], [0.4, 0.4 + 1e-13, 0.8], eps=eps)
+    a, b = conditional_density(GAUSS, [0.2, 0.6], [0.4, 0.8], eps=eps)
+    np.testing.assert_allclose(dens, np.array([a, a, b]) / (2 * a + b), rtol=1e-12)
+    if eps is None:
+        np.testing.assert_allclose(dens, [1 / 11, 1 / 11, 9 / 11], rtol=1e-10)
 
 
 def test_conditional_density_memory_is_bounded_by_blocks():

@@ -1,5 +1,8 @@
 import itertools
+import json
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +27,9 @@ from flatdpp.ensembles import (
     nnp_to_json,
     size_distribution,
 )
-from flatdpp.geometry import PointSet, distance_power_matrix
+from flatdpp.flatlimit import fixed_size_limit
+from flatdpp.geometry import PointSet, distance_power_matrix, uniform_points
+from flatdpp.kernels import builtin_kernel
 
 
 def random_nnp(n, p, seed, scale=1.0):
@@ -88,7 +93,7 @@ def test_rank_deficient_V_rejected():
 
 def test_cpd_violation_rejected():
     ps = PointSet([0.0, 0.3, 0.9, 1.4])
-    with pytest.raises(CPDViolationError):
+    with pytest.raises(CPDViolationError, match=r"min eigenvalue -1\.733e\+00 < -2\.733e-10$"):
         make_nnp(distance_power_matrix(ps, 1), np.ones((4, 1)))
 
 
@@ -415,6 +420,110 @@ def test_eigenvectors_column_major_orthonormal_and_orthogonal_to_v():
         np.testing.assert_allclose(R - e.Q @ (e.Q.T @ R), 0.0, atol=1e-10)
 
 
+def eager_spectrum(L, V):
+    """Reference: an SVD complement N of span(V), then eigh of N^T L N, with
+    make_nnp's cuts (n^2 eps max|L| noise floor, 1e-12 relative rank)."""
+    n = L.shape[0]
+    N = np.linalg.svd(V, full_matrices=True)[0][:, V.shape[1]:] if V.shape[1] else np.eye(n)
+    w, W = np.linalg.eigh(N.T @ L @ N)
+    wmax = np.max(np.abs(w), initial=0.0)
+    if wmax <= n * n * np.finfo(float).eps * np.max(np.abs(L)):
+        wmax = math.inf
+    keep = w > 1e-12 * wmax
+    return w[keep][::-1], (N @ W)[:, keep][:, ::-1]
+
+
+def spectral_projectors(lam, U):
+    """One (eigenvalue, U_g U_g^T) per cluster of eigenvalues closer than 1e-8."""
+    cuts = np.flatnonzero(np.diff(lam) < -1e-8) + 1
+    return [(lam[g[0]], U[:, g] @ U[:, g].T)
+            for g in np.split(np.arange(lam.size), cuts) if g.size]
+
+
+def _lazy_cases():
+    rng = np.random.default_rng(53)
+    for n, p in ((7, 0), (7, 1), (7, 3), (30, 5), (6, 6)):
+        A = rng.standard_normal((n, n))
+        yield A @ A.T / n, rng.standard_normal((n, p))
+    V = rng.standard_normal((8, 2))
+    yield np.zeros((8, 8)), V  # L = 0
+    A = rng.standard_normal((5, 5))
+    yield A @ A.T, np.eye(5)  # V = I
+    # repeated eigenvalues: N^T L N = diag(3, 3, 3, 1, 1, 0, 0)
+    N = np.linalg.svd(V, full_matrices=True)[0][:, 2:]
+    yield (N * [3.0, 3.0, 3.0, 1.0, 1.0, 0.0]) @ N.T + V @ V.T, V
+
+
+def test_lazy_spectrum_matches_eager_reference():
+    for L, V in _lazy_cases():
+        lam, U = eager_spectrum(L, V)
+        for first in ("lam", "U"):
+            e = make_nnp(L, V)
+            getattr(e, first)
+            assert e.q == lam.size <= e.n - e.p
+            np.testing.assert_allclose(e.lam, lam, rtol=0, atol=1e-10)
+            assert e.U.shape == (e.n, e.q) and e.U.flags.f_contiguous
+            got, want = spectral_projectors(e.lam, e.U), spectral_projectors(lam, U)
+            assert len(got) == len(want)
+            for (_, P), (_, P0) in zip(got, want):
+                np.testing.assert_allclose(P, P0, rtol=0, atol=1e-10)
+
+
+def test_read_order_does_not_change_q():
+    # eigvalsh then eigh, or eigh alone, must agree on how many eigenvalues count
+    for L, V in _lazy_cases():
+        e1, e2 = make_nnp(L, V), make_nnp(L, V)
+        e1.lam, e2.U
+        assert e1.U.shape == e2.U.shape and e1.q == e2.q
+        np.testing.assert_allclose(e1.lam, e2.lam, rtol=0, atol=1e-12)
+
+
+def test_compression_noise_stays_below_the_rank_cut():
+    # Gaussian m = 13 in the plane: the Wronskian limit has q = H_{4,2} = 5.
+    # Its other eigenvalues are rounding noise of N^T L N, near 4e-13 of the
+    # largest; reflectors applied to L without projecting out span(V) first
+    # leave noise near 3e-12, above the 1e-12 rank cut (q = 6 on these clouds)
+    for seed in (1, 2, 3):
+        e = fixed_size_limit(uniform_points(300, 2, seed=seed), builtin_kernel("gaussian"), 13)
+        assert e.process.q == 5
+
+
+def test_validation_only_construction_memory():
+    n = 2000
+    L = -distance_power_matrix(uniform_points(n, 2, seed=59), 1)
+    V = np.ones((n, 1))
+    tracemalloc.start()
+    try:
+        make_nnp(L, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # L's symmetrized copy, N^T L N and its Cholesky factor
+    assert peak <= 3 * n * n * 8
+
+
+def test_deciding_path_is_logged(caplog, decompositions):
+    kernel = builtin_kernel("gaussian")
+    ps = uniform_points(300, 2, seed=11)
+    with caplog.at_level(logging.DEBUG, logger="flatdpp.ensembles"):
+        fixed_size_limit(ps, kernel, 13)
+    msgs = [r.getMessage() for r in caplog.records if r.name == "flatdpp.ensembles"]
+    assert len(msgs) == 1 and "Cholesky" in msgs[0] and "accepted" in msgs[0]
+    assert decompositions == {"eigh": 0, "eigvalsh": 0}
+    caplog.clear()
+    # the translated cloud: its Wronskian limit is wrong (q should be 5), and
+    # the noise floor is what hides that
+    with caplog.at_level(logging.DEBUG, logger="flatdpp.ensembles"):
+        e = fixed_size_limit(PointSet(ps.coords + 10.0), kernel, 13).process
+    msgs = [r.getMessage() for r in caplog.records if r.name == "flatdpp.ensembles"]
+    # the fallback's eigenvalues are kept: reading q and U costs nothing more
+    assert e.q == 0 and e.U.shape == (300, 0)
+    assert decompositions == {"eigh": 0, "eigvalsh": 1}
+    assert any("noise floor forced q = 0" in m for m in msgs)
+    assert any("eigvalsh decided with min eigenvalue -" in m and "psd_tol 1.000e-10" in m
+               for m in msgs)
+
+
 def test_scaling_leaves_minimal_fixed_size_law_invariant():
     e = random_nnp(6, 2, seed=41)
     e2 = make_nnp(5.0 * e.L, e.V)
@@ -451,3 +560,17 @@ def test_json_round_trip():
     np.testing.assert_array_equal(e2.V, e.V)
     for X in ([0], [1, 3], [0, 2, 4]):
         assert log_prob(e2, X) == pytest.approx(log_prob(e, X), abs=1e-12)
+
+
+def test_json_keeps_only_a_given_psd_tol():
+    e = random_nnp(5, 2, seed=43)
+    obj = json.loads(nnp_to_json(e))
+    assert obj["psd_tol"] is None
+    assert nnp_from_json(json.dumps(obj)).psd_tol == e.psd_tol
+    e2 = make_nnp(e.L, e.V, psd_tol=1e-6)
+    assert e2.psd_tol == 1e-6
+    obj = json.loads(nnp_to_json(e2))
+    assert obj["psd_tol"] == 1e-6 and nnp_from_json(json.dumps(obj)).psd_tol == 1e-6
+    # files that store the numeric default still load, with that tolerance
+    obj["psd_tol"] = 1.5e-10
+    assert nnp_from_json(json.dumps(obj)).psd_tol == 1.5e-10

@@ -33,12 +33,29 @@ def test_even_powers_are_elementwise_powers_of_squared():
 
 def test_symmetric_to_bit_equality_and_nonnegative():
     rng = np.random.default_rng(1)
-    ps = PointSet(rng.standard_normal((9, 2)))
-    for p in (1, 2, 5):
-        D = distance_power_matrix(ps, p)
-        assert np.array_equal(D, D.T)
-        assert np.all(D >= 0)
-        assert np.all(np.diag(D) == 0)
+    for d in (2, 3):
+        ps = PointSet(rng.standard_normal((9, d)))
+        for p in (1, 2, 5):
+            D = distance_power_matrix(ps, p)
+            assert np.array_equal(D, D.T)
+            assert np.all(D >= 0)
+            assert np.all(np.diag(D) == 0)
+
+
+def test_squared_distances_bit_identical_to_pairwise_formula_up_to_d2():
+    # the per-pair einsum formula the one-coordinate-at-a-time sum replaced
+    rng = np.random.default_rng(2)
+    for d in (1, 2):
+        coords = rng.uniform(-3.0, 7.0, size=(60, d))
+        iu = np.triu_indices(60, k=1)
+        diff = coords[iu[0]] - coords[iu[1]]
+        sq = np.einsum("ij,ij->i", diff, diff)
+        ps = PointSet(coords)
+        for p in (1, 2, 3):
+            old = np.zeros((60, 60))
+            old[iu] = sq ** (p // 2) if p % 2 == 0 else np.sqrt(sq) ** p
+            old += old.T
+            assert np.array_equal(distance_power_matrix(ps, p), old)
 
 
 def test_negative_or_fractional_power_rejected():
@@ -50,7 +67,8 @@ def test_negative_or_fractional_power_rejected():
 def test_coincident_points_rejected():
     with pytest.raises(ValueError, match="distinct"):
         PointSet([[0.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match=r"^points are not pairwise distinct "
+                                         r"\(min distance 1\.000e-13\)$"):
         PointSet([0.5, 0.5 + 1e-13])
 
 

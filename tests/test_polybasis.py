@@ -148,16 +148,3 @@ def test_orthonormal_basis_rank_deficient():
     assert orthonormal_basis(M).shape == (5, 1)
     assert orthonormal_basis(np.zeros((4, 2))).shape == (4, 0)
     assert orthonormal_basis(np.zeros((4, 0))).shape == (4, 0)
-
-
-def test_orthonormal_basis_complement():
-    ps = uniform_points(6, 2, seed=4)
-    M = vandermonde(ps, 1)
-    for A, rank in ((M, 3), (np.column_stack([M, M[:, :1] + M[:, 1:2]]), 3),
-                    (np.zeros((6, 2)), 0), (np.zeros((6, 0)), 0)):
-        Q, N = orthonormal_basis(A, complement=True)
-        assert Q.shape == (6, rank) and N.shape == (6, 6 - rank)
-        np.testing.assert_allclose(Q, orthonormal_basis(A), atol=1e-14)
-        B = np.hstack([Q, N])
-        np.testing.assert_allclose(B.T @ B, np.eye(6), atol=1e-12)
-        assert np.max(np.abs(N.T @ A), initial=0.0) <= 1e-12 * (1 + np.abs(A).max(initial=0.0))

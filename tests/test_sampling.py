@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flatdpp.diagnostics import brute_force_distribution, empirical_check, tv_distance
-from flatdpp.ensembles import make_nnp, size_distribution
+from flatdpp.ensembles import make_nnp, marginal_kernel, size_distribution
 from flatdpp.sampling import rng_from_seed, sample, sample_fixed, sample_projection
 
 
@@ -160,3 +160,17 @@ def test_projection_memory_is_linear_in_n():
         tracemalloc.stop()
     assert len(set(X)) == m
     assert peak < n * n * 8 / 8
+
+
+def test_one_eigh_serves_every_draw(decompositions):
+    e = random_nnp(12, 2, seed=97)
+    assert decompositions == {"eigh": 0, "eigvalsh": 0}  # validation is a Cholesky
+    rng = rng_from_seed(98)
+    sample(e, rng)
+    assert decompositions == {"eigh": 1, "eigvalsh": 0}
+    sample(e, rng)
+    sample_fixed(e, 5, rng)
+    marginal_kernel(e)
+    assert decompositions == {"eigh": 1, "eigvalsh": 0}
+    sample_fixed(random_nnp(12, 2, seed=97), 5, rng)
+    assert decompositions == {"eigh": 2, "eigvalsh": 0}
