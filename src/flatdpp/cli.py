@@ -22,6 +22,15 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _emit(path, text: str) -> None:
+    """Write text to stdout for path None or "-", otherwise to the file."""
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def _write_rows(path, header, rows, fmt="csv"):
     if fmt == "json":
         payload = {"columns": list(header),
@@ -33,11 +42,7 @@ def _write_rows(path, header, rows, fmt="csv"):
         lines += [",".join(_fmt(c) if not isinstance(c, str) else c for c in row)
                   for row in rows]
         text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _emit(path, text)
 
 
 def _load_points(args) -> PointSet:
@@ -62,27 +67,22 @@ def _parse_floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _limit_result(args):
+def _limit_result(args) -> flatlimit.FlatLimitResult:
     ps = _load_points(args)
     kernel = _load_kernel(args)
     if args.vary:
-        return flatlimit.varying_size_limit(ps, kernel, args.p, args.alpha), ps, kernel
+        return flatlimit.varying_size_limit(ps, kernel, args.p, args.alpha)
     if args.m is None:
         raise ValueError("fixed-size limit needs --m (or use --vary with --p)")
-    return flatlimit.fixed_size_limit(ps, kernel, args.m), ps, kernel
+    return flatlimit.fixed_size_limit(ps, kernel, args.m)
 
 
 def cmd_limit(args) -> int:
-    res, _, _ = _limit_result(args)
+    res = _limit_result(args)
     bracket = res.metadata.get("bracket")
     print(f"regime: {res.label}" + (f" bracket: {bracket}" if bracket else ""),
           file=sys.stderr)
-    payload = json.dumps(res.to_dict())
-    if args.out is None or args.out == "-":
-        sys.stdout.write(payload + "\n")
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+    _emit(args.out, json.dumps(res.to_dict()) + "\n")
     return 0
 
 
@@ -91,11 +91,11 @@ def _ensemble_from_args(args):
     if args.ensemble:
         with open(args.ensemble) as fh:
             obj = json.load(fh)
-        tol = getattr(args, "psd_tol", None)
         if "nnp" in obj:
-            return ensembles.nnp_from_dict(obj["nnp"], psd_tol=tol), obj.get("fixed_size")
-        return ensembles.nnp_from_dict(obj, psd_tol=tol), None
-    res, _, _ = _limit_result(args)
+            return (ensembles.nnp_from_dict(obj["nnp"], psd_tol=args.psd_tol),
+                    obj.get("fixed_size"))
+        return ensembles.nnp_from_dict(obj, psd_tol=args.psd_tol), None
+    res = _limit_result(args)
     return res.process, res.fixed_size
 
 
@@ -119,17 +119,13 @@ def cmd_size_dist(args) -> int:
     if args.ensemble:
         e, _ = _ensemble_from_args(args)
         vec = ensembles.size_distribution(e)
-    elif args.eps:
-        ps = _load_points(args)
-        kernel = _load_kernel(args)
-        eps = _parse_floats(args.eps)[0]
+    elif args.eps is not None:
         dist = diagnostics.eps_ensemble_distribution(
-            ps, kernel, eps, p=args.p, alpha=args.alpha)
+            _load_points(args), _load_kernel(args), args.eps, p=args.p, alpha=args.alpha)
         vec = dist.size_marginal()
     else:
-        ps = _load_points(args)
-        kernel = _load_kernel(args)
-        vec = flatlimit.limit_size_distribution(ps, kernel, args.p, args.alpha)
+        vec = flatlimit.limit_size_distribution(
+            _load_points(args), _load_kernel(args), args.p, args.alpha)
     _write_rows(args.out, ["m", "probability"],
                 [(str(m), v) for m, v in enumerate(vec)], args.format)
     return 0
@@ -217,85 +213,85 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="flatdpp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, points=True):
-        if points:
-            p.add_argument("--points", help="CSV of points, one per row, no header")
-            p.add_argument("--gen", choices=["uniform", "grid"], default="uniform")
-            p.add_argument("--n", type=int, default=8, help="generated ground-set size")
+    def ground_set(p):
+        p.add_argument("--points", help="CSV of points, one per row, no header")
+        p.add_argument("--gen", choices=["uniform", "grid"], default="uniform")
+        p.add_argument("--n", type=int, default=8, help="generated ground-set size")
         p.add_argument("--dim", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0)
+
+    def kernel(p):
         p.add_argument("--kernel", help="builtin kernel name")
         p.add_argument("--coeffs", help="comma-separated Taylor coefficients")
-        p.add_argument("--seed", type=int, default=0)
+
+    def out(p):
         p.add_argument("--out", help="output path (default stdout)")
+
+    def row_output(p):
+        out(p)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = sub.add_parser("limit", help="construct a flat-limit process (JSON)")
-    common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--vary", action="store_true")
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.set_defaults(func=cmd_limit)
+    def scaling(p):
+        p.add_argument("--p", type=int, default=1)
+        p.add_argument("--alpha", type=float, default=1.0)
 
-    p = sub.add_parser("sample", help="draw subsets from an ensemble")
-    common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--vary", action="store_true")
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--ensemble", help="JSON produced by the limit command")
-    p.add_argument("--psd-tol", type=float, dest="psd_tol",
-                   help="override the stored PSD tolerance when loading")
+    def limit_choice(p):
+        p.add_argument("--m", type=int)
+        p.add_argument("--vary", action="store_true")
+        scaling(p)
+
+    def ensemble_file(p):
+        p.add_argument("--ensemble", help="JSON produced by the limit command")
+        p.add_argument("--psd-tol", type=float, dest="psd_tol",
+                       help="override the stored PSD tolerance when loading")
+
+    def command(name, func, help, *groups):
+        p = sub.add_parser(name, help=help)
+        for group in groups:
+            group(p)
+        p.set_defaults(func=func)
+        return p
+
+    command("limit", cmd_limit, "construct a flat-limit process (JSON)",
+            ground_set, kernel, out, limit_choice)
+
+    p = command("sample", cmd_sample, "draw subsets from an ensemble",
+                ground_set, kernel, row_output, limit_choice, ensemble_file)
     p.add_argument("--samples", type=int, default=100)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("size-dist", help="size distribution of a process")
-    common(p)
-    p.add_argument("--vary", action="store_true")
-    p.add_argument("--m", type=int)
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--eps", help="evaluate the pre-limit ensemble at this eps")
-    p.add_argument("--ensemble", help="JSON produced by the limit command")
-    p.add_argument("--psd-tol", type=float, dest="psd_tol",
-                   help="override the stored PSD tolerance when loading")
-    p.set_defaults(func=cmd_size_dist)
+    p = command("size-dist", cmd_size_dist, "size distribution of a process",
+                ground_set, kernel, row_output, scaling, ensemble_file)
+    p.add_argument("--eps", type=float, help="evaluate the pre-limit ensemble at this eps")
 
-    p = sub.add_parser("cond-density", help="conditional density over a grid")
-    common(p, points=False)
+    p = command("cond-density", cmd_cond_density, "conditional density over a grid",
+                kernel, row_output)
     p.add_argument("--Y", required=True, help="conditioning points, comma-separated")
     p.add_argument("--grid", type=int, default=400)
     p.add_argument("--grid-range", default="0,1")
     p.add_argument("--eps", help="comma-separated eps values")
     p.add_argument("--limit", action="store_true", help="append the limit column")
-    p.set_defaults(func=cmd_cond_density)
 
-    p = sub.add_parser("inclusion", help="inclusion probabilities at fixed size")
-    common(p)
+    p = command("inclusion", cmd_inclusion, "inclusion probabilities at fixed size",
+                ground_set, kernel, row_output)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--eps", help="comma-separated eps values")
     p.add_argument("--limit", action="store_true")
-    p.set_defaults(func=cmd_inclusion)
 
-    p = sub.add_parser("converge", help="distance to the flat limit per eps")
-    common(p)
+    p = command("converge", cmd_converge, "distance to the flat limit per eps",
+                ground_set, kernel, row_output, scaling)
     p.add_argument("--mode", choices=["full-law", "size-law", "conditional", "inclusion"],
                    default="full-law")
     p.add_argument("--m", type=int)
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--eps", required=True)
     p.add_argument("--Y")
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--grid-range", default="0,1")
-    p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("oracle", help="sampler vs enumeration TV on a random ensemble")
+    p = command("oracle", cmd_oracle, "sampler vs enumeration TV on a random ensemble")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--samples", type=int, default=200000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", help="also dump the enumerated law as (bitmask, probability)")
-    p.set_defaults(func=cmd_oracle)
 
     return top
 
@@ -304,7 +300,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, FileNotFoundError) as err:
+    except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, IndexError) as err:

@@ -119,22 +119,21 @@ def brute_force_distribution(e: NNP, m: int | None = None) -> SubsetDistribution
 # ---------------------------------------------------------------------------
 
 
-def _backend(caller: str, L: np.ndarray, m: int, eps: float, precision: str,
-             dps: int | None = None) -> int | None:
+def _backend(caller: str, L: np.ndarray, m: int, eps: float, precision: str) -> int | None:
     """mp working precision, or None for float64; logged at DEBUG.
 
     The digits at risk are the larger of the eps rule, about 2(m-1) log10(1/eps)
     for a size-m minor of a smooth kernel matrix at unit spacing (singular
     values 1, eps^2, ..., eps^(2(m-1))), and log10 of the condition number of
-    the float64 kernel matrix L. "auto" takes mp when they exceed
-    FLOAT_DIGIT_BUDGET; dps overrides the mp working precision.
+    the float64 kernel matrix L. "auto" takes mp, at the working precision
+    of _mp_digits, when they exceed FLOAT_DIGIT_BUDGET.
     """
     with np.errstate(all="ignore"):
         cond = float(np.linalg.cond(L))
     lost = 2 * (m - 1) * math.log10(1.0 / eps) + 1.0 if eps < 1.0 else 0.0
     risk = max(lost, math.log10(cond) if cond < math.inf else math.inf)
     use_mp = precision == "mp" or (precision == "auto" and risk > FLOAT_DIGIT_BUDGET)
-    wanted = (_mp_digits(m, eps) if dps is None else dps) if use_mp else None
+    wanted = _mp_digits(m, eps) if use_mp else None
     logger.debug("%s: %s backend, dps=%s, %.1f digits at risk (m=%d, eps=%g, "
                  "condition number of a %d-point kernel matrix)", caller,
                  "mp" if use_mp else "float", wanted, risk, m, eps, L.shape[0])
@@ -261,20 +260,19 @@ def _mp_conditional_logdets(kernel: StationaryKernel, Y: np.ndarray, xs: np.ndar
 
 def eps_ensemble_distribution(ps: PointSet, kernel: StationaryKernel, eps: float,
                               m: int | None = None, p: int = 0, alpha: float = 1.0,
-                              precision: str = "auto",
-                              dps: int | None = None) -> SubsetDistribution:
+                              precision: str = "auto") -> SubsetDistribution:
     """Exact subset law of DPP(alpha * eps^{-p} L(eps)), by enumeration.
 
     With m given, the law is conditioned on |X| = m (the scaling then cancels).
     precision is one of "auto", "float", "mp"; "auto" takes mp when the
     digits at risk (see the module docstring) exceed FLOAT_DIGIT_BUDGET, read
-    on the whole kernel matrix. dps overrides the mp working precision.
+    on the whole kernel matrix.
     """
     n = ps.n
     mmax = n if m is None else m
     _check_enumerable(n, m)
     L = kernel_matrix(kernel, ps, eps)
-    wanted = _backend("eps_ensemble_distribution", L, mmax, eps, precision, dps)
+    wanted = _backend("eps_ensemble_distribution", L, mmax, eps, precision)
 
     if wanted is not None:
         with mp.workdps(wanted):

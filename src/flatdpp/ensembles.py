@@ -214,13 +214,16 @@ def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
     n^2 * machine epsilon * max |L| in magnitude, M is rounding noise of the
     compression (L lies in the V-combinations) and the spectrum is empty
     (q = 0). L = 0 and p = n need no decomposition. Which path decided is
-    logged at DEBUG on the ``flatdpp.ensembles`` logger.
+    logged at DEBUG on the ``flatdpp.ensembles`` logger. A NaN or infinite
+    entry in L or V raises ValueError.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("L must be square")
     n = L.shape[0]
     scale = np.max(np.abs(L)) if L.size else 0.0
+    if not np.isfinite(scale):
+        raise ValueError("L has a non-finite entry")
     if scale > 0 and np.max(np.abs(L - L.T)) > 1e-10 * scale:
         raise ValueError("L must be symmetric")
     L = 0.5 * (L + L.T)
@@ -232,6 +235,8 @@ def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
         V = V[:, None]
     if V.shape[0] != n:
         raise ValueError("V must have n rows")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("V has a non-finite entry")
     p = V.shape[1]
     if p > n:
         raise RankDeficientError(f"V has {p} > n = {n} columns")
@@ -369,17 +374,10 @@ def from_marginal_kernel(K, unit_tol: float = 1e-8) -> NNP:
 
 
 def elementary_symmetric(values: Sequence[float], k: int) -> float:
-    """e_k of the values by the dynamic-programming recurrence; e_0 = 1."""
+    """e_k of nonnegative values, from the log-space recurrence; e_0 = 1."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    values = np.asarray(values, dtype=float)
-    if k > values.size:
-        return 0.0
-    row = np.zeros(k + 1)
-    row[0] = 1.0
-    for v in values:
-        row[1:] = row[1:] + v * row[:-1]
-    return float(row[k])
+    return math.exp(log_elementary_symmetric(values, k))
 
 
 def _log_esp_table(lam: np.ndarray, k: int) -> np.ndarray:

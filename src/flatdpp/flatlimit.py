@@ -161,16 +161,13 @@ def varying_size_limit(ps: PointSet, kernel: StationaryKernel, p: int,
     # r == (p+1)/2: the first odd derivative sets both the shape and the scale
     r = int(r)
     f = kernel.coeff(2 * r - 1)
-    L = alpha * f * distance_power_matrix(ps, 2 * r - 1)
-    V = vandermonde(ps, r - 1)
-    try:
-        process = make_nnp(L, V)
-    except CPDViolationError as err:
+    if np.sign(f) != (-1) ** r:
         raise CPDViolationError(
             f"the critical-scaling limit requires sign(f_{{2r-1}}) = (-1)^r, "
-            f"violated by kernel '{kernel.name}' (f_{2 * r - 1} = {f:g}): {err}"
-        ) from err
-    return FlatLimitResult(VARYING_FINITE, process, None, meta)
+            f"violated by kernel '{kernel.name}' (f_{2 * r - 1} = {f:g})"
+        )
+    return FlatLimitResult(VARYING_FINITE, default_ensemble(ps, 2 * r - 1, alpha * abs(f)),
+                           None, meta)
 
 
 def limit_size_distribution(ps: PointSet, kernel: StationaryKernel, p: int,

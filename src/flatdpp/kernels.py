@@ -130,51 +130,40 @@ def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Frac
     return out
 
 
-def _sin_plus_cos_series(n: int) -> list[Fraction]:
-    """Coefficients of sin(x) + cos(x) up to order n."""
-    out = []
-    for j in range(n + 1):
-        # cycle of signs for sin + cos: 1, 1, -1/2!, -1/3!, 1/4!, 1/5!, ...
-        sign = -1 if (j % 4) in (2, 3) else 1
-        out.append(Fraction(sign, math.factorial(j)))
-    return out
+def _gaussian_series(n: int) -> list[float]:
+    return [float(Fraction((-1) ** (j // 2), math.factorial(j // 2))) if j % 2 == 0 else 0.0
+            for j in range(n + 1)]
 
 
-def _builtin_table(n: int):
-    e = _exp_series(n)
-    gauss = [
-        Fraction((-1) ** (j // 2), math.factorial(j // 2)) if j % 2 == 0 else Fraction(0)
-        for j in range(n + 1)
-    ]
-    half_sqrt2 = math.sqrt(2.0) / 2.0
-    sincos = _convolve(_sin_plus_cos_series(n), e, n)
-    return {
-        "gaussian": (
-            [float(c) for c in gauss],
-            lambda x: np.exp(-(x**2)),
-            lambda x: mp.exp(-(x**2)),
-        ),
-        "exponential": (
-            [float(c) for c in e],
-            lambda x: np.exp(-x),
-            lambda x: mp.exp(-x),
-        ),
-        "(1+d)exp(-d)": (
-            [float(c) for c in _convolve([Fraction(1), Fraction(1)], e, n)],
-            lambda x: (1.0 + x) * np.exp(-x),
-            lambda x: (1 + x) * mp.exp(-x),
-        ),
-        "sin(d+pi/4)exp(-d)": (
-            [half_sqrt2 * float(c) for c in sincos],
-            lambda x: np.sin(x + np.pi / 4) * np.exp(-x),
-            lambda x: mp.sin(x + mp.pi / 4) * mp.exp(-x),
-        ),
-        "(3+3d+d^2)exp(-d)": (
-            [float(c) for c in _convolve([Fraction(3), Fraction(3), Fraction(1)], e, n)],
-            lambda x: (3.0 + 3.0 * x + x**2) * np.exp(-x),
-            lambda x: (3 + 3 * x + x**2) * mp.exp(-x),
-        ),
-    }
+def _poly_exp_series(poly: Sequence[int]):
+    """Series builder of poly(x) exp(-x), poly given by its coefficients."""
+    return lambda n: [float(c) for c in _convolve([Fraction(c) for c in poly],
+                                                   _exp_series(n), n)]
+
+
+def _sin_exp_series(n: int) -> list[float]:
+    """sin(x + pi/4) exp(-x) = (sqrt(2)/2) (sin x + cos x) exp(-x)."""
+    # cycle of signs for sin + cos: 1, 1, -1/2!, -1/3!, 1/4!, 1/5!, ...
+    sincos = [Fraction(-1 if j % 4 in (2, 3) else 1, math.factorial(j)) for j in range(n + 1)]
+    return [math.sqrt(2.0) / 2.0 * float(c) for c in _convolve(sincos, _exp_series(n), n)]
+
+
+#: Catalog: name -> (series builder of the truncation order, numpy profile,
+#: mpmath profile). Only the requested kernel's series is built.
+_CATALOG = {
+    "gaussian": (_gaussian_series,
+                 lambda x: np.exp(-(x**2)), lambda x: mp.exp(-(x**2))),
+    "exponential": (_poly_exp_series([1]),
+                    lambda x: np.exp(-x), lambda x: mp.exp(-x)),
+    "(1+d)exp(-d)": (_poly_exp_series([1, 1]),
+                     lambda x: (1.0 + x) * np.exp(-x), lambda x: (1 + x) * mp.exp(-x)),
+    "sin(d+pi/4)exp(-d)": (_sin_exp_series,
+                           lambda x: np.sin(x + np.pi / 4) * np.exp(-x),
+                           lambda x: mp.sin(x + mp.pi / 4) * mp.exp(-x)),
+    "(3+3d+d^2)exp(-d)": (_poly_exp_series([3, 3, 1]),
+                          lambda x: (3.0 + 3.0 * x + x**2) * np.exp(-x),
+                          lambda x: (3 + 3 * x + x**2) * mp.exp(-x)),
+}
 
 
 _ALIASES = {
@@ -229,8 +218,8 @@ def builtin_kernel(name: str, truncation: int = DEFAULT_TRUNCATION) -> Stationar
     key = _ALIASES.get(_normalize_name(name))
     if key is None:
         raise KeyError(f"unknown kernel name {name!r}; choose from {sorted(set(_ALIASES))}")
-    coeffs, ev, mev = _builtin_table(truncation)[key]
-    kernel = StationaryKernel(coeffs, evaluator=ev, mp_evaluator=mev, name=key)
+    series, ev, mev = _CATALOG[key]
+    kernel = StationaryKernel(series(truncation), evaluator=ev, mp_evaluator=mev, name=key)
     assert kernel.smoothness == BUILTIN_SMOOTHNESS[key]
     return kernel
 

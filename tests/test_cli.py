@@ -106,12 +106,12 @@ def test_size_dist_round_trip(capsys, tmp_path):
 def test_size_dist_limit_and_eps_paths(capsys):
     code, out, _ = run(capsys, "size-dist", "--gen", "uniform", "--n", "5",
                        "--dim", "1", "--seed", "3", "--kernel", "exponential",
-                       "--vary", "--p", "1")
+                       "--p", "1")
     assert code == 0
     vec_lim = np.array([float(r.split(",")[1]) for r in out.splitlines()[1:]])
     code, out, _ = run(capsys, "size-dist", "--gen", "uniform", "--n", "5",
                        "--dim", "1", "--seed", "3", "--kernel", "exponential",
-                       "--vary", "--p", "1", "--eps", "1e-3")
+                       "--p", "1", "--eps", "1e-3")
     assert code == 0
     vec_eps = np.array([float(r.split(",")[1]) for r in out.splitlines()[1:]])
     assert np.sum(np.abs(vec_lim - vec_eps)) <= 0.05
@@ -165,11 +165,44 @@ def test_oracle_command(capsys):
 def test_json_format_output(capsys):
     code, out, _ = run(capsys, "size-dist", "--gen", "uniform", "--n", "4",
                        "--dim", "1", "--seed", "2", "--kernel", "gaussian",
-                       "--vary", "--p", "2", "--format", "json")
+                       "--p", "2", "--format", "json")
     assert code == 0
     obj = json.loads(out)
     assert obj["columns"] == ["m", "probability"]
     assert sum(v for _, v in obj["rows"]) == pytest.approx(1.0, abs=1e-10)
+
+
+UNREAD = "unrecognized arguments"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("limit", "--kernel", "gaussian", "--m", "3", "--format", "json"), UNREAD),
+    (("size-dist", "--kernel", "exponential", "--m", "3"), UNREAD),
+    (("size-dist", "--kernel", "exponential", "--vary"), UNREAD),
+    (("cond-density", "--kernel", "exponential", "--Y", "0.2,0.6", "--dim", "1"), UNREAD),
+    (("cond-density", "--kernel", "exponential", "--Y", "0.2,0.6", "--seed", "3"), UNREAD),
+    (("size-dist", "--kernel", "exponential", "--eps", "0.5,0.001"),
+     "argument --eps: invalid float value: '0.5,0.001'"),
+])
+def test_unread_options_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_tampered_ensemble_is_domain_error(capsys, tmp_path):
+    lim = tmp_path / "lim.json"
+    run(capsys, "limit", "--gen", "uniform", "--n", "5", "--kernel", "exponential",
+        "--m", "3", "--out", str(lim))
+    obj = json.loads(lim.read_text())
+    L = ensembles._decode(obj["nnp"]["L"])
+    L[1, 2] = np.nan
+    obj["nnp"]["L"] = ensembles._encode(L)
+    lim.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "size-dist", "--ensemble", str(lim))
+    assert code == 2 and out == ""
+    assert "L has a non-finite entry" in err
 
 
 def test_psd_tol_override_accepted(capsys, tmp_path):

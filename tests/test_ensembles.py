@@ -85,6 +85,14 @@ def test_asymmetric_L_rejected():
         make_nnp(L)
 
 
+@pytest.mark.parametrize("which, bad", [("L", math.nan), ("L", math.inf), ("V", math.nan)])
+def test_non_finite_pair_rejected(which, bad):
+    L, V = np.eye(3), np.ones((3, 1))
+    (L if which == "L" else V)[0, 0] = bad
+    with pytest.raises(ValueError, match=f"^{which} has a non-finite entry$"):
+        make_nnp(L, V)
+
+
 def test_rank_deficient_V_rejected():
     V = np.column_stack([np.ones(4), 2 * np.ones(4)])
     with pytest.raises(RankDeficientError):
@@ -233,6 +241,14 @@ def test_elementary_symmetric_values():
     assert elementary_symmetric([1.0, 2.0, 3.0], 2) == pytest.approx(11.0)
     assert elementary_symmetric([1.0, 2.0, 3.0], 4) == 0.0
     assert math.exp(log_elementary_symmetric([1.0, 2.0, 3.0], 2)) == pytest.approx(11.0)
+    values = np.random.default_rng(3).random(7)
+    for k in range(8):
+        ref = sum(math.prod(c) for c in itertools.combinations(values, k))
+        assert elementary_symmetric(values, k) == pytest.approx(ref, rel=1e-12)
+    with pytest.raises(ValueError, match="nonnegative"):
+        elementary_symmetric([1.0, -2.0], 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        elementary_symmetric([1.0, 2.0], -1)
 
 
 def test_size_distribution_single_point():

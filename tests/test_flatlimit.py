@@ -354,8 +354,8 @@ def test_default_ensemble_matches_critical_limits():
     ps = uniform_points(6, 1, seed=18)
     e = default_ensemble(ps, beta=1, gamma=0.9)
     lim = varying_size_limit(ps, EXPO, 1, alpha=0.9)  # f_1 = -1
-    np.testing.assert_allclose(e.L, lim.process.L, atol=1e-13)
-    np.testing.assert_allclose(e.V, lim.process.V, atol=1e-13)
+    np.testing.assert_array_equal(e.L, lim.process.L)
+    np.testing.assert_array_equal(e.V, lim.process.V)
     e3 = default_ensemble(ps, beta=3, gamma=1.0)
     assert e3.p == 2
     assert np.all(e3.lam >= 0)

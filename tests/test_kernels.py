@@ -44,6 +44,34 @@ def test_builtin_catalog_smoothness():
         assert smoothness_order(k.taylor) == BUILTIN_SMOOTHNESS[name]
 
 
+def _exact_series(name, n):
+    """Rational Taylor coefficients c_j, and the factor the kernel multiplies
+    them by, from closed forms independent of the catalog's products."""
+    fact = math.factorial
+    if name == "gaussian":
+        return [Fraction((-1) ** (j // 2), fact(j // 2)) if j % 2 == 0 else Fraction(0)
+                for j in range(n + 1)], 1.0
+    if name == "sin(d+pi/4)exp(-d)":
+        # (sin x + cos x) exp(-x) = (Re + Im) exp((i - 1) x), term by term
+        coeffs, z = [], complex(1, 0)
+        for j in range(n + 1):
+            coeffs.append(Fraction(int(z.real + z.imag), fact(j)))
+            z *= complex(-1, 1)
+        return coeffs, math.sqrt(2.0) / 2.0
+    numer = {"exponential": lambda j: 1,
+             "(1+d)exp(-d)": lambda j: 1 - j,
+             "(3+3d+d^2)exp(-d)": lambda j: (j - 1) * (j - 3)}[name]
+    return [Fraction((-1) ** j * numer(j), fact(j)) for j in range(n + 1)], 1.0
+
+
+@pytest.mark.parametrize("truncation", [16, 24])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_series_equal_exact_rationals(name, truncation):
+    coeffs, factor = _exact_series(name, truncation)
+    expected = [factor * float(c) for c in coeffs]
+    assert builtin_kernel(name, truncation=truncation).taylor.tolist() == expected
+
+
 def test_figure_caption_names_accepted():
     assert builtin_kernel("(1+δ)e^{−δ}").name == "(1+d)exp(-d)"
     assert builtin_kernel("sin(δ+π/4)e^{−δ}").name == "sin(d+pi/4)exp(-d)"
