@@ -1,6 +1,6 @@
 """Command-line front end: flat limits, samples, densities and sweeps as CSV.
 
-Exit codes: 0 ok, 1 I/O error, 2 domain error. Floats print with 17
+Exit codes: 0 ok, 1 I/O error, 2 domain or usage error. Floats print with 17
 significant digits so files round-trip losslessly. Every command is a
 deterministic function of its inputs and the seed.
 """
@@ -213,12 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="flatdpp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
+    # construction options default to None here; see CONSTRUCTION_OPTIONS
     def ground_set(p):
         p.add_argument("--points", help="CSV of points, one per row, no header")
-        p.add_argument("--gen", choices=["uniform", "grid"], default="uniform")
-        p.add_argument("--n", type=int, default=8, help="generated ground-set size")
-        p.add_argument("--dim", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--gen", choices=["uniform", "grid"], help="default uniform")
+        p.add_argument("--n", type=int, help="generated ground-set size (default 8)")
+        p.add_argument("--dim", type=int, help="default 1")
+        p.add_argument("--seed", type=int, help="default 0")
 
     def kernel(p):
         p.add_argument("--kernel", help="builtin kernel name")
@@ -232,12 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     def scaling(p):
-        p.add_argument("--p", type=int, default=1)
-        p.add_argument("--alpha", type=float, default=1.0)
+        p.add_argument("--p", type=int, help="default 1")
+        p.add_argument("--alpha", type=float, help="default 1.0")
 
     def limit_choice(p):
         p.add_argument("--m", type=int)
-        p.add_argument("--vary", action="store_true")
+        p.add_argument("--vary", action="store_true", default=None)
         scaling(p)
 
     def ensemble_file(p):
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         for group in groups:
             group(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         return p
 
     command("limit", cmd_limit, "construct a flat-limit process (JSON)",
@@ -296,8 +297,35 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+#: Options that construct a ground set, a kernel or a limit, with their
+#: defaults. A default is filled in after parsing, so that an option given
+#: beside --ensemble can be told from one left out.
+CONSTRUCTION_OPTIONS = {"points": None, "gen": "uniform", "n": 8, "dim": 1, "seed": 0,
+                         "kernel": None, "coeffs": None, "p": 1, "alpha": 1.0,
+                         "vary": None, "eps": None}
+
+
+def _check_ensemble_options(args) -> None:
+    """Usage error for a construction option given beside --ensemble (sample
+    keeps --seed, which seeds its sampler), or for --psd-tol without it."""
+    if not hasattr(args, "ensemble"):
+        return
+    if args.ensemble is None:
+        if args.psd_tol is not None:
+            args.parser.error("argument --psd-tol: only read with argument --ensemble")
+        return
+    for dest in CONSTRUCTION_OPTIONS:
+        if getattr(args, dest, None) is not None and not (
+                dest == "seed" and args.command == "sample"):
+            args.parser.error(f"argument --{dest}: not allowed with argument --ensemble")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _check_ensemble_options(args)
+    for dest, default in CONSTRUCTION_OPTIONS.items():
+        if default is not None and getattr(args, dest, default) is None:
+            setattr(args, dest, default)
     try:
         return args.func(args)
     except OSError as err:

@@ -9,7 +9,10 @@ once per (ensemble, size) and cached on the ensemble.
 
 The projection sampler runs the chain rule in Gram-Schmidt form on the n x m
 basis itself and never forms the n x n kernel U U^T: a draw of m points costs
-O(n m^2) time and O(n m) memory.
+O(n m^2) time and O(n m) memory. The public :func:`sample_projection` checks
+that its basis is orthonormal on every call; :func:`sample` and
+:func:`sample_fixed` do not, because :func:`~flatdpp.ensembles.make_nnp`
+already guarantees that [Q | U] is orthonormal.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ def sample_projection(U: np.ndarray, rng: np.random.Generator) -> list[int]:
     c = (U U_i - sum_s c_s c_s[i]) / sqrt(residual leverage of i). Only the
     leverages and the m - 1 columns c are stored, so a draw costs O(n m^2)
     time and O(n m) memory. The selected index's leverage is zeroed, so no
-    index can repeat.
+    index can repeat. Raises ValueError unless U^T U = I within 1e-10.
     """
     U = np.asarray(U, dtype=float)
-    n, m = U.shape
+    _, m = U.shape
     if m == 0:
         return []
     gram = U.T @ U
@@ -46,38 +49,58 @@ def sample_projection(U: np.ndarray, rng: np.random.Generator) -> list[int]:
     gram_err = np.max(np.abs(gram))
     if gram_err > 1e-10:
         raise ValueError(f"U is not orthonormal (max |U^T U - I| = {gram_err:.3e})")
+    return _chain_rule(U, rng)
+
+
+def _chain_rule(U: np.ndarray, rng: np.random.Generator) -> list[int]:
+    # sample_projection's chain rule on a float array U with orthonormal
+    # columns, unchecked; one rng.random() per selected index
+    n, m = U.shape
+    if m == 0:
+        return []
     lev = np.einsum("ij,ij->i", U, U)
     C = np.empty((m - 1, n))
     selected: list[int] = []
     for step in range(m):
         np.maximum(lev, 0.0, out=lev)
-        cum = np.cumsum(lev)
+        cum = lev.cumsum()
         u = rng.random() * cum[-1]
-        i = min(int(np.searchsorted(cum, u, side="right")), n - 1)
+        i = min(int(cum.searchsorted(u, side="right")), n - 1)
         selected.append(i)
         if step == m - 1:
             break
-        c = U @ U[i] - C[:step, i] @ C[:step]
+        c = U @ U[i]
+        if step:
+            c -= C[:step, i] @ C[:step]
         c /= math.sqrt(c[i])
         C[step] = c
         lev -= c * c
         lev[i] = 0.0
-    return sorted(selected)
+    selected.sort()
+    return selected
 
 
 def _stack_basis(e: NNP, chosen: np.ndarray) -> np.ndarray:
-    # make_nnp guarantees [Q | U] orthonormal; sample_projection checks it
+    # make_nnp guarantees [Q | U] orthonormal, so the samplers skip the check
     if not chosen.size:
         return e.Q
-    return np.hstack((e.Q, e.U[:, chosen]))
+    return np.concatenate((e.Q, e.U[:, chosen]), axis=1)
 
 
 def sample(e: NNP, rng: np.random.Generator) -> list[int]:
-    """One draw from the varying-size law of the ensemble; always |X| >= p."""
-    e.U  # one eigh gives U and lam; reading lam first would add an eigvalsh
-    probs = e.lam / (1.0 + e.lam)
-    chosen = np.flatnonzero(rng.random(e.q) < probs)
-    return sample_projection(_stack_basis(e, chosen), rng)
+    """One draw from the varying-size law of the ensemble; always |X| >= p.
+
+    Each eigenvector's inclusion probability lam / (1 + lam) is computed on
+    the first draw and cached read-only on the ensemble.
+    """
+    probs = e._inclusion_probs
+    if probs is None:
+        e.U  # one eigh gives U and lam; reading lam first would add an eigvalsh
+        probs = e.lam / (1.0 + e.lam)
+        probs.setflags(write=False)
+        e._inclusion_probs = probs
+    chosen = (rng.random(probs.size) < probs).nonzero()[0]
+    return _chain_rule(_stack_basis(e, chosen), rng)
 
 
 def _acceptance_table(e: NNP, k: int) -> np.ndarray:
@@ -118,6 +141,6 @@ def sample_fixed(e: NNP, m: int, rng: np.random.Generator) -> list[int]:
         u = rng.random(e.q)
         hi = e.q
         for r in range(k, 0, -1):
-            hi = int(np.flatnonzero(u[:hi] < A[r - 1, :hi])[-1])
+            hi = int((u[:hi] < A[r - 1, :hi]).nonzero()[0][-1])
             chosen[r - 1] = hi
-    return sample_projection(_stack_basis(e, chosen), rng)
+    return _chain_rule(_stack_basis(e, chosen), rng)

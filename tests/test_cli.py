@@ -183,12 +183,44 @@ UNREAD = "unrecognized arguments"
     (("cond-density", "--kernel", "exponential", "--Y", "0.2,0.6", "--seed", "3"), UNREAD),
     (("size-dist", "--kernel", "exponential", "--eps", "0.5,0.001"),
      "argument --eps: invalid float value: '0.5,0.001'"),
+    (("sample", "--kernel", "gaussian", "--m", "3", "--psd-tol", "1e-6"),
+     "argument --psd-tol: only read with argument --ensemble"),
+    # an ensemble file leaves nothing to construct; it is never opened here
+    *[((command, "--ensemble", "lim.json", *flags),
+       f"argument {flags[0]}: not allowed with argument --ensemble")
+      for command in ("size-dist", "sample")
+      for flags in (("--points", "p.csv"), ("--gen", "grid"), ("--n", "3"),
+                    ("--dim", "2"), ("--kernel", "nosuch"), ("--coeffs", "1,-1"),
+                    ("--p", "0"), ("--alpha", "9"))],
+    (("sample", "--ensemble", "lim.json", "--vary"),
+     "argument --vary: not allowed with argument --ensemble"),
+    (("size-dist", "--ensemble", "lim.json", "--seed", "3"),
+     "argument --seed: not allowed with argument --ensemble"),
+    (("size-dist", "--ensemble", "lim.json", "--eps", "0.1"),
+     "argument --eps: not allowed with argument --ensemble"),
 ])
 def test_unread_options_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
         main(list(argv))
     assert info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_sample_beside_ensemble_reads_seed_and_size(capsys, tmp_path):
+    # --seed seeds the sampler and --m picks the size
+    lim = str(tmp_path / "lim.json")
+    run(capsys, "limit", "--gen", "uniform", "--n", "6", "--seed", "11",
+        "--kernel", "exponential", "--m", "3", "--out", lim)
+    code, out, _ = run(capsys, "sample", "--ensemble", lim, "--m", "4", "--seed", "5",
+                       "--samples", "20")
+    assert code == 0
+    sizes = {line.split(",")[2] for line in out.splitlines()[1:]}
+    assert sizes == {"4"}
+    _, again, _ = run(capsys, "sample", "--ensemble", lim, "--m", "4", "--seed", "5",
+                      "--samples", "20")
+    _, other, _ = run(capsys, "sample", "--ensemble", lim, "--m", "4", "--seed", "6",
+                      "--samples", "20")
+    assert out == again and out != other
 
 
 def test_tampered_ensemble_is_domain_error(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import base64
 import itertools
 import json
 import logging
@@ -9,6 +10,8 @@ import pytest
 
 from flatdpp.ensembles import (
     CPDViolationError,
+    _decode,
+    _encode,
     RankDeficientError,
     SubsetDistribution,
     elementary_symmetric,
@@ -590,3 +593,13 @@ def test_json_keeps_only_a_given_psd_tol():
     # files that store the numeric default still load, with that tolerance
     obj["psd_tol"] = 1.5e-10
     assert nnp_from_json(json.dumps(obj)).psd_tol == 1.5e-10
+
+
+def test_encode_writes_column_major_whatever_the_layout():
+    A = np.arange(12.0).reshape(3, 4)
+    column_major = base64.b64encode(A.T.copy().tobytes()).decode()
+    wide = np.zeros((3, 8))
+    wide[:, ::2] = A
+    for arr in (A, np.asfortranarray(A), wide[:, ::2]):
+        assert _encode(arr) == {"shape": [3, 4], "data": column_major}
+        np.testing.assert_array_equal(_decode(_encode(arr)), A)

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,17 @@ import pytest
 
 from flatdpp.diagnostics import brute_force_distribution, empirical_check, tv_distance
 from flatdpp.ensembles import make_nnp, marginal_kernel, size_distribution
-from flatdpp.sampling import rng_from_seed, sample, sample_fixed, sample_projection
+from flatdpp.flatlimit import fixed_size_limit
+from flatdpp.geometry import uniform_points
+from flatdpp.kernels import builtin_kernel
+from flatdpp.sampling import (
+    _acceptance_table,
+    _stack_basis,
+    rng_from_seed,
+    sample,
+    sample_fixed,
+    sample_projection,
+)
 
 
 def random_nnp(n, p, seed):
@@ -38,6 +49,30 @@ def test_projection_empirical_law():
     exact = brute_force_distribution(make_nnp(np.zeros((6, 6)), U), 2)
     tv, _ = empirical_check(lambda r: sample_projection(U, r), exact, 50000, seed=3)
     assert tv <= 0.05
+
+
+def schur_chain_rule(U, rng):
+    """The projection chain rule on the n x n kernel K = U U^T: each index is
+    drawn from the diagonal of K conditioned on the indices already drawn."""
+    K = U @ U.T
+    selected = []
+    for _ in range(U.shape[1]):
+        S = selected
+        lev = np.diag(K) - np.einsum(
+            "ij,ji->i", K[:, S], np.linalg.solve(K[np.ix_(S, S)], K[S, :]))
+        lev = np.maximum(lev, 0.0)
+        lev[S] = 0.0
+        cum = np.cumsum(lev)
+        selected.append(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")))
+    return sorted(selected)
+
+
+@pytest.mark.parametrize("n, m", [(8, 4), (60, 12)])
+def test_projection_matches_schur_chain_rule(n, m):
+    U, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, m)))
+    rng, ref = rng_from_seed(113), rng_from_seed(113)
+    for _ in range(200):
+        assert sample_projection(U, rng) == schur_chain_rule(U, ref)
 
 
 def test_sample_deterministic_given_seed():
@@ -168,9 +203,60 @@ def test_one_eigh_serves_every_draw(decompositions):
     rng = rng_from_seed(98)
     sample(e, rng)
     assert decompositions == {"eigh": 1, "eigvalsh": 0}
-    sample(e, rng)
-    sample_fixed(e, 5, rng)
+    probs = e._inclusion_probs
+    assert not probs.flags.writeable
+    np.testing.assert_array_equal(probs, e.lam / (1.0 + e.lam))
+    for _ in range(200):
+        sample(e, rng)
+        sample_fixed(e, 5, rng)
     marginal_kernel(e)
     assert decompositions == {"eigh": 1, "eigvalsh": 0}
+    assert e._inclusion_probs is probs
     sample_fixed(random_nnp(12, 2, seed=97), 5, rng)
     assert decompositions == {"eigh": 2, "eigvalsh": 0}
+
+
+def checked_sample(e, rng):
+    """sample through the public, orthonormality-checked projection sampler."""
+    chosen = np.flatnonzero(rng.random(e.q) < e.lam / (1.0 + e.lam))
+    return sample_projection(_stack_basis(e, chosen), rng)
+
+
+def checked_sample_fixed(e, m, rng):
+    """sample_fixed through the public, orthonormality-checked projection sampler."""
+    k = m - e.p
+    chosen = np.empty(k, dtype=int)
+    if k > 0:
+        A = _acceptance_table(e, k)
+        u = rng.random(e.q)
+        hi = e.q
+        for r in range(k, 0, -1):
+            hi = int(np.flatnonzero(u[:hi] < A[r - 1, :hi])[-1])
+            chosen[r - 1] = hi
+    return sample_projection(_stack_basis(e, chosen), rng)
+
+
+def _exponential_limit(n, m):
+    return fixed_size_limit(uniform_points(n, 2, 101), builtin_kernel("exponential"),
+                            m).process
+
+
+@pytest.mark.parametrize("build, pq, sizes, draws", [
+    (lambda: random_nnp(6, 2, seed=5), (2, 4), (2, 3, 6), 300),
+    (lambda: random_nnp(6, 0, seed=103), (0, 6), (0, 2, 6), 300),
+    (lambda: make_nnp(np.zeros((5, 5)), np.eye(5)[:, :2]), (2, 0), (2,), 100),
+    (lambda: make_nnp(random_nnp(4, 0, seed=107).L, np.eye(4)), (4, 0), (4,), 50),
+    (lambda: random_nnp(8, 1, seed=59), (1, 7), (3,), 300),  # scans skip eigenvectors
+    (lambda: _exponential_limit(400, 20), (1, 399), (20, 25), 20),
+], ids=["p=2", "p=0", "q=0", "p=n", "scan-skips", "n=400"])
+def test_samplers_draw_what_the_checked_path_draws(build, pq, sizes, draws):
+    e = build()
+    assert (e.p, e.q) == pq
+    rng = rng_from_seed(109)
+    for m in sizes:
+        for _ in range(draws):
+            ref = copy.deepcopy(rng)
+            assert sample(e, rng) == checked_sample(e, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert sample_fixed(e, m, rng) == checked_sample_fixed(e, m, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
