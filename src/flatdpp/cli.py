@@ -209,21 +209,35 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+#: Options that construct a ground set, a kernel or a limit, with their
+#: defaults. They parse as None and :func:`parse_args` fills the defaults in,
+#: so that an option given beside --ensemble can be told from one left out.
+CONSTRUCTION_OPTIONS = {"points": None, "gen": "uniform", "n": 8, "dim": 1, "seed": 0,
+                         "kernel": None, "coeffs": None, "p": 1, "alpha": 1.0,
+                         "vary": None, "eps": None}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="flatdpp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    # construction options default to None here; see CONSTRUCTION_OPTIONS
+    def construction(p, dest, help=None, **kwargs):
+        # parsed as None; parse_args fills in the CONSTRUCTION_OPTIONS default
+        default = CONSTRUCTION_OPTIONS[dest]
+        if default is not None:
+            help = f"{help} (default {default})" if help else f"default {default}"
+        p.add_argument(f"--{dest}", help=help, **kwargs)
+
     def ground_set(p):
-        p.add_argument("--points", help="CSV of points, one per row, no header")
-        p.add_argument("--gen", choices=["uniform", "grid"], help="default uniform")
-        p.add_argument("--n", type=int, help="generated ground-set size (default 8)")
-        p.add_argument("--dim", type=int, help="default 1")
-        p.add_argument("--seed", type=int, help="default 0")
+        construction(p, "points", "CSV of points, one per row, no header")
+        construction(p, "gen", choices=["uniform", "grid"])
+        construction(p, "n", "generated ground-set size", type=int)
+        construction(p, "dim", type=int)
+        construction(p, "seed", type=int)
 
     def kernel(p):
-        p.add_argument("--kernel", help="builtin kernel name")
-        p.add_argument("--coeffs", help="comma-separated Taylor coefficients")
+        construction(p, "kernel", "builtin kernel name")
+        construction(p, "coeffs", "comma-separated Taylor coefficients")
 
     def out(p):
         p.add_argument("--out", help="output path (default stdout)")
@@ -233,12 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     def scaling(p):
-        p.add_argument("--p", type=int, help="default 1")
-        p.add_argument("--alpha", type=float, help="default 1.0")
+        construction(p, "p", type=int)
+        construction(p, "alpha", type=float)
 
     def limit_choice(p):
         p.add_argument("--m", type=int)
-        p.add_argument("--vary", action="store_true", default=None)
+        construction(p, "vary", action="store_true", default=None)
         scaling(p)
 
     def ensemble_file(p):
@@ -262,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("size-dist", cmd_size_dist, "size distribution of a process",
                 ground_set, kernel, row_output, scaling, ensemble_file)
-    p.add_argument("--eps", type=float, help="evaluate the pre-limit ensemble at this eps")
+    construction(p, "eps", "evaluate the pre-limit ensemble at this eps", type=float)
 
     p = command("cond-density", cmd_cond_density, "conditional density over a grid",
                 kernel, row_output)
@@ -297,14 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-#: Options that construct a ground set, a kernel or a limit, with their
-#: defaults. A default is filled in after parsing, so that an option given
-#: beside --ensemble can be told from one left out.
-CONSTRUCTION_OPTIONS = {"points": None, "gen": "uniform", "n": 8, "dim": 1, "seed": 0,
-                         "kernel": None, "coeffs": None, "p": 1, "alpha": 1.0,
-                         "vary": None, "eps": None}
-
-
 def _check_ensemble_options(args) -> None:
     """Usage error for a construction option given beside --ensemble (sample
     keeps --seed, which seeds its sampler), or for --psd-tol without it."""
@@ -320,12 +326,19 @@ def _check_ensemble_options(args) -> None:
             args.parser.error(f"argument --{dest}: not allowed with argument --ensemble")
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse a command line; the construction defaults are filled in after
+    the check that none was given beside --ensemble."""
     args = build_parser().parse_args(argv)
     _check_ensemble_options(args)
     for dest, default in CONSTRUCTION_OPTIONS.items():
         if default is not None and getattr(args, dest, default) is None:
             setattr(args, dest, default)
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
         return args.func(args)
     except OSError as err:

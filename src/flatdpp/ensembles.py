@@ -138,10 +138,9 @@ class NNP:
 
     N is never formed, and N^T L N is not kept: each decomposition
     recompresses L through the p Householder reflectors of Q. Immutable after
-    construction; build through :func:`make_nnp`. The samplers cache here,
-    read-only and on first use, the fixed-size acceptance tables (keyed by
-    the number of eigenvectors drawn) and the varying-size inclusion
-    probabilities lam / (1 + lam).
+    construction; build through :func:`make_nnp`. The fixed-size sampler
+    caches its read-only acceptance tables here, keyed by the number of
+    eigenvectors drawn, on first use.
     """
 
     def __init__(self, L, V, Q, logdet_vtv, psd_tol, given_tol, noise_floor, lam):
@@ -157,7 +156,6 @@ class NNP:
         self._lam: np.ndarray | None = None
         self._U: np.ndarray | None = None
         self._acceptance_tables: dict[int, np.ndarray] = {}
-        self._inclusion_probs: np.ndarray | None = None
         for arr in (self.L, self.V, self.Q):
             arr.setflags(write=False)
         if lam is not None:

@@ -9,10 +9,11 @@ once per (ensemble, size) and cached on the ensemble.
 
 The projection sampler runs the chain rule in Gram-Schmidt form on the n x m
 basis itself and never forms the n x n kernel U U^T: a draw of m points costs
-O(n m^2) time and O(n m) memory. The public :func:`sample_projection` checks
-that its basis is orthonormal on every call; :func:`sample` and
-:func:`sample_fixed` do not, because :func:`~flatdpp.ensembles.make_nnp`
-already guarantees that [Q | U] is orthonormal.
+O(n m^2) time and O(n m) memory. :func:`sample_projection` checks that its
+basis is orthonormal unless told not to; :func:`sample` and
+:func:`sample_fixed` skip that check, because
+:func:`~flatdpp.ensembles.make_nnp` already guarantees that [Q | U] is
+orthonormal.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ def rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sample_projection(U: np.ndarray, rng: np.random.Generator) -> list[int]:
+def sample_projection(U: np.ndarray, rng: np.random.Generator, *,
+                      check: bool = True) -> list[int]:
     """Draw a subset of exactly m = U.shape[1] indices with P(X) = det(U_X)^2.
 
     Chain rule on the projection kernel P = U U^T, in Gram-Schmidt form: draw
@@ -38,23 +40,19 @@ def sample_projection(U: np.ndarray, rng: np.random.Generator) -> list[int]:
     c = (U U_i - sum_s c_s c_s[i]) / sqrt(residual leverage of i). Only the
     leverages and the m - 1 columns c are stored, so a draw costs O(n m^2)
     time and O(n m) memory. The selected index's leverage is zeroed, so no
-    index can repeat. Raises ValueError unless U^T U = I within 1e-10.
+    index can repeat. One ``rng.random()`` is drawn per selected index.
+
+    Raises ValueError unless U^T U = I within 1e-10. ``check=False`` skips
+    that check and takes U as a float array as given; it is for callers whose
+    basis is orthonormal by construction.
     """
-    U = np.asarray(U, dtype=float)
-    _, m = U.shape
-    if m == 0:
-        return []
-    gram = U.T @ U
-    gram.flat[:: m + 1] -= 1.0
-    gram_err = np.max(np.abs(gram))
-    if gram_err > 1e-10:
-        raise ValueError(f"U is not orthonormal (max |U^T U - I| = {gram_err:.3e})")
-    return _chain_rule(U, rng)
-
-
-def _chain_rule(U: np.ndarray, rng: np.random.Generator) -> list[int]:
-    # sample_projection's chain rule on a float array U with orthonormal
-    # columns, unchecked; one rng.random() per selected index
+    if check:
+        U = np.asarray(U, dtype=float)
+        gram = U.T @ U
+        gram.flat[:: U.shape[1] + 1] -= 1.0
+        gram_err = np.abs(gram).max(initial=0.0)
+        if gram_err > 1e-10:
+            raise ValueError(f"U is not orthonormal (max |U^T U - I| = {gram_err:.3e})")
     n, m = U.shape
     if m == 0:
         return []
@@ -88,19 +86,11 @@ def _stack_basis(e: NNP, chosen: np.ndarray) -> np.ndarray:
 
 
 def sample(e: NNP, rng: np.random.Generator) -> list[int]:
-    """One draw from the varying-size law of the ensemble; always |X| >= p.
-
-    Each eigenvector's inclusion probability lam / (1 + lam) is computed on
-    the first draw and cached read-only on the ensemble.
-    """
-    probs = e._inclusion_probs
-    if probs is None:
-        e.U  # one eigh gives U and lam; reading lam first would add an eigvalsh
-        probs = e.lam / (1.0 + e.lam)
-        probs.setflags(write=False)
-        e._inclusion_probs = probs
+    """One draw from the varying-size law of the ensemble; always |X| >= p."""
+    e.U  # one eigh gives U and lam; reading lam first would add an eigvalsh
+    probs = e.lam / (1.0 + e.lam)
     chosen = (rng.random(probs.size) < probs).nonzero()[0]
-    return _chain_rule(_stack_basis(e, chosen), rng)
+    return sample_projection(_stack_basis(e, chosen), rng, check=False)
 
 
 def _acceptance_table(e: NNP, k: int) -> np.ndarray:
@@ -143,4 +133,4 @@ def sample_fixed(e: NNP, m: int, rng: np.random.Generator) -> list[int]:
         for r in range(k, 0, -1):
             hi = int((u[:hi] < A[r - 1, :hi]).nonzero()[0][-1])
             chosen[r - 1] = hi
-    return _chain_rule(_stack_basis(e, chosen), rng)
+    return sample_projection(_stack_basis(e, chosen), rng, check=False)

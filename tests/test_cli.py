@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flatdpp import ensembles, flatlimit, sampling
-from flatdpp.cli import main
+from flatdpp.cli import CONSTRUCTION_OPTIONS, main, parse_args
 from flatdpp.geometry import uniform_points
 from flatdpp.kernels import builtin_kernel
 
@@ -204,6 +204,20 @@ def test_unread_options_are_usage_errors(capsys, argv, message):
         main(list(argv))
     assert info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_construction_defaults_fill_in_and_show_in_help(capsys):
+    args = parse_args(["sample", "--kernel", "gaussian", "--m", "3"])
+    for dest, default in CONSTRUCTION_OPTIONS.items():
+        if dest != "kernel":
+            assert getattr(args, dest, None) == default
+    assert parse_args(["sample", "--kernel", "gaussian", "--n", "5"]).n == 5
+    with pytest.raises(SystemExit):
+        main(["sample", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for flag in ("gen", "n", "dim", "seed", "p", "alpha"):
+        assert f"--{flag} " in help_text
+        assert f"default {CONSTRUCTION_OPTIONS[flag]}" in help_text
 
 
 def test_sample_beside_ensemble_reads_seed_and_size(capsys, tmp_path):

@@ -203,17 +203,30 @@ def test_one_eigh_serves_every_draw(decompositions):
     rng = rng_from_seed(98)
     sample(e, rng)
     assert decompositions == {"eigh": 1, "eigvalsh": 0}
-    probs = e._inclusion_probs
-    assert not probs.flags.writeable
-    np.testing.assert_array_equal(probs, e.lam / (1.0 + e.lam))
     for _ in range(200):
         sample(e, rng)
         sample_fixed(e, 5, rng)
     marginal_kernel(e)
     assert decompositions == {"eigh": 1, "eigvalsh": 0}
-    assert e._inclusion_probs is probs
     sample_fixed(random_nnp(12, 2, seed=97), 5, rng)
     assert decompositions == {"eigh": 2, "eigvalsh": 0}
+
+
+def test_samplers_draw_through_sample_projection(monkeypatch):
+    # the samplers look sample_projection up by name, unchecked, so a wrapper
+    # put in its place (as a tracer does) sees every draw
+    calls = []
+
+    def spy(U, rng, **kwargs):
+        calls.append(kwargs)
+        return sample_projection(U, rng, **kwargs)
+
+    monkeypatch.setattr("flatdpp.sampling.sample_projection", spy)
+    e = random_nnp(6, 2, seed=5)
+    rng = rng_from_seed(7)
+    sample(e, rng)
+    sample_fixed(e, 3, rng)
+    assert calls == [{"check": False}] * 2
 
 
 def checked_sample(e, rng):
