@@ -8,8 +8,11 @@ deterministic function of its inputs and the seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -29,6 +32,42 @@ def _emit(path, text: str) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+@contextlib.contextmanager
+def _byte_output(path):
+    """A write(bytes) for the file at path, or for stdout when path is None
+    or "-"; text already written to stdout goes first.
+
+    A regular file is written to a temporary file beside it, which replaces
+    it only once the body has finished: a failed write leaves an existing
+    file as it was and no cut-off file behind. Devices and pipes such as
+    /dev/null are written in place.
+    """
+    if path is None or path == "-":
+        sys.stdout.flush()
+        buffer = getattr(sys.stdout, "buffer", None)
+        # a text-only stream (io.StringIO) takes the ASCII bytes as text
+        yield buffer.write if buffer else lambda b: sys.stdout.write(b.decode("ascii"))
+        return
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            yield fh.write
+        return
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh.write
+        # the mode open() would give a new file, not mkstemp's 0600
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_rows(path, header, rows, fmt="csv"):
@@ -82,7 +121,9 @@ def cmd_limit(args) -> int:
     bracket = res.metadata.get("bracket")
     print(f"regime: {res.label}" + (f" bracket: {bracket}" if bracket else ""),
           file=sys.stderr)
-    _emit(args.out, json.dumps(res.to_dict()) + "\n")
+    with _byte_output(args.out) as write:
+        ensembles.write_json(res.to_dict(stream=True), write)
+        write(b"\n")
     return 0
 
 

@@ -11,15 +11,24 @@ evaluated in log space with sign tracking because they underflow rapidly with
 unnormalized mass is nonnegative for a valid ensemble, as is the normalizer
 Z = det(I + N^T L N) det(V^T V), where the columns of N are an orthonormal
 basis of the orthogonal complement of span(V).
+
+A pair is stored as JSON (:func:`nnp_to_dict`, :func:`nnp_to_json`): n, p,
+the caller's PSD tolerance, and L and V as blocks ``{"shape": [rows, cols],
+"data": base64}``, where data is the base64 of the block's float64 entries
+in column-major order and the machine's byte order. :func:`write_json`
+writes such a dict as bytes, each block's base64 in chunks, so a file of
+any size is written without its text ever being held in memory; the CLI's
+``limit`` streams its output this way.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 import logging
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterator
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -516,34 +525,87 @@ def indices_of(mask: int) -> tuple[int, ...]:
 # JSON serialization: float64 blocks as base64, column-major.
 # ---------------------------------------------------------------------------
 
+#: Bytes of a block encoded per base64 chunk. A multiple of 3, so the chunks'
+#: base64 texts join, without padding, into the base64 text of the block.
+_CHUNK_BYTES = 3 << 16
 
-def _encode(arr: np.ndarray) -> dict:
+
+def _base64_chunks(arr: np.ndarray) -> Iterator[bytes]:
+    """Base64 of arr's float64 entries in column-major order, chunk by chunk.
+
+    Reads arr's own buffer when it is Fortran-contiguous (the transpose of a
+    C-ordered array is); any other layout is copied once, as a whole.
+    """
+    data = np.asfortranarray(arr, dtype=np.float64).ravel(order="F").view(np.uint8)
+    for lo in range(0, data.size, _CHUNK_BYTES):
+        yield binascii.b2a_base64(data[lo:lo + _CHUNK_BYTES], newline=False)
+
+
+def _encode(arr: np.ndarray, stream: bool = False) -> dict:
+    """The block {"shape", "data"} of arr; with stream=True, "data" is the
+    iterator of its base64 chunks, encoded as :func:`write_json` consumes it."""
+    chunks = _base64_chunks(arr)
     return {
         "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes(order="F")).decode(),
+        "data": chunks if stream else b"".join(chunks).decode("ascii"),
     }
 
 
 def _decode(obj: dict) -> np.ndarray:
-    shape = tuple(obj["shape"])
-    raw = np.frombuffer(base64.b64decode(obj["data"]), dtype=np.float64)
-    return raw.reshape(shape, order="F").copy()
+    """The block's array: a read-only, Fortran-ordered view of the decoded
+    bytes."""
+    raw = np.frombuffer(binascii.a2b_base64(obj["data"]), dtype=np.float64)
+    return raw.reshape(tuple(obj["shape"]), order="F")
 
 
-def nnp_to_dict(e: NNP) -> dict:
+def write_json(obj, write: Callable[[bytes], object]) -> None:
+    """Write json.dumps(obj) as ASCII bytes through write, where the values
+    of obj's dicts (str keys) may be iterators of ASCII chunks, as in
+    ``nnp_to_dict(e, stream=True)``: each is written as one JSON string, one
+    chunk at a time. Base64 needs no escaping, so the bytes are those of
+    json.dumps on the encoded dict.
+    """
+    if isinstance(obj, dict):
+        write(b"{")
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"write_json: key {key!r} is not a str")
+            write(b"%s%s: " % (b", " if i else b"", json.dumps(key).encode()))
+            write_json(value, write)
+        write(b"}")
+    elif isinstance(obj, Iterator):
+        write(b'"')
+        for chunk in obj:
+            write(chunk)
+        write(b'"')
+    else:
+        write(json.dumps(obj).encode())
+
+
+def nnp_to_dict(e: NNP, stream: bool = False) -> dict:
     """L, V and the caller's PSD tolerance, null when make_nnp's default rule
-    applied: a reload re-derives that default from the identical pair."""
+    applied: a reload re-derives that default from the identical pair.
+
+    With stream=True each block's "data" is an iterator of base64 chunks, for
+    one :func:`write_json`; the dict then holds no encoded text.
+    """
     return {
         "n": e.n,
         "p": e.p,
-        "L": _encode(e.L),
-        "V": _encode(e.V),
+        # L is exactly symmetric, so its transpose, a Fortran-ordered view,
+        # has L's column-major bytes in L's own buffer
+        "L": _encode(e.L.T, stream),
+        "V": _encode(e.V, stream),
         "psd_tol": e._given_tol,
     }
 
 
 def nnp_from_dict(obj: dict, psd_tol: float | None = None) -> NNP:
-    """Rebuild through make_nnp; psd_tol overrides the stored tolerance."""
+    """Rebuild through make_nnp; psd_tol overrides the stored tolerance.
+
+    make_nnp gets read-only views of the decoded blocks, so the only new
+    n x n array is the symmetrized L it keeps.
+    """
     L = _decode(obj["L"])
     V = _decode(obj["V"])
     return make_nnp(L, V, psd_tol=psd_tol if psd_tol is not None
@@ -551,7 +613,9 @@ def nnp_from_dict(obj: dict, psd_tol: float | None = None) -> NNP:
 
 
 def nnp_to_json(e: NNP) -> str:
-    return json.dumps(nnp_to_dict(e))
+    parts: list[bytes] = []
+    write_json(nnp_to_dict(e, stream=True), parts.append)
+    return b"".join(parts).decode("ascii")
 
 
 def nnp_from_json(text: str) -> NNP:

@@ -1,9 +1,12 @@
+import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from flatdpp import ensembles, flatlimit, sampling
+from flatdpp import cli, ensembles, flatlimit, sampling
 from flatdpp.cli import CONSTRUCTION_OPTIONS, main, parse_args
 from flatdpp.geometry import uniform_points
 from flatdpp.kernels import builtin_kernel
@@ -49,6 +52,94 @@ def test_limit_points_csv(capsys, tmp_path):
                        "exponential", "--m", "3")
     assert code == 0
     assert json.loads(out)["nnp"]["n"] == 5
+
+
+#: One limit command per regime, plus n = 1. The FiniteSmoothness L
+#: (720000 bytes) is no whole number of base64 chunks.
+LIMIT_COMMANDS = {
+    "ProjectionSmooth": "--n 8 --dim 1 --seed 42 --kernel gaussian --m 5",
+    "NonMagicWronskian": "--n 10 --dim 2 --seed 1 --kernel gaussian --m 4",
+    "FiniteSmoothness": "--n 300 --dim 2 --kernel exponential --m 20",
+    "FullSetAlmostSurely": "--n 7 --dim 1 --seed 3 --kernel exponential --m 7",
+    "VaryingProjection": "--n 6 --dim 1 --seed 4 --kernel gaussian --vary --p 3",
+    "VaryingWronskian": "--n 6 --dim 1 --seed 4 --kernel gaussian --vary --p 10",
+    "VaryingFiniteSmoothness": "--n 6 --dim 1 --seed 11 --kernel exponential --vary --p 1",
+    "n=1": "--n 1 --dim 1 --kernel gaussian --m 1",
+}
+
+
+@pytest.mark.parametrize("case", LIMIT_COMMANDS)
+def test_limit_writes_json_dumps_of_the_result(capsysbinary, tmp_path, case):
+    argv = ["limit", "--gen", "uniform", *LIMIT_COMMANDS[case].split()]
+    res = cli._limit_result(parse_args(argv))
+    assert case in (res.regime, "n=1")
+    expected = (json.dumps(res.to_dict()) + "\n").encode()
+    out = tmp_path / "lim.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    assert main(argv) == 0 and main(argv + ["--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == 2 * expected
+
+
+@pytest.mark.parametrize("chunk", [3, 24])
+def test_limit_output_does_not_depend_on_the_chunk_size(capsys, monkeypatch, chunk):
+    argv = ["limit", "--gen", "uniform", *LIMIT_COMMANDS["NonMagicWronskian"].split()]
+    _, expected, _ = run(capsys, *argv)
+    monkeypatch.setattr(ensembles, "_CHUNK_BYTES", chunk)
+    assert run(capsys, *argv)[1] == expected
+
+
+def test_limit_to_a_text_only_stdout(monkeypatch, capsys):
+    argv = ["limit", "--gen", "uniform", *LIMIT_COMMANDS["FiniteSmoothness"].split()]
+    _, expected, _ = run(capsys, *argv)
+    text = io.StringIO()
+    monkeypatch.setattr("sys.stdout", text)
+    assert main(argv) == 0
+    assert text.getvalue() == expected
+
+
+def test_failed_limit_write_leaves_the_old_file(monkeypatch, tmp_path):
+    out = tmp_path / "lim.json"
+    out.write_text("old\n")
+
+    def broken(obj, write):
+        write(b'{"regime": ')
+        raise TypeError("Object of type set is not JSON serializable")
+
+    monkeypatch.setattr(ensembles, "write_json", broken)
+    with pytest.raises(TypeError):
+        main(["limit", "--n", "6", "--kernel", "gaussian", "--m", "3", "--out", str(out)])
+    assert out.read_text() == "old\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["lim.json"]
+
+
+def test_limit_file_mode_and_device_output(tmp_path):
+    argv = ["limit", "--n", "6", "--kernel", "gaussian", "--m", "3"]
+    plain = tmp_path / "plain"
+    plain.open("w").close()
+    out = tmp_path / "lim.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.stat().st_mode == plain.stat().st_mode
+    # a device is written in place, not replaced
+    assert main(argv + ["--out", os.devnull]) == 0
+    assert not os.path.isfile(os.devnull)
+
+
+def test_limit_streams_its_output(monkeypatch, tmp_path):
+    """At n = 1000, L is 8 MB and its base64 text 10.7 MB; encoding the whole
+    text and then the JSON text peaked at 32 MB, streaming stays under 1 MB."""
+    res = flatlimit.fixed_size_limit(uniform_points(1000, 2, 0),
+                                     builtin_kernel("exponential"), 20)
+    monkeypatch.setattr(cli, "_limit_result", lambda args: res)
+    out = tmp_path / "lim.json"
+    tracemalloc.start()
+    try:
+        assert main(["limit", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < res.process.L.nbytes
+    assert out.read_bytes() == (json.dumps(res.to_dict()) + "\n").encode()
 
 
 def test_unknown_kernel_is_domain_error(capsys):
@@ -242,7 +333,7 @@ def test_tampered_ensemble_is_domain_error(capsys, tmp_path):
     run(capsys, "limit", "--gen", "uniform", "--n", "5", "--kernel", "exponential",
         "--m", "3", "--out", str(lim))
     obj = json.loads(lim.read_text())
-    L = ensembles._decode(obj["nnp"]["L"])
+    L = ensembles._decode(obj["nnp"]["L"]).copy()
     L[1, 2] = np.nan
     obj["nnp"]["L"] = ensembles._encode(L)
     lim.write_text(json.dumps(obj))

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flatdpp import ensembles
 from flatdpp.ensembles import (
     CPDViolationError,
     _decode,
@@ -26,9 +27,12 @@ from flatdpp.ensembles import (
     make_nnp,
     marginal_kernel,
     mask_of,
+    nnp_from_dict,
     nnp_from_json,
+    nnp_to_dict,
     nnp_to_json,
     size_distribution,
+    write_json,
 )
 from flatdpp.flatlimit import fixed_size_limit
 from flatdpp.geometry import PointSet, distance_power_matrix, uniform_points
@@ -84,16 +88,45 @@ def test_negative_distance_matrix_is_cpd_wrt_ones():
 
 def test_asymmetric_L_rejected():
     L = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="symmetric"):
+    with pytest.raises(ValueError, match="^L must be symmetric$"):
         make_nnp(L)
+    with pytest.raises(ValueError, match="^L must be symmetric$"):
+        make_nnp(np.array([[1.0, 2.0], [2.0 + 1e-9, 1.0]]))
+    # L - L^T overflows to inf here; that is asymmetry, not a non-finite entry
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^L must be symmetric$"):
+        make_nnp(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
-@pytest.mark.parametrize("which, bad", [("L", math.nan), ("L", math.inf), ("V", math.nan)])
+@pytest.mark.parametrize("which, bad", [("L", math.nan), ("L", math.inf), ("V", math.nan),
+                                        ("L", -math.inf)])
 def test_non_finite_pair_rejected(which, bad):
     L, V = np.eye(3), np.ones((3, 1))
     (L if which == "L" else V)[0, 0] = bad
     with pytest.raises(ValueError, match=f"^{which} has a non-finite entry$"):
         make_nnp(L, V)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entry_off_the_diagonal_is_not_called_asymmetry(bad):
+    L = np.eye(4)
+    L[0, 2] = bad
+    with pytest.raises(ValueError, match="^L has a non-finite entry$"):
+        make_nnp(L)
+
+
+def test_stored_L_is_the_symmetrized_input_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for n in (1, 5, 40):
+        A = rng.standard_normal((n, n))
+        # positive definite, asymmetric within the 1e-10 tolerance
+        L = A @ A.T + n * np.eye(n) + 1e-12 * rng.standard_normal((n, n))
+        read_only = L.copy()
+        read_only.setflags(write=False)
+        expected = (0.5 * (L + L.T)).tobytes()
+        for arr in (L, np.asfortranarray(L), read_only):
+            stored = make_nnp(arr, np.ones((n, 1))).L
+            assert stored.flags.c_contiguous and stored.tobytes() == expected
+    assert make_nnp(np.zeros((0, 0))).L.shape == (0, 0)
 
 
 def test_rank_deficient_V_rejected():
@@ -595,6 +628,47 @@ def test_json_keeps_only_a_given_psd_tol():
     assert nnp_from_json(json.dumps(obj)).psd_tol == 1.5e-10
 
 
+def test_json_text_is_json_dumps_of_the_dict(monkeypatch):
+    e = random_nnp(30, 2, seed=44)
+    text = json.dumps(nnp_to_dict(e))
+    assert nnp_to_json(e) == text
+    # any chunk size that is a multiple of 3 writes the same text
+    for chunk in (3, 24, 8 * 30 * 30 + 3):
+        monkeypatch.setattr(ensembles, "_CHUNK_BYTES", chunk)
+        assert nnp_to_json(e) == text
+        assert nnp_to_dict(e) == json.loads(text)
+
+
+def test_write_json_needs_str_keys():
+    with pytest.raises(TypeError, match="not a str"):
+        write_json({1: 2}, lambda b: None)
+
+
+def test_reload_hands_make_nnp_the_decoded_bytes_without_a_copy(monkeypatch):
+    """At make_nnp's entry only the decoded bytes of L and V are new: no
+    ASCII copy of the base64 text and no copy of the decoded arrays."""
+    e = random_nnp(1000, 2, seed=45)
+    obj = json.loads(nnp_to_json(e))
+    seen = {}
+
+    def spy(L, V, psd_tol=None):
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        seen["writeable"] = (L.flags.writeable, V.flags.writeable)
+        return make_nnp(L, V, psd_tol)
+
+    monkeypatch.setattr(ensembles, "make_nnp", spy)
+    tracemalloc.start()
+    try:
+        e2 = nnp_from_dict(obj)
+    finally:
+        tracemalloc.stop()
+    assert seen["writeable"] == (False, False)
+    # a decode through base64.b64decode and a copy peaked at 2.3 times this
+    assert seen["peak"] < 1.25 * (e.L.nbytes + e.V.nbytes)
+    assert e2.L.tobytes() == e.L.tobytes() and e2.V.tobytes() == e.V.tobytes()
+    assert e2.L.flags.writeable is False
+
+
 def test_encode_writes_column_major_whatever_the_layout():
     A = np.arange(12.0).reshape(3, 4)
     column_major = base64.b64encode(A.T.copy().tobytes()).decode()
@@ -602,4 +676,8 @@ def test_encode_writes_column_major_whatever_the_layout():
     wide[:, ::2] = A
     for arr in (A, np.asfortranarray(A), wide[:, ::2]):
         assert _encode(arr) == {"shape": [3, 4], "data": column_major}
-        np.testing.assert_array_equal(_decode(_encode(arr)), A)
+        view = _decode(_encode(arr))
+        assert not view.flags.writeable
+        np.testing.assert_array_equal(view, A)
+        streamed = _encode(arr, stream=True)
+        assert b"".join(streamed["data"]).decode() == column_major
