@@ -6,7 +6,6 @@ from .kernels import (
     StationaryKernel,
     builtin_kernel,
     custom_kernel,
-    kernel_from_config,
     kernel_matrix,
     smoothness_order,
 )
@@ -34,9 +33,7 @@ from .ensembles import (
     make_nnp,
     marginal_kernel,
     nnp_from_dict,
-    nnp_from_json,
     nnp_to_dict,
-    nnp_to_json,
     size_distribution,
 )
 from .sampling import rng_from_seed, sample, sample_fixed, sample_projection

@@ -245,7 +245,7 @@ def cmd_oracle(args) -> int:
         lambda r: sampling.sample_fixed(e, m, r), exact_m, args.samples, args.seed + 2)
     print(f"fixed-size sampler (m={m}): tv={tv_m:.5f}")
     if args.out:
-        rows = sorted((str(msk), pr) for msk, pr in exact.probs.items())
+        rows = zip(map(str, exact.masks.tolist()), exact.values)
         _write_rows(args.out, ["subset-bitmask", "probability"], rows)
     return 0
 
@@ -367,11 +367,24 @@ def _check_ensemble_options(args) -> None:
             args.parser.error(f"argument --{dest}: not allowed with argument --ensemble")
 
 
+def _check_limit_choice(args) -> None:
+    """Usage error for a limit option the chosen limit does not read: --m
+    beside --vary, or --p or --alpha without it."""
+    if not hasattr(args, "vary"):
+        return
+    if args.vary and args.m is not None:
+        args.parser.error("argument --m: not allowed with argument --vary")
+    for dest in ("p", "alpha"):
+        if not args.vary and getattr(args, dest) is not None:
+            args.parser.error(f"argument --{dest}: only read with argument --vary")
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse a command line; the construction defaults are filled in after
-    the check that none was given beside --ensemble."""
+    the checks that none was given beside --ensemble or outside its limit."""
     args = build_parser().parse_args(argv)
     _check_ensemble_options(args)
+    _check_limit_choice(args)
     for dest, default in CONSTRUCTION_OPTIONS.items():
         if default is not None and getattr(args, dest, default) is None:
             setattr(args, dest, default)

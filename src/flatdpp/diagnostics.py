@@ -110,8 +110,7 @@ def brute_force_distribution(e: NNP, m: int | None = None) -> SubsetDistribution
         raise RuntimeError(
             f"enumerated mass {total!r} disagrees with the analytic normalizer"
         )
-    return SubsetDistribution(e.n, {k: v / total for k, v in zip(masks.tolist(), vals.tolist())
-                                    if v > 0.0})
+    return SubsetDistribution(e.n, masks, vals / total)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +282,8 @@ def eps_ensemble_distribution(ps: PointSet, kernel: StationaryKernel, eps: float
             masks = sorted(dets) if m is None else list(dets)
             weights = [dets[k] * pows[bin(k).count("1")] for k in masks]
             total = mpmath.fsum(weights)
-            probs = {k: float(w / total) for k, w in zip(masks, weights) if w > 0}
-        return SubsetDistribution(n, probs)
+            values = [float(w / total) for w in weights]
+        return SubsetDistribution(n, masks, values)
 
     masks, sizes, sign, logabs = _slogdets_by_size(
         n, m, lambda idx: np.linalg.slogdet(L[idx[:, :, None], idx[:, None, :]]))
@@ -293,9 +292,7 @@ def eps_ensemble_distribution(ps: PointSet, kernel: StationaryKernel, eps: float
         raise ValueError("no subset has positive mass; kernel matrix indefinite")
     logvals = logabs + sizes * (math.log(alpha) - p * math.log(eps))
     weights = np.where(positive, np.exp(logvals - np.max(logvals[positive])), 0.0)
-    total = float(np.sum(weights))
-    probs = {k: w / total for k, w in zip(masks.tolist(), weights.tolist()) if w > 0}
-    return SubsetDistribution(n, probs)
+    return SubsetDistribution(n, masks, weights / float(np.sum(weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +305,9 @@ def tv_distance(P, Q) -> float:
     if isinstance(P, SubsetDistribution) and isinstance(Q, SubsetDistribution):
         if P.n != Q.n:
             raise ValueError("distributions live on different ground sets")
-        keys = set(P.probs) | set(Q.probs)
-        return float(sum(abs(P.probs.get(k, 0.0) - Q.probs.get(k, 0.0)) for k in keys))
+        # P(A) - Q(A) per mask of either support, as one weighted tally
+        _, where = np.unique(np.concatenate([P.masks, Q.masks]), return_inverse=True)
+        return float(np.sum(np.abs(np.bincount(where, np.concatenate([P.values, -Q.values])))))
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if P.shape != Q.shape:
@@ -473,10 +471,8 @@ def empirical_check(sampler, exact: SubsetDistribution, nsamples: int,
     sampler is a callable rng -> subset (list of indices).
     """
     rng = np.random.default_rng(seed)
-    counts: dict[int, int] = {}
-    for _ in range(nsamples):
-        msk = mask_of(sampler(rng))
-        counts[msk] = counts.get(msk, 0) + 1
-    emp = SubsetDistribution.from_counts(exact.n, counts)
+    drawn = np.array([mask_of(sampler(rng)) for _ in range(nsamples)], dtype=np.int64)
+    masks, counts = np.unique(drawn, return_counts=True)
+    emp = SubsetDistribution(exact.n, masks, counts / nsamples)
     return (tv_distance(emp, exact),
             tv_distance(emp.size_marginal(), exact.size_marginal()))

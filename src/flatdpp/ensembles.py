@@ -12,7 +12,7 @@ unnormalized mass is nonnegative for a valid ensemble, as is the normalizer
 Z = det(I + N^T L N) det(V^T V), where the columns of N are an orthonormal
 basis of the orthogonal complement of span(V).
 
-A pair is stored as JSON (:func:`nnp_to_dict`, :func:`nnp_to_json`): n, p,
+A pair is stored as JSON (:func:`nnp_to_dict`, :func:`nnp_from_dict`): n, p,
 the caller's PSD tolerance, and L and V as blocks ``{"shape": [rows, cols],
 "data": base64}``, where data is the base64 of the block's float64 entries
 in column-major order and the machine's byte order. :func:`write_json`
@@ -27,7 +27,9 @@ import binascii
 import json
 import logging
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -456,51 +458,57 @@ def fixed_size_log_prob(e: NNP, X: Iterable[int], m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dense distributions over subsets, keyed by bitmask (bit i = ground index i).
+# Laws over subsets, as bitmasks (bit i = ground index i) and probabilities.
 # ---------------------------------------------------------------------------
 
 
 class SubsetDistribution:
-    """Probability map over subsets of {0..n-1}, keyed by bitmask."""
+    """Law over subsets of {0..n-1} as read-only parallel arrays: ``masks``,
+    the ascending int64 bitmasks of the positive-mass subsets, and ``values``,
+    their probabilities. The constructor takes the masks in any order and
+    drops the entries whose value is not positive.
+    """
 
-    def __init__(self, n: int, probs: dict[int, float]):
+    def __init__(self, n: int, masks, values):
         if n > 63:
             raise ValueError("bitmask representation limited to n <= 63")
+        masks = np.asarray(masks, dtype=np.int64)
+        values = np.asarray(values, dtype=float)
+        keep = values > 0.0
+        order = np.argsort(masks[keep])
         self.n = n
-        self.probs = probs
+        self.masks, self.values = masks[keep][order], values[keep][order]
+        if np.any(self.masks[1:] == self.masks[:-1]) or np.any(self.masks >> n):
+            raise ValueError(f"masks must be distinct subsets of range({n})")
+        self.masks.setflags(write=False)
+        self.values.setflags(write=False)
+
+    @cached_property
+    def probs(self) -> Mapping[int, float]:
+        """Read-only mapping mask -> probability, in ascending mask order."""
+        return MappingProxyType(dict(zip(self.masks.tolist(), self.values.tolist())))
 
     def total(self) -> float:
-        return float(sum(self.probs.values()))
+        return float(np.sum(self.values))
 
     def prob(self, X: Iterable[int]) -> float:
         return self.probs.get(mask_of(X), 0.0)
 
+    def _sizes(self) -> np.ndarray:
+        return sum(((self.masks >> i) & 1 for i in range(self.n)), np.zeros_like(self.masks))
+
     def size_marginal(self) -> np.ndarray:
-        out = np.zeros(self.n + 1)
-        for mask, pr in self.probs.items():
-            out[bin(mask).count("1")] += pr
-        return out
+        return np.bincount(self._sizes(), weights=self.values, minlength=self.n + 1)
 
     def inclusion_vector(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        for mask, pr in self.probs.items():
-            for i in range(self.n):
-                if mask >> i & 1:
-                    out[i] += pr
-        return out
+        return np.array([np.dot((self.masks >> i) & 1, self.values) for i in range(self.n)])
 
     def conditioned_on_size(self, m: int) -> "SubsetDistribution":
-        sub = {mask: pr for mask, pr in self.probs.items()
-               if bin(mask).count("1") == m}
-        tot = sum(sub.values())
+        keep = self._sizes() == m
+        tot = float(np.sum(self.values[keep]))
         if tot <= 0.0:
             raise ValueError(f"no mass on subsets of size {m}")
-        return SubsetDistribution(self.n, {k: v / tot for k, v in sub.items()})
-
-    @classmethod
-    def from_counts(cls, n: int, counts: dict[int, int]) -> "SubsetDistribution":
-        tot = sum(counts.values())
-        return cls(n, {k: v / tot for k, v in counts.items()})
+        return SubsetDistribution(self.n, self.masks[keep], self.values[keep] / tot)
 
 
 def mask_of(X: Iterable[int]) -> int:
@@ -610,13 +618,3 @@ def nnp_from_dict(obj: dict, psd_tol: float | None = None) -> NNP:
     V = _decode(obj["V"])
     return make_nnp(L, V, psd_tol=psd_tol if psd_tol is not None
                     else obj.get("psd_tol"))
-
-
-def nnp_to_json(e: NNP) -> str:
-    parts: list[bytes] = []
-    write_json(nnp_to_dict(e, stream=True), parts.append)
-    return b"".join(parts).decode("ascii")
-
-
-def nnp_from_json(text: str) -> NNP:
-    return nnp_from_dict(json.loads(text))

@@ -228,18 +228,3 @@ def custom_kernel(coeffs: Sequence[float], evaluator: Callable | None = None,
                   name: str = "custom") -> StationaryKernel:
     """Kernel from explicit Taylor coefficients, optionally with an evaluator."""
     return StationaryKernel(coeffs, evaluator=evaluator, name=name)
-
-
-def kernel_from_config(cfg) -> StationaryKernel:
-    """Build a kernel from a JSON-style dict: {"name": ...} or {"coeffs": [...]}.
-
-    A coefficient kernel's profile is evaluated from its truncated series.
-    """
-    unknown = set(cfg) - {"name", "coeffs"}
-    if unknown:
-        raise ValueError(f"unknown kernel config keys {sorted(unknown)}")
-    if "name" in cfg:
-        return builtin_kernel(cfg["name"])
-    if "coeffs" in cfg:
-        return custom_kernel([float(c) for c in cfg["coeffs"]])
-    raise ValueError("kernel config needs 'name' or 'coeffs'")

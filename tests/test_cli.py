@@ -243,14 +243,21 @@ def test_converge_command(capsys):
     assert tvs[-1] <= tvs[0]
 
 
-def test_oracle_command(capsys):
+def test_oracle_command(capsys, tmp_path):
+    law = tmp_path / "law.csv"
     code, out, _ = run(capsys, "oracle", "--n", "5", "--samples", "4000",
-                       "--seed", "1")
+                       "--seed", "1", "--out", str(law))
     assert code == 0
     assert "varying-size sampler" in out and "fixed-size sampler" in out
     tvs = [float(tok.split("=")[1]) for line in out.splitlines()
            for tok in line.split() if tok.startswith("tv=")]
     assert all(tv <= 0.2 for tv in tvs)
+    lines = law.read_text().splitlines()
+    assert lines[0] == "subset-bitmask,probability"
+    masks = [int(line.split(",")[0]) for line in lines[1:]]
+    # ascending as numbers: 2 comes before 10
+    assert masks == sorted(set(masks)) and masks[0] < 10 <= masks[-1]
+    assert sum(float(line.split(",")[1]) for line in lines[1:]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_json_format_output(capsys):
@@ -289,6 +296,15 @@ UNREAD = "unrecognized arguments"
      "argument --seed: not allowed with argument --ensemble"),
     (("size-dist", "--ensemble", "lim.json", "--eps", "0.1"),
      "argument --eps: not allowed with argument --ensemble"),
+    # a fixed-size limit reads no scaling, a varying-size one no size
+    (("sample", "--kernel", "gaussian", "--vary", "--p", "2", "--m", "3"),
+     "argument --m: not allowed with argument --vary"),
+    (("limit", "--kernel", "gaussian", "--vary", "--m", "3"),
+     "argument --m: not allowed with argument --vary"),
+    *[((command, "--kernel", "gaussian", "--m", "5", *flags),
+       f"argument {flags[0]}: only read with argument --vary")
+      for command in ("limit", "sample")
+      for flags in (("--p", "3"), ("--alpha", "7"))],
 ])
 def test_unread_options_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as info:

@@ -27,6 +27,7 @@ from flatdpp.diagnostics import (
 )
 from flatdpp.ensembles import (
     RankDeficientError,
+    SubsetDistribution,
     bordered_matrix,
     indices_of,
     log_unnorm_prob,
@@ -293,6 +294,19 @@ def test_tv_mismatched_spaces():
         tv_distance([1.0], [0.5, 0.5])
 
 
+def test_tv_of_laws_with_partly_overlapping_supports():
+    rng = np.random.default_rng(17)
+    P, Q = (SubsetDistribution(10, rng.choice(np.arange(lo, lo + 600), 300, replace=False),
+                               rng.dirichlet(np.ones(300))) for lo in (0, 200))
+    assert 0 < len(P.probs.keys() & Q.probs.keys()) < 300
+    ref = sum(abs(P.probs.get(k, 0.0) - Q.probs.get(k, 0.0))
+              for k in P.probs.keys() | Q.probs.keys())
+    assert tv_distance(P, Q) == pytest.approx(ref, rel=1e-14)
+    assert tv_distance(Q, P) == pytest.approx(ref, rel=1e-14)
+    with pytest.raises(ValueError, match="ground sets"):
+        tv_distance(P, SubsetDistribution(11, P.masks, P.values))
+
+
 # ---------------------------------------------------------------------------
 # conditional densities
 # ---------------------------------------------------------------------------
@@ -504,6 +518,40 @@ def test_inclusion_varying_matches_enumeration():
     np.testing.assert_allclose(inclusion_probabilities(e),
                                brute_force_distribution(e).inclusion_vector(),
                                atol=1e-8)
+
+
+def _tally_inclusion(dist) -> np.ndarray:
+    out = np.zeros(dist.n)
+    for mask, pr in dist.probs.items():
+        for i in indices_of(mask):
+            out[i] += pr
+    return out
+
+
+def test_inclusion_of_a_fixed_size_law_on_30_points():
+    # C(30, 4) = 27405 subsets, on more points than a varying-size law allows
+    kernel = builtin_kernel("(3+3d+d^2)exp(-d)")
+    e = fixed_size_limit(uniform_points(30, 1, seed=7), kernel, 4).process
+    dist = brute_force_distribution(e, 4)
+    incl = dist.inclusion_vector()
+    assert incl.sum() == pytest.approx(4.0, abs=1e-12)
+    np.testing.assert_allclose(incl, _tally_inclusion(dist), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(inclusion_probabilities(e, 4), incl)
+
+
+def test_fixed_size_law_on_63_points_holds_index_62():
+    # mask 2^62 is the largest bit an int64 bitmask holds
+    e = random_nnp(63, 0, seed=18)
+    dist = brute_force_distribution(e, 2)
+    assert len(dist.probs) == math.comb(63, 2)
+    assert dist.masks[-1] == (1 << 62) | (1 << 61)
+    incl = dist.inclusion_vector()
+    assert incl.sum() == pytest.approx(2.0, abs=1e-12)
+    np.testing.assert_allclose(incl, _tally_inclusion(dist), rtol=0, atol=1e-15)
+    L = e.L
+    e2 = (np.trace(L) ** 2 - np.trace(L @ L)) / 2
+    assert dist.prob([0, 62]) == pytest.approx(np.linalg.det(L[np.ix_([0, 62], [0, 62])]) / e2,
+                                               rel=1e-10)
 
 
 def test_inclusion_sweep_converges_for_rough_kernels():

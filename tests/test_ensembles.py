@@ -28,9 +28,7 @@ from flatdpp.ensembles import (
     marginal_kernel,
     mask_of,
     nnp_from_dict,
-    nnp_from_json,
     nnp_to_dict,
-    nnp_to_json,
     size_distribution,
     write_json,
 )
@@ -595,8 +593,8 @@ def test_mask_round_trip():
 
 
 def test_subset_distribution_utilities():
-    d = SubsetDistribution(2, {mask_of([0]): 0.5, mask_of([1]): 0.25,
-                               mask_of([0, 1]): 0.25})
+    d = SubsetDistribution(2, [mask_of([0]), mask_of([1]), mask_of([0, 1])],
+                           [0.5, 0.25, 0.25])
     np.testing.assert_allclose(d.size_marginal(), [0, 0.75, 0.25])
     np.testing.assert_allclose(d.inclusion_vector(), [0.75, 0.5])
     cond = d.conditioned_on_size(1)
@@ -605,9 +603,42 @@ def test_subset_distribution_utilities():
         d.conditioned_on_size(0)
 
 
+def test_subset_distribution_is_sorted_positive_and_read_only():
+    d = SubsetDistribution(3, [6, 1, 4, 3], [0.25, 0.5, 0.0, 0.25])
+    assert d.masks.tolist() == [1, 3, 6] and d.values.tolist() == [0.5, 0.25, 0.25]
+    assert list(d.probs.items()) == [(1, 0.5), (3, 0.25), (6, 0.25)]
+    assert d.prob([2]) == 0.0 and 4 not in d.probs
+    with pytest.raises(TypeError):
+        d.probs[4] = 0.5
+    with pytest.raises(ValueError):
+        d.values[0] = 1.0
+    for masks in ([1, 1], [8], [-1]):
+        with pytest.raises(ValueError, match="distinct subsets"):
+            SubsetDistribution(3, masks, [0.5] * len(masks))
+
+
+def test_subset_distribution_holds_index_62():
+    # mask 2^62 is the largest bit an int64 bitmask holds
+    top = 1 << 62
+    d = SubsetDistribution(63, [top | 1, top, 1], [0.5, 0.25, 0.25])
+    assert d.masks.tolist() == [1, top, top | 1]
+    assert d.prob([62]) == 0.25 and d.prob([0, 62]) == 0.5
+    incl = d.inclusion_vector()
+    assert incl[62] == 0.75 and incl[0] == 0.75 and not incl[1:62].any()
+    np.testing.assert_array_equal(d.size_marginal()[:3], [0, 0.5, 0.5])
+    assert d.conditioned_on_size(1).prob([62]) == 0.5
+
+
+def json_text(e) -> str:
+    """The JSON text of e as limit writes it: streamed through write_json."""
+    parts: list[bytes] = []
+    write_json(nnp_to_dict(e, stream=True), parts.append)
+    return b"".join(parts).decode("ascii")
+
+
 def test_json_round_trip():
     e = random_nnp(5, 2, seed=43)
-    e2 = nnp_from_json(nnp_to_json(e))
+    e2 = nnp_from_dict(json.loads(json_text(e)))
     np.testing.assert_array_equal(e2.L, e.L)
     np.testing.assert_array_equal(e2.V, e.V)
     for X in ([0], [1, 3], [0, 2, 4]):
@@ -616,26 +647,26 @@ def test_json_round_trip():
 
 def test_json_keeps_only_a_given_psd_tol():
     e = random_nnp(5, 2, seed=43)
-    obj = json.loads(nnp_to_json(e))
+    obj = json.loads(json_text(e))
     assert obj["psd_tol"] is None
-    assert nnp_from_json(json.dumps(obj)).psd_tol == e.psd_tol
+    assert nnp_from_dict(obj).psd_tol == e.psd_tol
     e2 = make_nnp(e.L, e.V, psd_tol=1e-6)
     assert e2.psd_tol == 1e-6
-    obj = json.loads(nnp_to_json(e2))
-    assert obj["psd_tol"] == 1e-6 and nnp_from_json(json.dumps(obj)).psd_tol == 1e-6
+    obj = json.loads(json_text(e2))
+    assert obj["psd_tol"] == 1e-6 and nnp_from_dict(obj).psd_tol == 1e-6
     # files that store the numeric default still load, with that tolerance
     obj["psd_tol"] = 1.5e-10
-    assert nnp_from_json(json.dumps(obj)).psd_tol == 1.5e-10
+    assert nnp_from_dict(obj).psd_tol == 1.5e-10
 
 
 def test_json_text_is_json_dumps_of_the_dict(monkeypatch):
     e = random_nnp(30, 2, seed=44)
     text = json.dumps(nnp_to_dict(e))
-    assert nnp_to_json(e) == text
+    assert json_text(e) == text
     # any chunk size that is a multiple of 3 writes the same text
     for chunk in (3, 24, 8 * 30 * 30 + 3):
         monkeypatch.setattr(ensembles, "_CHUNK_BYTES", chunk)
-        assert nnp_to_json(e) == text
+        assert json_text(e) == text
         assert nnp_to_dict(e) == json.loads(text)
 
 
@@ -648,7 +679,7 @@ def test_reload_hands_make_nnp_the_decoded_bytes_without_a_copy(monkeypatch):
     """At make_nnp's entry only the decoded bytes of L and V are new: no
     ASCII copy of the base64 text and no copy of the decoded arrays."""
     e = random_nnp(1000, 2, seed=45)
-    obj = json.loads(nnp_to_json(e))
+    obj = json.loads(json_text(e))
     seen = {}
 
     def spy(L, V, psd_tol=None):

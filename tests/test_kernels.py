@@ -10,7 +10,6 @@ from flatdpp.kernels import (
     BUILTIN_SMOOTHNESS,
     builtin_kernel,
     custom_kernel,
-    kernel_from_config,
     kernel_matrix,
     smoothness_order,
 )
@@ -151,21 +150,6 @@ def test_coefficient_truncation_error():
     assert k.coeff(1) == -1.0
     with pytest.raises(ValueError, match="order"):
         k.coeff(5)
-
-
-def test_kernel_from_config():
-    assert kernel_from_config({"name": "exponential"}).smoothness == 1
-    k = kernel_from_config({"coeffs": [1, 0, -1]})
-    assert k.taylor[2] == -1.0
-    with pytest.raises(ValueError):
-        kernel_from_config({"coeffs": [1], "eval": "closed"})
-    with pytest.raises(ValueError):
-        kernel_from_config({})
-    for cfg in ({"coeffs": [1, 0, -1], "eval": "series"},
-                {"name": "gaussian", "truncation": 8},
-                {"coef": [1, 0, -1]}):
-        with pytest.raises(ValueError, match="unknown"):
-            kernel_from_config(cfg)
 
 
 def test_mp_evaluator_matches_float():
