@@ -130,8 +130,8 @@ def cmd_limit(args) -> int:
 def _ensemble_from_args(args):
     """NNP plus optional fixed size, from --ensemble JSON or a limit construction."""
     if args.ensemble:
-        with open(args.ensemble) as fh:
-            obj = json.load(fh)
+        with open(args.ensemble, "rb") as fh:
+            obj = json.loads(fh.read())
         if "nnp" in obj:
             return (ensembles.nnp_from_dict(obj["nnp"], psd_tol=args.psd_tol),
                     obj.get("fixed_size"))
@@ -149,8 +149,9 @@ def cmd_sample(args) -> int:
     for t in range(args.samples):
         X = (sampling.sample_fixed(e, fixed, rng) if fixed is not None
              else sampling.sample(e, rng))
-        rows.append((str(t), str(ensembles.mask_of(X)), str(len(X)),
-                     ";".join(str(i) for i in X)))
+        # a bitmask fits an int64 only for n <= 63; past that it is left empty
+        mask = str(ensembles.mask_of(X)) if e.n <= 63 else ""
+        rows.append((str(t), mask, str(len(X)), ";".join(str(i) for i in X)))
     _write_rows(args.out, ["draw", "subset-bitmask", "size", "indices"], rows,
                 args.format)
     return 0

@@ -42,7 +42,7 @@ from .ensembles import (
     mask_of,
 )
 from .flatlimit import _fixed_size_dispatch, fixed_size_limit, limit_size_distribution
-from .geometry import DISTINCT_TOL, PointSet, _pairwise_sq_dists
+from .geometry import DISTINCT_TOL, PointSet, _sq_dists
 from .kernels import StationaryKernel, kernel_matrix
 
 logger = logging.getLogger(__name__)
@@ -98,7 +98,8 @@ def brute_force_distribution(e: NNP, m: int | None = None) -> SubsetDistribution
 
     The enumerated total is cross-checked against the analytic normalizer
     (rel. 1e-8) before renormalizing, so a silent inconsistency between the
-    determinant path and the spectral path cannot pass through.
+    determinant path and the spectral path cannot pass through; its
+    discrepancy is logged at DEBUG on the ``flatdpp.diagnostics`` logger.
     """
     _check_enumerable(e.n, m)
     logZ = log_normalizer(e) if m is None else log_fixed_size_normalizer(e, m)
@@ -106,6 +107,8 @@ def brute_force_distribution(e: NNP, m: int | None = None) -> SubsetDistribution
         e.n, m, lambda idx: log_unnorm_prob(e, idx)[::-1])
     vals = sign * np.exp(logabs - logZ)
     total = float(np.sum(vals))
+    logger.debug("brute_force_distribution: enumerated mass - 1 = %.3e "
+                 "(n=%d, m=%s)", total - 1.0, e.n, m)
     if abs(total - 1.0) > 1e-8:
         raise RuntimeError(
             f"enumerated mass {total!r} disagrees with the analytic normalizer"
@@ -337,7 +340,7 @@ def _near_duplicate_representatives(xs: np.ndarray) -> np.ndarray:
     within DISTINCT_TOL of it, so the kept rows form a valid PointSet.
     """
     rep = np.arange(xs.shape[0])
-    close = np.triu(np.sqrt(_pairwise_sq_dists(xs)) <= DISTINCT_TOL, 1)
+    close = np.triu(np.sqrt(_sq_dists(xs, xs)) <= DISTINCT_TOL, 1)
     for i, j in zip(*np.nonzero(close)):
         if rep[i] == i and rep[j] == j:
             rep[j] = i

@@ -208,9 +208,49 @@ class NNP:
         return f"NNP(n={self.n}, p={self.p}, q={self.q})"
 
 
+#: Rows (and columns) of a tile of _symmetrized's sweep: a pair of tiles and
+#: their scratch fit in cache, and the tiles' Python overhead stays small.
+_TILE = 128
+
+
+def _symmetrized(L: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(S, max |L|, max |L - L^T|) in one sweep over pairs of tiles of the
+    upper triangle and their mirrors, S = 0.5 (L + L^T) as a new C-ordered
+    array, bit for bit.
+
+    IEEE addition is commutative, so the sum of a tile and its mirror's
+    transpose, transposed, is the mirror's sum: S is exactly symmetric. A NaN
+    in L makes max |L| NaN. The sweep forms only tile-sized temporaries.
+    """
+    n = L.shape[0]
+    S = np.empty((n, n))
+    scratch = np.empty((min(n, _TILE), min(n, _TILE)))
+    tiles = -(-n // _TILE)
+    # per tile (row block, column block): max |L| and, above the diagonal,
+    # max |L - L^T|; 0 is a neutral entry for both
+    scales, gaps = np.zeros((tiles, tiles)), np.zeros((tiles, tiles))
+    # inf - inf arises only from a non-finite entry, which the caller reports
+    with np.errstate(invalid="ignore"):
+        for bi, i in enumerate(range(0, n, _TILE)):
+            for bj, j in enumerate(range(i, n, _TILE), start=bi):
+                A, Bt = L[i:i + _TILE, j:j + _TILE], L[j:j + _TILE, i:i + _TILE].T
+                t = scratch[:A.shape[0], :A.shape[1]]
+                scales[bi, bj] = np.abs(A, out=t).max()
+                if j > i:
+                    scales[bj, bi] = np.abs(Bt, out=t).max()
+                gaps[bi, bj] = np.abs(np.subtract(A, Bt, out=t), out=t).max()
+                s = np.add(A, Bt, out=S[i:i + _TILE, j:j + _TILE])
+                s *= 0.5
+                if j > i:
+                    S[j:j + _TILE, i:i + _TILE] = s.T
+    return S, float(scales.max(initial=0.0)), float(gaps.max(initial=0.0))
+
+
 def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
     """Validate a pair (L; V); its spectrum is computed only on first use.
 
+    One tiled sweep (:func:`_symmetrized`) checks that L is finite and
+    symmetric within 1e-10 * max |L| and forms the 0.5 (L + L^T) it keeps.
     The law depends on V only through span(V), so the spectrum is that of
     M = N^T L N, L compressed to the orthogonal complement N of span(V). A
     thin SVD of V gives the rank check, Q and log det(V^T V) (none is taken
@@ -232,12 +272,12 @@ def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("L must be square")
     n = L.shape[0]
-    scale = np.max(np.abs(L)) if L.size else 0.0
+    S, scale, asymmetry = _symmetrized(L)
     if not np.isfinite(scale):
         raise ValueError("L has a non-finite entry")
-    if scale > 0 and np.max(np.abs(L - L.T)) > 1e-10 * scale:
+    if scale > 0 and asymmetry > 1e-10 * scale:
         raise ValueError("L must be symmetric")
-    L = 0.5 * (L + L.T)
+    L = S
 
     if V is None:
         V = np.zeros((n, 0))

@@ -99,7 +99,8 @@ def _wronskian_process(ps: PointSet, kernel: StationaryKernel, k: int,
                        scale: float = 1.0) -> NNP:
     Wbar = schur_block(wronskian_matrix(kernel, k, ps.d))
     Vk = vandermonde_block(ps, k)
-    L = scale * (Vk @ Wbar @ Vk.T)
+    L = Vk @ Wbar @ Vk.T
+    L *= scale
     V = vandermonde(ps, k - 1) if k >= 1 else None
     return make_nnp(L, V)
 
@@ -200,6 +201,7 @@ def default_ensemble(ps: PointSet, beta: int, gamma: float) -> NNP:
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     half_up = (beta + 1) // 2
-    L = gamma * (-1.0) ** half_up * distance_power_matrix(ps, beta)
+    L = distance_power_matrix(ps, beta)
+    L *= gamma * (-1.0) ** half_up
     V = vandermonde(ps, half_up - 1)
     return make_nnp(L, V)

@@ -32,9 +32,7 @@ class PointSet:
         self.n = n
         self.d = d
         if n > 1:
-            sq = _pairwise_sq_dists(self.coords)
-            np.fill_diagonal(sq, np.inf)
-            dmin = float(np.sqrt(np.min(sq)))
+            dmin = float(np.sqrt(_min_sq_dist(self.coords)))
             if dmin <= DISTINCT_TOL:
                 raise ValueError(
                     f"points are not pairwise distinct (min distance {dmin:.3e})"
@@ -68,22 +66,41 @@ def grid_points(n: int, d: int) -> PointSet:
     return PointSet(coords)
 
 
-def _pairwise_sq_dists(coords: np.ndarray) -> np.ndarray:
-    """n x n squared distances, accumulated one coordinate at a time.
+#: Rows per block of PointSet's distinctness check: its temporaries are two
+#: arrays of this many rows by n columns.
+_BLOCK_ROWS = 128
+
+
+def _sq_dists(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Squared distances from each of rows to each of cols, accumulated one
+    coordinate at a time.
 
     Each term (x_ik - x_jk)^2 is symmetric in (i, j) and the terms are added
-    in the same order for both, so the result is exactly symmetric with a
-    zero diagonal; only two n x n arrays are live.
+    in the same order for both, so _sq_dists(x, x) is exactly symmetric with
+    a zero diagonal, and every pair gets the same value whichever rows and
+    columns it is computed among; only two result-sized arrays are live.
     """
-    x = coords[:, 0]
-    sq = np.subtract.outer(x, x)
+    sq = np.subtract.outer(rows[:, 0], cols[:, 0])
     sq *= sq
-    for k in range(1, coords.shape[1]):
-        x = coords[:, k]
-        diff = np.subtract.outer(x, x)
+    for k in range(1, rows.shape[1]):
+        diff = np.subtract.outer(rows[:, k], cols[:, k])
         diff *= diff
         sq += diff
     return sq
+
+
+def _min_sq_dist(coords: np.ndarray) -> float:
+    """Smallest squared distance between two of the n >= 2 points, one block
+    of rows at a time against the columns from the block's first on; the
+    n x n matrix is never formed. A set of at most _BLOCK_ROWS points is one
+    block: the whole matrix with its diagonal masked."""
+    best = np.inf
+    for lo in range(0, coords.shape[0], _BLOCK_ROWS):
+        sq = _sq_dists(coords[lo:lo + _BLOCK_ROWS], coords[lo:])
+        # the block's own pairs form the leading square, diagonal included
+        np.fill_diagonal(sq, np.inf)
+        best = min(best, float(sq.min()))
+    return best
 
 
 def distance_matrix(ps: PointSet) -> np.ndarray:
@@ -102,7 +119,10 @@ def distance_power_matrix(ps: PointSet, p: int) -> np.ndarray:
     p = int(p)
     if p == 0:
         return np.ones((ps.n, ps.n))
-    sq = _pairwise_sq_dists(ps.coords)
+    sq = _sq_dists(ps.coords, ps.coords)
     if p % 2 == 0:
-        return sq ** (p // 2)
-    return np.sqrt(sq) ** p
+        sq **= p // 2
+    else:
+        np.sqrt(sq, out=sq)
+        sq **= p
+    return sq

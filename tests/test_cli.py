@@ -177,8 +177,22 @@ def test_sample_round_trip_byte_identical(capsys, tmp_path):
                                      builtin_kernel("gaussian"), 5)
     rng = sampling.rng_from_seed(7)
     draws = [sampling.sample_fixed(res.process, 5, rng) for _ in range(40)]
-    got = [line.split(",")[3] for line in s1.read_text().splitlines()[1:]]
-    assert got == [";".join(str(i) for i in X) for X in draws]
+    rows = [line.split(",") for line in s1.read_text().splitlines()[1:]]
+    assert [r[3] for r in rows] == [";".join(str(i) for i in X) for X in draws]
+    assert [r[1] for r in rows] == [str(ensembles.mask_of(X)) for X in draws]
+
+
+@pytest.mark.parametrize("n", [63, 64, 300])
+def test_sample_bitmask_only_where_an_int64_holds_it(capsys, tmp_path, n):
+    lim = str(tmp_path / "lim.json")
+    run(capsys, "limit", "--gen", "uniform", "--n", str(n), "--dim", "2",
+        "--kernel", "exponential", "--m", "20", "--out", lim)
+    code, out, _ = run(capsys, "sample", "--ensemble", lim, "--samples", "5")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 5 and all(r[2] == "20" and len(r[3].split(";")) == 20 for r in rows)
+    masks = [str(ensembles.mask_of(int(i) for i in r[3].split(";"))) for r in rows]
+    assert [r[1] for r in rows] == (masks if n <= 63 else [""] * 5)
 
 
 def test_size_dist_round_trip(capsys, tmp_path):
@@ -356,6 +370,20 @@ def test_tampered_ensemble_is_domain_error(capsys, tmp_path):
     code, out, err = run(capsys, "size-dist", "--ensemble", str(lim))
     assert code == 2 and out == ""
     assert "L has a non-finite entry" in err
+
+
+@pytest.mark.parametrize("command", ["size-dist", "sample"])
+def test_unreadable_ensemble_is_domain_error(capsys, tmp_path, command):
+    lim = tmp_path / "lim.json"
+    run(capsys, "limit", "--gen", "uniform", "--n", "5", "--kernel", "exponential",
+        "--m", "3", "--out", str(lim))
+    text = lim.read_bytes()
+    bad = tmp_path / "bad.json"
+    # not UTF-8, then cut off
+    for data in (b'{"n": \xff}', text[: len(text) // 2]):
+        bad.write_bytes(data)
+        code, out, err = run(capsys, command, "--ensemble", str(bad))
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_psd_tol_override_accepted(capsys, tmp_path):

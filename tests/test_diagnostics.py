@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from flatdpp import flatlimit
+from flatdpp import diagnostics, flatlimit
 from flatdpp.diagnostics import (
     ConvergenceCurve,
     _mp_conditional_logdets,
@@ -93,6 +93,28 @@ def test_brute_force_size_marginal_consistency():
     e = random_nnp(7, 1, seed=1)
     np.testing.assert_allclose(brute_force_distribution(e).size_marginal(),
                                size_distribution(e), atol=1e-10)
+
+
+def test_enumerated_mass_discrepancy_is_logged(caplog, monkeypatch):
+    e = random_nnp(6, 1, seed=2)
+    with caplog.at_level(logging.DEBUG, logger="flatdpp.diagnostics"):
+        brute_force_distribution(e)
+        brute_force_distribution(e, 3)
+    msgs = [r.getMessage() for r in caplog.records if r.name == "flatdpp.diagnostics"]
+    assert len(msgs) == 2
+    assert msgs[0].startswith("brute_force_distribution: enumerated mass - 1 = ")
+    assert msgs[0].endswith("(n=6, m=None)") and msgs[1].endswith("(n=6, m=3)")
+    for msg in msgs:
+        assert abs(float(msg.split(" = ")[1].split()[0])) <= 1e-8
+    # a normalizer off by a factor e^(1e-6): logged, then refused
+    logZ = diagnostics.log_normalizer
+    monkeypatch.setattr(diagnostics, "log_normalizer", lambda e: logZ(e) + 1e-6)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="flatdpp.diagnostics"), \
+            pytest.raises(RuntimeError, match="analytic normalizer"):
+        brute_force_distribution(e)
+    assert caplog.records[-1].getMessage().startswith(
+        "brute_force_distribution: enumerated mass - 1 = -1.000e-06")
 
 
 def test_enumeration_guards():

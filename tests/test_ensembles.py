@@ -127,6 +127,65 @@ def test_stored_L_is_the_symmetrized_input_bit_for_bit():
     assert make_nnp(np.zeros((0, 0))).L.shape == (0, 0)
 
 
+_T = ensembles._TILE
+SWEEP_SIZES = (1, _T - 1, _T, _T + 1, 2 * _T + 3)
+
+
+def nearly_symmetric(n, seed):
+    """Positive definite, asymmetric within make_nnp's 1e-10 tolerance."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    return A @ A.T / n + np.eye(n) + 1e-13 * rng.standard_normal((n, n))
+
+
+def layouts(L):
+    """L as a C-ordered, a Fortran-ordered and a strided array."""
+    wide = np.zeros((2 * L.shape[0], 2 * L.shape[1]))
+    wide[::2, ::2] = L
+    return {"C": L, "F": np.asfortranarray(L), "strided": wide[::2, ::2]}
+
+
+@pytest.mark.parametrize("n", SWEEP_SIZES)
+def test_sweep_matches_the_whole_matrix_passes(n):
+    L = nearly_symmetric(n, seed=n)
+    expected = (0.5 * (L + L.T)).tobytes()
+    for name, arr in layouts(L).items():
+        before = arr.copy()
+        S, scale, asymmetry = ensembles._symmetrized(arr)
+        assert S.flags.c_contiguous and S.tobytes() == expected, name
+        assert scale == np.max(np.abs(L)) and asymmetry == np.max(np.abs(L - L.T))
+        e = make_nnp(arr, np.ones((n, 1)))
+        assert e.L.tobytes() == expected and not e.L.flags.writeable
+        assert not np.shares_memory(e.L, arr) and np.array_equal(arr, before)
+        assert arr.flags.writeable
+
+
+# (row, column) of a bad entry, for n = 2T + 3: an off-diagonal tile, its
+# mirror below the diagonal, the last partial tile and its corner
+BAD_ENTRIES = [(1, _T + 5), (_T + 5, 1), (2 * _T + 2, 2 * _T + 1), (2 * _T + 2, 0)]
+
+
+@pytest.mark.parametrize("where", BAD_ENTRIES)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_finds_a_non_finite_entry_in_any_tile(where, bad):
+    n = 2 * _T + 3
+    for arr in layouts(nearly_symmetric(n, seed=3)).values():
+        arr[where] = bad
+        # an asymmetry elsewhere: the non-finite entry is still reported first
+        arr[0, 1] += 1.0
+        with pytest.raises(ValueError, match="^L has a non-finite entry$"):
+            make_nnp(arr)
+
+
+@pytest.mark.parametrize("where", BAD_ENTRIES)
+def test_sweep_finds_an_asymmetry_in_any_tile(where):
+    n = 2 * _T + 3
+    for arr in layouts(nearly_symmetric(n, seed=4)).values():
+        arr[where] += 1e-9 * np.max(np.abs(arr))
+        with pytest.raises(ValueError, match="^L must be symmetric$"):
+            make_nnp(arr)
+
+
 def test_rank_deficient_V_rejected():
     V = np.column_stack([np.ones(4), 2 * np.ones(4)])
     with pytest.raises(RankDeficientError):

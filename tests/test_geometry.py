@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from flatdpp import geometry
 from flatdpp.geometry import (
+    DISTINCT_TOL,
     PointSet,
     distance_matrix,
     distance_power_matrix,
@@ -70,6 +72,28 @@ def test_coincident_points_rejected():
     with pytest.raises(ValueError, match=r"^points are not pairwise distinct "
                                          r"\(min distance 1\.000e-13\)$"):
         PointSet([0.5, 0.5 + 1e-13])
+
+
+_B = geometry._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("pair", [(_B - 1, _B), (5, 2 * _B + 4), (2 * _B + 3, 2 * _B + 4)],
+                         ids=["across-a-block-boundary", "first-and-last-block", "last-rows"])
+def test_near_coincident_pair_found_in_any_block(d, pair):
+    rng = np.random.default_rng(d)
+    coords = rng.uniform(size=(2 * _B + 5, d))
+    PointSet(coords)
+    i, j = pair
+    coords[j] = coords[i]
+    coords[j, 0] += 0.4 * DISTINCT_TOL
+    iu = np.triu_indices(len(coords), k=1)
+    diff = coords[iu[0]] - coords[iu[1]]
+    dmin = float(np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff))))
+    assert dmin <= DISTINCT_TOL
+    with pytest.raises(ValueError, match=rf"^points are not pairwise distinct "
+                                         rf"\(min distance {dmin:.3e}\)$"):
+        PointSet(coords)
 
 
 def test_shape_validation():
