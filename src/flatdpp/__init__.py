@@ -30,6 +30,7 @@ from .ensembles import (
     log_normalizer,
     log_prob,
     log_unnorm_prob,
+    make_factored_nnp,
     make_nnp,
     marginal_kernel,
     nnp_from_dict,

@@ -128,14 +128,20 @@ def cmd_limit(args) -> int:
 
 
 def _ensemble_from_args(args):
-    """NNP plus optional fixed size, from --ensemble JSON or a limit construction."""
+    """NNP plus optional fixed size, from --ensemble JSON or a limit construction.
+
+    The file holds a limit record {"nnp": ..., "fixed_size": ...} or a bare
+    ensemble record; a malformed one is a ValueError.
+    """
     if args.ensemble:
         with open(args.ensemble, "rb") as fh:
             obj = json.loads(fh.read())
-        if "nnp" in obj:
-            return (ensembles.nnp_from_dict(obj["nnp"], psd_tol=args.psd_tol),
-                    obj.get("fixed_size"))
-        return ensembles.nnp_from_dict(obj, psd_tol=args.psd_tol), None
+        if not (isinstance(obj, dict) and "nnp" in obj):
+            return ensembles.nnp_from_dict(obj, psd_tol=args.psd_tol), None
+        fixed = obj.get("fixed_size")
+        if fixed is not None and type(fixed) is not int:
+            raise ValueError(f"ensemble record: fixed_size {fixed!r} is not an integer")
+        return ensembles.nnp_from_dict(obj["nnp"], psd_tol=args.psd_tol), fixed
     res = _limit_result(args)
     return res.process, res.fixed_size
 

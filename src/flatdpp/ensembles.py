@@ -15,10 +15,12 @@ basis of the orthogonal complement of span(V).
 A pair is stored as JSON (:func:`nnp_to_dict`, :func:`nnp_from_dict`): n, p,
 the caller's PSD tolerance, and L and V as blocks ``{"shape": [rows, cols],
 "data": base64}``, where data is the base64 of the block's float64 entries
-in column-major order and the machine's byte order. :func:`write_json`
-writes such a dict as bytes, each block's base64 in chunks, so a file of
-any size is written without its text ever being held in memory; the CLI's
-``limit`` streams its output this way.
+in column-major order and the machine's byte order. A pair built from a
+factor L = B C B^T (:func:`make_factored_nnp`) also stores ``"factor": {"B":
+block, "C": block}``; a reload rebuilds it from the factor and requires the
+stored L to match. :func:`write_json` writes such a dict as bytes, each
+block's base64 in chunks, so a file of any size is written without its text
+ever being held in memory; the CLI's ``limit`` streams its output this way.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def _positive_spectrum(w: np.ndarray, noise_floor: float) -> tuple[np.ndarray, f
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
     if wmax <= noise_floor:
         logger.debug("N^T L N is rounding noise: the noise floor forced q = 0 "
-                     "(max |eigenvalue| %.3e <= n^2 eps max|L| = %.3e)", wmax, noise_floor)
+                     "(max |eigenvalue| %.3e <= noise floor %.3e)", wmax, noise_floor)
         return w[:0].copy(), 0.0
     # eigenvalues below ~1e3 times the eigensolver noise floor are
     # indistinguishable from zero modes
@@ -146,20 +148,26 @@ class NNP:
     q : number of positive eigenvalues; q <= n - p.
     logdet_vtv : log det(V^T V), 0.0 when p = 0.
     psd_tol : the tolerance that accepted the pair (see :func:`make_nnp`).
+    factor : (B, C) with L = B C B^T when the pair was built by
+        :func:`make_factored_nnp`, else None.
 
     N is never formed, and N^T L N is not kept: each decomposition
-    recompresses L through the p Householder reflectors of Q. Immutable after
-    construction; build through :func:`make_nnp`. The fixed-size sampler
-    caches its read-only acceptance tables here, keyed by the number of
-    eigenvectors drawn, on first use.
+    recompresses L through the p Householder reflectors of Q. A factored
+    pair has lam and U from construction and never decomposes L. Immutable
+    after construction; build through :func:`make_nnp` or
+    :func:`make_factored_nnp`. The fixed-size sampler caches its read-only
+    acceptance tables here, keyed by the number of eigenvectors drawn, on
+    first use.
     """
 
-    def __init__(self, L, V, Q, logdet_vtv, psd_tol, given_tol, noise_floor, lam):
+    def __init__(self, L, V, Q, logdet_vtv, psd_tol, given_tol, noise_floor, lam,
+                 U=None, factor=None):
         self.L = L
         self.V = V
         self.Q = Q
         self.logdet_vtv = logdet_vtv
         self.psd_tol = psd_tol
+        self.factor = factor
         self.n = L.shape[0]
         self.p = V.shape[1]
         self._given_tol = given_tol
@@ -167,10 +175,13 @@ class NNP:
         self._lam: np.ndarray | None = None
         self._U: np.ndarray | None = None
         self._acceptance_tables: dict[int, np.ndarray] = {}
-        for arr in (self.L, self.V, self.Q):
+        for arr in (self.L, self.V, self.Q, *(factor or ())):
             arr.setflags(write=False)
         if lam is not None:
             self._set_lam(lam)
+        if U is not None:
+            U.setflags(write=False)
+            self._U = U
 
     def _set_lam(self, lam: np.ndarray) -> None:
         lam.setflags(write=False)
@@ -268,17 +279,33 @@ def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
     logged at DEBUG on the ``flatdpp.ensembles`` logger. A NaN or infinite
     entry in L or V raises ValueError.
     """
+    L, scale = _checked_square(L)
+    n = L.shape[0]
+    V, Q, logdet_vtv = _projective_part(V, n)
+    noise_floor = n * n * np.finfo(float).eps * scale
+    tol, lam = _validate(L, Q, noise_floor, psd_tol)
+    return NNP(L, V, Q, logdet_vtv, tol, psd_tol, noise_floor, lam)
+
+
+def _checked_square(L) -> tuple[np.ndarray, float]:
+    """(0.5 (L + L^T), max |L|) from one :func:`_symmetrized` sweep, or
+    ValueError unless L is square, finite and symmetric within
+    1e-10 * max |L|."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("L must be square")
-    n = L.shape[0]
     S, scale, asymmetry = _symmetrized(L)
     if not np.isfinite(scale):
         raise ValueError("L has a non-finite entry")
     if scale > 0 and asymmetry > 1e-10 * scale:
         raise ValueError("L must be symmetric")
-    L = S
+    return S, scale
 
+
+def _projective_part(V, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(V as an n x p float array, Q, log det(V^T V)): Q is an orthonormal
+    basis of span(V) from one thin SVD, which also checks the rank; none is
+    taken when V is the identity."""
     if V is None:
         V = np.zeros((n, 0))
     V = np.asarray(V, dtype=float)
@@ -294,19 +321,64 @@ def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
 
     if p == n and np.count_nonzero(V) == n and np.all(np.diagonal(V) == 1.0):
         # V = I, the sure full set: already orthonormal, nothing to factor
-        Q, logdet_vtv = V, 0.0
-    elif p > 0:
-        Q = orthonormal_basis(V)
-        if Q.shape[1] < p:
-            raise RankDeficientError("V is rank deficient")
-        # V = Q (Q^T V), so det(V^T V) = det(Q^T V)^2
-        logdet_vtv = 2.0 * float(np.linalg.slogdet(Q.T @ V)[1])
-    else:
-        Q, logdet_vtv = np.zeros((n, 0)), 0.0
+        return V, V, 0.0
+    if p == 0:
+        return V, np.zeros((n, 0)), 0.0
+    Q = orthonormal_basis(V)
+    if Q.shape[1] < p:
+        raise RankDeficientError("V is rank deficient")
+    # V = Q (Q^T V), so det(V^T V) = det(Q^T V)^2
+    return V, Q, 2.0 * float(np.linalg.slogdet(Q.T @ V)[1])
 
-    noise_floor = n * n * np.finfo(float).eps * scale
-    tol, lam = _validate(L, Q, noise_floor, psd_tol)
-    return NNP(L, V, Q, logdet_vtv, tol, psd_tol, noise_floor, lam)
+
+def make_factored_nnp(B, C, V=None, psd_tol: float | None = None) -> NNP:
+    """Validate the pair (B C B^T; V), B of shape (n, h) and C symmetric
+    h x h, and take its spectrum from the factor: no n x n decomposition.
+
+    L = B C B^T is formed once and kept (checked and symmetrised as in
+    :func:`make_nnp`, whose Q, rank check and log det(V^T V) are taken too).
+    With R = (I - QQ^T) B (projected twice) and its thin QR R = Q_r R_r, the
+    nonzero spectrum of N^T L N is that of the small K = R_r C R_r^T; one
+    eigh of K gives the CPD check, lam and U = Q_r Z, so q <= h. Projecting
+    B off span(V) leaves errors on the scale of B, not of R, so K's
+    eigenvalues are known only to about the noise floor
+    (h + p) eps ||C|| ||R|| (2 ||B|| + ||R||) (Frobenius norms); those at or
+    below it are not spectrum. An eigenvalue below -psd_tol, by default
+    max(1e-10 max |eigenvalue|, noise floor), raises
+    :class:`CPDViolationError`.
+    """
+    B, C = np.array(B, dtype=float), np.array(C, dtype=float)
+    if B.ndim != 2 or C.shape != (B.shape[1], B.shape[1]):
+        raise ValueError(f"a factor needs B of shape (n, h) and C of shape (h, h), "
+                         f"not {B.shape} and {C.shape}")
+    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
+        raise ValueError("the factor has a non-finite entry")
+    n, h = B.shape
+    L, _ = _checked_square(B @ C @ B.T)
+    V, Q, logdet_vtv = _projective_part(V, n)
+    p = Q.shape[1]
+    R = B - Q @ (Q.T @ B)
+    R -= Q @ (Q.T @ R)
+    Qr, Rr = np.linalg.qr(R)
+    K = Rr @ C @ Rr.T
+    w, Z = np.linalg.eigh(0.5 * (K + K.T))
+    norm_R = float(np.linalg.norm(R))
+    noise_floor = ((h + p) * np.finfo(float).eps * float(np.linalg.norm(C)) * norm_R
+                   * (2.0 * float(np.linalg.norm(B)) + norm_R))
+    lam, wmax = _positive_spectrum(w, noise_floor)
+    lam = lam[lam > noise_floor]
+    tol = psd_tol if psd_tol is not None else (max(1e-10 * wmax, noise_floor) or 1e-10)
+    logger.debug("make_factored_nnp: eigh of the %dx%d factor decided with min eigenvalue "
+                 "%.3e, psd_tol %.3e, noise floor %.3e, q = %d (n=%d, p=%d)",
+                 w.size, w.size, w[0] if w.size else 0.0, tol, noise_floor, lam.size, n, p)
+    if w.size and w[0] < -tol:
+        raise CPDViolationError(
+            f"L = B C B^T is not CPD with respect to V: the Wronskian Schur block C, "
+            f"compressed to the complement of span(V), has min eigenvalue {w[0]:.3e} "
+            f"< -{tol:.3e}"
+        )
+    U = np.asfortranarray(Qr @ Z[:, ::-1][:, :lam.size])
+    return NNP(L, V, Q, logdet_vtv, tol, psd_tol, noise_floor, lam, U=U, factor=(B, C))
 
 
 def _validate(L: np.ndarray, Q: np.ndarray, noise_floor: float,
@@ -606,6 +678,24 @@ def _decode(obj: dict) -> np.ndarray:
     return raw.reshape(tuple(obj["shape"]), order="F")
 
 
+def _block(obj, key: str) -> np.ndarray:
+    """The decoded block obj[key] of a record; ValueError naming the key
+    when the record is not a JSON object or the block is malformed."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"ensemble record: expected a JSON object, not {type(obj).__name__}")
+    block = obj.get(key)
+    if not isinstance(block, dict):
+        raise ValueError(f"ensemble record: {key!r} is not a block {{\"shape\", \"data\"}}")
+    shape, data = block.get("shape"), block.get("data")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(s) is int and s >= 0 for s in shape)):
+        raise ValueError(f"ensemble record: block {key!r} has shape {shape!r}, "
+                         f"not [rows, cols]")
+    if not isinstance(data, str):
+        raise ValueError(f"ensemble record: block {key!r} has no base64 \"data\" string")
+    return _decode(block)
+
+
 def write_json(obj, write: Callable[[bytes], object]) -> None:
     """Write json.dumps(obj) as ASCII bytes through write, where the values
     of obj's dicts (str keys) may be iterators of ASCII chunks, as in
@@ -632,12 +722,13 @@ def write_json(obj, write: Callable[[bytes], object]) -> None:
 
 def nnp_to_dict(e: NNP, stream: bool = False) -> dict:
     """L, V and the caller's PSD tolerance, null when make_nnp's default rule
-    applied: a reload re-derives that default from the identical pair.
+    applied: a reload re-derives that default from the identical pair. A
+    factored pair adds its factor {"B", "C"}.
 
     With stream=True each block's "data" is an iterator of base64 chunks, for
     one :func:`write_json`; the dict then holds no encoded text.
     """
-    return {
+    obj = {
         "n": e.n,
         "p": e.p,
         # L is exactly symmetric, so its transpose, a Fortran-ordered view,
@@ -646,15 +737,47 @@ def nnp_to_dict(e: NNP, stream: bool = False) -> dict:
         "V": _encode(e.V, stream),
         "psd_tol": e._given_tol,
     }
+    if e.factor is not None:
+        B, C = e.factor
+        obj["factor"] = {"B": _encode(B, stream), "C": _encode(C, stream)}
+    return obj
 
 
 def nnp_from_dict(obj: dict, psd_tol: float | None = None) -> NNP:
-    """Rebuild through make_nnp; psd_tol overrides the stored tolerance.
+    """Rebuild through make_nnp, or through make_factored_nnp when the record
+    has a factor; psd_tol overrides the stored tolerance. A malformed record
+    is a ValueError.
 
-    make_nnp gets read-only views of the decoded blocks, so the only new
-    n x n array is the symmetrized L it keeps.
+    The constructors get read-only views of the decoded blocks, so the only
+    new n x n arrays are the L they keep (and, for a factor, the product
+    B C B^T it is symmetrised from). A factored record's L must match the
+    rebuilt L within 1e-10 * max |L|.
     """
-    L = _decode(obj["L"])
-    V = _decode(obj["V"])
-    return make_nnp(L, V, psd_tol=psd_tol if psd_tol is not None
-                    else obj.get("psd_tol"))
+    L, V = _block(obj, "L"), _block(obj, "V")
+    if psd_tol is None:
+        psd_tol = obj.get("psd_tol")
+        if psd_tol is not None and type(psd_tol) not in (int, float):
+            raise ValueError(f"ensemble record: psd_tol {psd_tol!r} is not a number")
+    if "factor" not in obj:
+        return make_nnp(L, V, psd_tol=psd_tol)
+    factor = obj["factor"]
+    e = make_factored_nnp(_block(factor, "B"), _block(factor, "C"), V, psd_tol=psd_tol)
+    _require_match(L, e.L)
+    return e
+
+
+def _require_match(L: np.ndarray, S: np.ndarray) -> None:
+    """ValueError unless L matches the exactly symmetric S within
+    1e-10 * max |S|, compared by blocks of _TILE rows of L^T (contiguous for
+    a decoded block), with no n x n temporary."""
+    if L.shape != S.shape:
+        raise ValueError(f"ensemble record: L of shape {L.shape} does not match "
+                         f"its factor's {S.shape}")
+    gap = scale = 0.0
+    for lo in range(0, S.shape[0], _TILE):
+        rows = S[lo:lo + _TILE]
+        scale = max(scale, float(np.abs(rows).max()))
+        gap = max(gap, float(np.abs(L.T[lo:lo + _TILE] - rows).max()))
+    if not gap <= 1e-10 * scale:
+        raise ValueError(f"ensemble record: L does not match its factor B C B^T "
+                         f"(max difference {gap:.3e}, max |L| {scale:.3e})")

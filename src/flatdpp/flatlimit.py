@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import CPDViolationError, NNP, make_nnp, nnp_to_dict, size_distribution
+from .ensembles import (CPDViolationError, NNP, make_factored_nnp, make_nnp, nnp_to_dict,
+                        size_distribution)
 from .geometry import PointSet, distance_power_matrix
 from .kernels import StationaryKernel, kernel_matrix
 from .polybasis import count_poly, vandermonde, vandermonde_block
@@ -97,12 +98,11 @@ def _projection_process(ps: PointSet, k: int) -> NNP:
 
 def _wronskian_process(ps: PointSet, kernel: StationaryKernel, k: int,
                        scale: float = 1.0) -> NNP:
+    """(V_k (scale W_bar) V_k^T; V_{<k}) from its factor: V_k is the degree-k
+    block of the Vandermonde matrix and W_bar the Wronskian Schur block."""
     Wbar = schur_block(wronskian_matrix(kernel, k, ps.d))
-    Vk = vandermonde_block(ps, k)
-    L = Vk @ Wbar @ Vk.T
-    L *= scale
     V = vandermonde(ps, k - 1) if k >= 1 else None
-    return make_nnp(L, V)
+    return make_factored_nnp(vandermonde_block(ps, k), scale * Wbar, V)
 
 
 def _check_size(ps: PointSet, m: int) -> None:

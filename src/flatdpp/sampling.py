@@ -12,8 +12,9 @@ basis itself and never forms the n x n kernel U U^T: a draw of m points costs
 O(n m^2) time and O(n m) memory. :func:`sample_projection` checks that its
 basis is orthonormal unless told not to; :func:`sample` and
 :func:`sample_fixed` skip that check, because
-:func:`~flatdpp.ensembles.make_nnp` already guarantees that [Q | U] is
-orthonormal.
+:func:`~flatdpp.ensembles.make_nnp` and
+:func:`~flatdpp.ensembles.make_factored_nnp` already guarantee that [Q | U]
+is orthonormal.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def sample_projection(U: np.ndarray, rng: np.random.Generator, *,
 
 
 def _stack_basis(e: NNP, chosen: np.ndarray) -> np.ndarray:
-    # make_nnp guarantees [Q | U] orthonormal, so the samplers skip the check
+    # the NNP constructors guarantee [Q | U] orthonormal, so the samplers skip the check
     if not chosen.size:
         return e.Q
     return np.concatenate((e.Q, e.U[:, chosen]), axis=1)

@@ -386,6 +386,112 @@ def test_unreadable_ensemble_is_domain_error(capsys, tmp_path, command):
         assert code == 2 and out == "" and err.startswith("error: ")
 
 
+#: Ensemble files that are valid JSON but no ensemble record.
+MALFORMED_RECORDS = {
+    "list": "[1, 2]",
+    "number": "5",
+    "nnp-number": '{"nnp": 3}',
+    "data-number": '{"L": {"shape": [1, 1], "data": 5}, "V": {"shape": [1, 0], "data": ""}}',
+    "shape-number": '{"L": {"shape": 4, "data": "AAAAAAAAAAA="}, '
+                    '"V": {"shape": [1, 0], "data": ""}}',
+    "factor-number": '{"L": {"shape": [1, 1], "data": "AAAAAAAAAAA="}, '
+                     '"V": {"shape": [1, 0], "data": ""}, "factor": {"B": 1, "C": 2}}',
+}
+
+
+@pytest.mark.parametrize("command", ["size-dist", "sample"])
+@pytest.mark.parametrize("body", MALFORMED_RECORDS)
+def test_malformed_ensemble_record_is_domain_error(capsys, tmp_path, command, body):
+    bad = tmp_path / "bad.json"
+    bad.write_text(MALFORMED_RECORDS[body])
+    code, out, err = run(capsys, command, "--ensemble", str(bad))
+    assert code == 2 and out == "" and err.startswith("error: ensemble record: ")
+
+
+#: A Wronskian limit: Gaussian m = 13 in the plane, p = 10, h = q = 5.
+WRONSKIAN = ["limit", "--gen", "uniform", "--n", "300", "--dim", "2", "--seed", "11",
+             "--kernel", "gaussian", "--m", "13"]
+
+
+@pytest.fixture
+def wronskian_file(capsys, tmp_path):
+    lim = tmp_path / "w.json"
+    assert run(capsys, *WRONSKIAN, "--out", str(lim))[0] == 0
+    return lim
+
+
+def test_wronskian_pipeline_decomposes_only_the_factor(capsys, tmp_path, decompositions):
+    lim = tmp_path / "w.json"
+    assert run(capsys, *WRONSKIAN, "--out", str(lim))[0] == 0
+    record = json.loads(lim.read_text())["nnp"]
+    assert record["factor"]["B"]["shape"] == [300, 5]
+    assert record["factor"]["C"]["shape"] == [5, 5]
+    code, out, _ = run(capsys, "size-dist", "--ensemble", str(lim))
+    positive = [row.split(",") for row in out.splitlines()[1:] if float(row.split(",")[1]) > 0]
+    assert code == 0 and positive[0][0] == "10" and positive[-1][0] == "15"
+    code, out, _ = run(capsys, "sample", "--ensemble", str(lim), "--samples", "5")
+    assert code == 0 and len(out.splitlines()) == 6
+    assert decompositions == {"eigh": 3, "eigvalsh": 0, "cholesky": 0}
+    assert max(order for _, order in decompositions.orders) == 5
+
+
+def tamper(lim, edit):
+    obj = json.loads(lim.read_text())
+    nnp = obj["nnp"]
+    blocks = {"L": nnp["L"], "B": nnp["factor"]["B"], "C": nnp["factor"]["C"]}
+    name, arr = edit({key: ensembles._decode(b).copy() for key, b in blocks.items()})
+    (nnp if name == "L" else nnp["factor"])[name] = ensembles._encode(arr)
+    lim.write_text(json.dumps(obj))
+
+
+def _scaled(name, factor):
+    return lambda blocks: (name, factor * blocks[name])
+
+
+def _bumped_L(blocks):
+    L = blocks["L"]
+    L[3, 7] += 1e-6 * np.abs(L).max()
+    return "L", L
+
+
+@pytest.mark.parametrize("edit", [_bumped_L, _scaled("B", 1.001), _scaled("C", 2.0)],
+                         ids=["L", "B", "C"])
+def test_tampered_wronskian_record_does_not_match(capsys, wronskian_file, edit):
+    tamper(wronskian_file, edit)
+    code, out, err = run(capsys, "size-dist", "--ensemble", str(wronskian_file))
+    assert code == 2 and out == "" and "does not match" in err
+
+
+def test_record_without_its_factor_reloads_to_the_same_law(capsys, tmp_path, wronskian_file):
+    _, factored, _ = run(capsys, "size-dist", "--ensemble", str(wronskian_file))
+    obj = json.loads(wronskian_file.read_text())
+    del obj["nnp"]["factor"]
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps(obj))
+    _, plain, _ = run(capsys, "size-dist", "--ensemble", str(dense))
+    law = [[float(c) for c in row.split(",")] for row in factored.splitlines()[1:]]
+    ref = [[float(c) for c in row.split(",")] for row in plain.splitlines()[1:]]
+    np.testing.assert_allclose(law, ref, rtol=0, atol=1e-10)
+
+
+def test_psd_tol_applies_to_the_factor_check(capsys, tmp_path):
+    # a factor whose Schur block has one eigenvalue of -1e-9, accepted when
+    # the record was written with psd_tol 1e-6
+    e = flatlimit.fixed_size_limit(uniform_points(300, 2, seed=11),
+                                   builtin_kernel("gaussian"), 13).process
+    B, C = e.factor
+    w, Z = np.linalg.eigh(C)
+    w[0] = -1e-9
+    e = ensembles.make_factored_nnp(B, (Z * w) @ Z.T, e.V, psd_tol=1e-6)
+    assert e.psd_tol == 1e-6 and e.q == 4
+    lim = tmp_path / "neg.json"
+    lim.write_text(json.dumps(ensembles.nnp_to_dict(e)))
+    code, out, _ = run(capsys, "size-dist", "--ensemble", str(lim))
+    assert code == 0 and len(out.splitlines()) == 302
+    code, out, err = run(capsys, "size-dist", "--ensemble", str(lim), "--psd-tol", "1e-12")
+    assert code == 2 and out == "" and "Wronskian Schur block" in err
+
+
 def test_psd_tol_override_accepted(capsys, tmp_path):
     lim = tmp_path / "lim.json"
     run(capsys, "limit", "--gen", "uniform", "--n", "5", "--dim", "1", "--seed", "4",
@@ -401,14 +507,14 @@ def test_limit_validates_only_and_size_dist_reads_eigenvalues_only(
     lim = tmp_path / "lim.json"
     code, _, _ = run(capsys, "limit", "--gen", "uniform", "--n", "300", "--dim", "2",
                      "--kernel", "exponential", "--m", "20", "--out", str(lim))
-    assert code == 0 and decompositions == {"eigh": 0, "eigvalsh": 0}
+    assert code == 0 and decompositions == {"eigh": 0, "eigvalsh": 0, "cholesky": 1}
     # the default tolerance is re-derived from the identical pair on reload
     assert json.loads(lim.read_text())["nnp"]["psd_tol"] is None
     code, out, _ = run(capsys, "size-dist", "--ensemble", str(lim))
-    assert code == 0 and decompositions == {"eigh": 0, "eigvalsh": 1}
+    assert code == 0 and decompositions == {"eigh": 0, "eigvalsh": 1, "cholesky": 2}
     assert sum(float(r.split(",")[1]) for r in out.splitlines()[1:]) == pytest.approx(1.0)
     code, _, _ = run(capsys, "sample", "--ensemble", str(lim), "--samples", "5")
-    assert code == 0 and decompositions == {"eigh": 1, "eigvalsh": 1}
+    assert code == 0 and decompositions == {"eigh": 1, "eigvalsh": 1, "cholesky": 3}
 
 
 def test_outputs_deterministic(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from flatdpp import diagnostics, flatlimit
+from flatdpp import diagnostics, ensembles, flatlimit
 from flatdpp.diagnostics import (
     ConvergenceCurve,
     _mp_conditional_logdets,
@@ -443,17 +443,22 @@ def test_conditional_density_matches_per_point_reference(d):
 
 
 def test_conditional_density_builds_one_limit_per_block(monkeypatch, decompositions):
-    # each block's limit is only validated: the bordered minors need L and V,
-    # not the spectrum
+    # one limit per block, and no n x n spectrum: the bordered minors need
+    # only L and V. The Gaussian m = 5 limit in the plane is a Wronskian one,
+    # which decomposes only its 3 x 3 factor; the exponential one is checked
+    # by one Cholesky per block
     calls = []
-    monkeypatch.setattr(flatlimit, "make_nnp",
-                        lambda *a, **kw: calls.append(1) or make_nnp(*a, **kw))
+    for name in ("make_nnp", "make_factored_nnp"):
+        monkeypatch.setattr(flatlimit, name, lambda *a, _f=getattr(ensembles, name), **kw:
+                            calls.append(1) or _f(*a, **kw))
     Y = np.array([[0.2, 0.3], [0.7, 0.4], [0.5, 0.9], [0.1, 0.8]])
     dens = conditional_density(GAUSS, Y, _grid_2d(50), eps=None)
-    assert len(calls) == math.ceil(2500 / 128)
+    blocks = math.ceil(2500 / 128)
+    assert len(calls) == blocks
     assert dens.sum() == pytest.approx(1.0, abs=1e-12)
+    assert decompositions.orders == [("eigh", 3)] * blocks
     conditional_density(EXPO, [0.1, 0.3, 0.5, 0.9], np.linspace(0.0, 1.0, 300), eps=None)
-    assert decompositions == {"eigh": 0, "eigvalsh": 0}
+    assert decompositions == {"eigh": blocks, "eigvalsh": 0, "cholesky": math.ceil(300 / 128)}
 
 
 @pytest.mark.parametrize("eps", [None, 0.5])

@@ -614,20 +614,37 @@ def test_validation_only_construction_memory():
 def test_deciding_path_is_logged(caplog, decompositions):
     kernel = builtin_kernel("gaussian")
     ps = uniform_points(300, 2, seed=11)
-    with caplog.at_level(logging.DEBUG, logger="flatdpp.ensembles"):
-        fixed_size_limit(ps, kernel, 13)
-    msgs = [r.getMessage() for r in caplog.records if r.name == "flatdpp.ensembles"]
+
+    def logged(build):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="flatdpp.ensembles"):
+            out = build()
+        return out, [r.getMessage() for r in caplog.records if r.name == "flatdpp.ensembles"]
+
+    # the Wronskian limit decides from its 5 x 5 factor: no n x n decomposition
+    e, msgs = logged(lambda: fixed_size_limit(ps, kernel, 13).process)
+    assert len(msgs) == 1 and "make_factored_nnp: eigh of the 5x5 factor" in msgs[0]
+    assert "q = 5" in msgs[0]
+    assert e.q == 5 and e.U.shape == (300, 5)
+    assert decompositions == {"eigh": 1, "eigvalsh": 0, "cholesky": 0}
+    assert decompositions.orders == [("eigh", 5)]
+    # the translated cloud: its factor's noise floor scales with B, not with
+    # n^2 eps max|L|, so q = 5 with the centred cloud's eigenvalues
+    centred = fixed_size_limit(PointSet(ps.coords - ps.coords.mean(axis=0)), kernel, 13)
+    t, msgs = logged(lambda: fixed_size_limit(PointSet(ps.coords + 10.0), kernel, 13).process)
+    assert t.q == 5 and t.U.shape == (300, 5)
+    np.testing.assert_allclose(t.lam, centred.process.lam, rtol=1e-8)
+    assert not any("noise floor forced q = 0" in m for m in msgs)
+    assert decompositions["eigh"] == 3 and max(o for _, o in decompositions.orders) == 5
+    # the dense path on the same L: one Cholesky accepts the untranslated pair
+    _, msgs = logged(lambda: make_nnp(e.L, e.V))
     assert len(msgs) == 1 and "Cholesky" in msgs[0] and "accepted" in msgs[0]
-    assert decompositions == {"eigh": 0, "eigvalsh": 0}
-    caplog.clear()
-    # the translated cloud: its Wronskian limit is wrong (q should be 5), and
-    # the noise floor is what hides that
-    with caplog.at_level(logging.DEBUG, logger="flatdpp.ensembles"):
-        e = fixed_size_limit(PointSet(ps.coords + 10.0), kernel, 13).process
-    msgs = [r.getMessage() for r in caplog.records if r.name == "flatdpp.ensembles"]
-    # the fallback's eigenvalues are kept: reading q and U costs nothing more
-    assert e.q == 0 and e.U.shape == (300, 0)
-    assert decompositions == {"eigh": 0, "eigvalsh": 1}
+    assert decompositions == {"eigh": 3, "eigvalsh": 0, "cholesky": 1}
+    # and on the translated L the dense noise floor still hides the spectrum
+    # (q = 0; centring the cloud is what would mend it)
+    d, msgs = logged(lambda: make_nnp(t.L, t.V))
+    assert d.q == 0 and d.U.shape == (300, 0)
+    assert decompositions == {"eigh": 3, "eigvalsh": 1, "cholesky": 2}
     assert any("noise floor forced q = 0" in m for m in msgs)
     assert any("eigvalsh decided with min eigenvalue -" in m and "psd_tol 1.000e-10" in m
                for m in msgs)

@@ -199,17 +199,18 @@ def test_projection_memory_is_linear_in_n():
 
 def test_one_eigh_serves_every_draw(decompositions):
     e = random_nnp(12, 2, seed=97)
-    assert decompositions == {"eigh": 0, "eigvalsh": 0}  # validation is a Cholesky
+    # validation is a Cholesky
+    assert decompositions == {"eigh": 0, "eigvalsh": 0, "cholesky": 1}
     rng = rng_from_seed(98)
     sample(e, rng)
-    assert decompositions == {"eigh": 1, "eigvalsh": 0}
+    assert decompositions == {"eigh": 1, "eigvalsh": 0, "cholesky": 1}
     for _ in range(200):
         sample(e, rng)
         sample_fixed(e, 5, rng)
     marginal_kernel(e)
-    assert decompositions == {"eigh": 1, "eigvalsh": 0}
+    assert decompositions == {"eigh": 1, "eigvalsh": 0, "cholesky": 1}
     sample_fixed(random_nnp(12, 2, seed=97), 5, rng)
-    assert decompositions == {"eigh": 2, "eigvalsh": 0}
+    assert decompositions == {"eigh": 2, "eigvalsh": 0, "cholesky": 2}
 
 
 def test_samplers_draw_through_sample_projection(monkeypatch):
