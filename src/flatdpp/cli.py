@@ -127,27 +127,30 @@ def cmd_limit(args) -> int:
     return 0
 
 
-def _ensemble_from_args(args):
+def _ensemble_from_args(args, spectrum: str):
     """NNP plus optional fixed size, from --ensemble JSON or a limit construction.
 
     The file holds a limit record {"nnp": ..., "fixed_size": ...} or a bare
-    ensemble record; a malformed one is a ValueError.
+    ensemble record; a malformed one is a ValueError. Its blocks are decoded
+    as the file is parsed, and the reloaded pair is validated by the one
+    decomposition the command needs: spectrum is "values" or "vectors" (see
+    :func:`ensembles.make_nnp`).
     """
     if args.ensemble:
-        with open(args.ensemble, "rb") as fh:
-            obj = json.loads(fh.read())
+        obj = ensembles.read_json(args.ensemble)
         if not (isinstance(obj, dict) and "nnp" in obj):
-            return ensembles.nnp_from_dict(obj, psd_tol=args.psd_tol), None
+            return ensembles.nnp_from_dict(obj, psd_tol=args.psd_tol, spectrum=spectrum), None
         fixed = obj.get("fixed_size")
         if fixed is not None and type(fixed) is not int:
             raise ValueError(f"ensemble record: fixed_size {fixed!r} is not an integer")
-        return ensembles.nnp_from_dict(obj["nnp"], psd_tol=args.psd_tol), fixed
+        e = ensembles.nnp_from_dict(obj["nnp"], psd_tol=args.psd_tol, spectrum=spectrum)
+        return e, fixed
     res = _limit_result(args)
     return res.process, res.fixed_size
 
 
 def cmd_sample(args) -> int:
-    e, fixed = _ensemble_from_args(args)
+    e, fixed = _ensemble_from_args(args, "vectors")
     if args.m is not None and args.ensemble:
         fixed = args.m
     rng = sampling.rng_from_seed(args.seed)
@@ -165,7 +168,7 @@ def cmd_sample(args) -> int:
 
 def cmd_size_dist(args) -> int:
     if args.ensemble:
-        e, _ = _ensemble_from_args(args)
+        e, _ = _ensemble_from_args(args, "values")
         vec = ensembles.size_distribution(e)
     elif args.eps is not None:
         dist = diagnostics.eps_ensemble_distribution(

@@ -21,6 +21,8 @@ block, "C": block}``; a reload rebuilds it from the factor and requires the
 stored L to match. :func:`write_json` writes such a dict as bytes, each
 block's base64 in chunks, so a file of any size is written without its text
 ever being held in memory; the CLI's ``limit`` streams its output this way.
+:func:`read_json` reads such a file back with each block decoded as it is
+parsed, so no base64 text outlives its block.
 """
 
 from __future__ import annotations
@@ -147,13 +149,16 @@ class NNP:
         also sets lam when it is not yet known (otherwise U keeps the top q).
     q : number of positive eigenvalues; q <= n - p.
     logdet_vtv : log det(V^T V), 0.0 when p = 0.
-    psd_tol : the tolerance that accepted the pair (see :func:`make_nnp`).
+    psd_tol : the tolerance that accepted the pair (see :func:`make_nnp`):
+        the caller's, or else the Cholesky shift tau, or, when an eigvalsh
+        or eigh decided, the eigenvalue rule's 1e-10 * (1 + max |eigenvalue|).
     factor : (B, C) with L = B C B^T when the pair was built by
         :func:`make_factored_nnp`, else None.
 
     N is never formed, and N^T L N is not kept: each decomposition
-    recompresses L through the p Householder reflectors of Q. A factored
-    pair has lam and U from construction and never decomposes L. Immutable
+    recompresses L through the p Householder reflectors of Q. A pair built
+    with make_nnp(..., spectrum=...) has lam (and U) from its validation, and
+    a factored pair has both from construction and never decomposes L. Immutable
     after construction; build through :func:`make_nnp` or
     :func:`make_factored_nnp`. The fixed-size sampler caches its read-only
     acceptance tables here, keyed by the number of eigenvectors drawn, on
@@ -257,8 +262,10 @@ def _symmetrized(L: np.ndarray) -> tuple[np.ndarray, float, float]:
     return S, float(scales.max(initial=0.0)), float(gaps.max(initial=0.0))
 
 
-def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
-    """Validate a pair (L; V); its spectrum is computed only on first use.
+def make_nnp(L, V=None, psd_tol: float | None = None, *,
+             spectrum: str | None = None) -> NNP:
+    """Validate a pair (L; V); by default its spectrum is computed only on
+    first use.
 
     One tiled sweep (:func:`_symmetrized`) checks that L is finite and
     symmetric within 1e-10 * max |L| and forms the 0.5 (L + L^T) it keeps.
@@ -266,25 +273,38 @@ def make_nnp(L, V=None, psd_tol: float | None = None) -> NNP:
     M = N^T L N, L compressed to the orthogonal complement N of span(V). A
     thin SVD of V gives the rank check, Q and log det(V^T V) (none is taken
     when V is the identity); the p Householder reflectors of Q compress L to
-    M in O(n^2 p) without forming N. Validation is one Cholesky of M + tau I
-    with tau = min(1e-10 * (1 + max diag M), psd_tol if given): if it
-    succeeds, no eigenvalue is below -tau and the pair is accepted, with
-    psd_tol = tau unless the caller gave one. Otherwise an eigvalsh of M
-    decides: anything below -psd_tol raises :class:`CPDViolationError`, the
-    default tolerance being 1e-10 * (1 + max |eigenvalue|), and eigenvalues
-    inside [-psd_tol, 0] are zero modes. When no eigenvalue exceeds
-    n^2 * machine epsilon * max |L| in magnitude, M is rounding noise of the
-    compression (L lies in the V-combinations) and the spectrum is empty
-    (q = 0). L = 0 and p = n need no decomposition. Which path decided is
-    logged at DEBUG on the ``flatdpp.ensembles`` logger. A NaN or infinite
-    entry in L or V raises ValueError.
+    M in O(n^2 p) without forming N.
+
+    With spectrum=None, validation is a Cholesky of M + tau I with
+    tau = min(1e-10 * (1 + max diag M), psd_tol if given), blocked and in
+    place (:func:`_cholesky_in_place`), so L and M are the only n x n arrays
+    it allocates: if it succeeds, no eigenvalue is below -tau and
+    the pair is accepted, with psd_tol = tau unless the caller gave one.
+    Otherwise L is compressed again and an eigvalsh of M decides by the
+    eigenvalue rule: anything below -psd_tol raises
+    :class:`CPDViolationError`, the default tolerance being
+    1e-10 * (1 + max |eigenvalue|), and eigenvalues inside [-psd_tol, 0] are
+    zero modes. A caller that needs the spectrum anyway passes
+    spectrum="values" (one eigvalsh, which also gives lam) or "vectors" (one
+    eigh, which also gives lam and U): the one decomposition decides by the
+    same rule and no Cholesky runs.
+
+    When no eigenvalue exceeds n^2 * machine epsilon * max |L| in magnitude,
+    M is rounding noise of the compression (L lies in the V-combinations) and
+    the spectrum is empty (q = 0). L = 0 and p = n need no decomposition.
+    Which decomposition decided is logged at DEBUG on the
+    ``flatdpp.ensembles`` logger. A NaN or infinite entry in L or V, or a
+    psd_tol that is not a finite number >= 0, raises ValueError.
     """
+    _check_tol(psd_tol)
+    if spectrum not in (None, "values", "vectors"):
+        raise ValueError(f"spectrum must be None, 'values' or 'vectors', not {spectrum!r}")
     L, scale = _checked_square(L)
     n = L.shape[0]
     V, Q, logdet_vtv = _projective_part(V, n)
     noise_floor = n * n * np.finfo(float).eps * scale
-    tol, lam = _validate(L, Q, noise_floor, psd_tol)
-    return NNP(L, V, Q, logdet_vtv, tol, psd_tol, noise_floor, lam)
+    tol, lam, U = _validate(L, Q, noise_floor, psd_tol, spectrum)
+    return NNP(L, V, Q, logdet_vtv, tol, psd_tol, noise_floor, lam, U)
 
 
 def _checked_square(L) -> tuple[np.ndarray, float]:
@@ -345,8 +365,10 @@ def make_factored_nnp(B, C, V=None, psd_tol: float | None = None) -> NNP:
     (h + p) eps ||C|| ||R|| (2 ||B|| + ||R||) (Frobenius norms); those at or
     below it are not spectrum. An eigenvalue below -psd_tol, by default
     max(1e-10 max |eigenvalue|, noise floor), raises
-    :class:`CPDViolationError`.
+    :class:`CPDViolationError`; a psd_tol that is not a finite number >= 0
+    raises ValueError.
     """
+    _check_tol(psd_tol)
     B, C = np.array(B, dtype=float), np.array(C, dtype=float)
     if B.ndim != 2 or C.shape != (B.shape[1], B.shape[1]):
         raise ValueError(f"a factor needs B of shape (n, h) and C of shape (h, h), "
@@ -381,40 +403,87 @@ def make_factored_nnp(B, C, V=None, psd_tol: float | None = None) -> NNP:
     return NNP(L, V, Q, logdet_vtv, tol, psd_tol, noise_floor, lam, U=U, factor=(B, C))
 
 
-def _validate(L: np.ndarray, Q: np.ndarray, noise_floor: float,
-              psd_tol: float | None) -> tuple[float, np.ndarray | None]:
-    """(the tolerance that accepted (L; V), lam if it was computed), or raise."""
+#: Rows of a diagonal block of :func:`_cholesky_in_place`; its panel and
+#: the row blocks of its trailing update are this many rows tall too.
+_CHOLESKY_BLOCK = 256
+
+
+def _cholesky_in_place(A: np.ndarray) -> bool:
+    """Whether the symmetric A (any layout) passes Cholesky, decided by a
+    right-looking blocked factorisation that overwrites A and keeps no factor.
+
+    Each diagonal block of at most _CHOLESKY_BLOCK rows is factored by
+    np.linalg.cholesky; a failure there is a failure of A. The panel below it
+    is solved against that factor, and the trailing lower triangle (diagonal
+    blocks whole) is updated by row blocks. The temporaries are the size of a
+    panel, so no n x n array is made; only A's lower triangle is read.
+    """
+    m, b = A.shape[0], _CHOLESKY_BLOCK
+    for k in range(0, m, b):
+        e = min(k + b, m)
+        try:
+            F = np.linalg.cholesky(A[k:e, k:e])
+        except np.linalg.LinAlgError:
+            return False
+        if e == m:
+            break
+        # P^T is the factor's panel below the block: P = F^{-1} A[e:, k:e]^T
+        P = np.linalg.solve(F, A[e:, k:e].T)
+        for lo in range(e, m, b):
+            hi = min(lo + b, m)
+            A[lo:hi, e:hi] -= P[:, lo - e:hi - e].T @ P[:, :hi - e]
+    return True
+
+
+def _check_tol(psd_tol: float | None) -> None:
+    """ValueError unless psd_tol is None or a finite number >= 0."""
+    if psd_tol is not None and not 0.0 <= psd_tol < math.inf:
+        raise ValueError(f"psd_tol must be a finite number >= 0, not {psd_tol!r}")
+
+
+def _validate(L: np.ndarray, Q: np.ndarray, noise_floor: float, psd_tol: float | None,
+              spectrum: str | None) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """(the tolerance that accepted (L; V), lam and U if they were computed),
+    or raise."""
     n, p = Q.shape
     if noise_floor == 0.0 or p == n:
         # L = 0, or the sure full set: no spectrum to check
-        return (1e-10 if psd_tol is None else psd_tol), np.zeros(0)
-    M = _compress(L, Q)[0]
-    diag = M.diagonal().copy()
-    tau = 1e-10 * (1.0 + float(np.max(diag)))
-    if psd_tol is not None:
-        tau = min(tau, psd_tol)
-    M.flat[:: M.shape[0] + 1] += tau
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        np.fill_diagonal(M, diag)
+        return (1e-10 if psd_tol is None else psd_tol), np.zeros(0), None
+    M, Y, T = _compress(L, Q)
+    if spectrum is None:
+        tau = 1e-10 * (1.0 + float(np.max(M.diagonal())))
+        if psd_tol is not None:
+            tau = min(tau, psd_tol)
+        M.flat[:: M.shape[0] + 1] += tau
+        blocks = -(-M.shape[0] // _CHOLESKY_BLOCK)
+        if _cholesky_in_place(M):
+            logger.debug("make_nnp: blocked Cholesky of N^T L N + %.3e I in %d blocks "
+                         "accepted the pair (n=%d, p=%d)", tau, blocks, n, p)
+            return (tau if psd_tol is None else psd_tol), None, None
+        # M is partly factored: the eigenvalues are those of a fresh compression
+        del M
+        M = _compress(L, Q)[0]
+        decider = (f"blocked Cholesky of N^T L N + {tau:.3e} I in {blocks} blocks "
+                   f"failed; eigvalsh")
     else:
-        logger.debug("make_nnp: Cholesky of N^T L N + %.3e I accepted the pair "
-                     "(n=%d, p=%d)", tau, n, p)
-        return (tau if psd_tol is None else psd_tol), None
-    w = np.linalg.eigvalsh(M)
+        decider = ("eigh" if spectrum == "vectors" else "eigvalsh") + " (requested by the caller)"
+    if spectrum == "vectors":
+        w, W = np.linalg.eigh(M)
+    else:
+        w, W = np.linalg.eigvalsh(M), None
+    del M
     lam, wmax = _positive_spectrum(w, noise_floor)
     if psd_tol is None:
         psd_tol = 1e-10 * (1.0 + wmax)
-    logger.debug("make_nnp: Cholesky of N^T L N + %.3e I failed; eigvalsh decided "
-                 "with min eigenvalue %.3e, psd_tol %.3e (n=%d, p=%d)",
-                 tau, w[0], psd_tol, n, p)
+    logger.debug("make_nnp: %s decided with min eigenvalue %.3e, psd_tol %.3e, q = %d "
+                 "(n=%d, p=%d)", decider, w[0], psd_tol, lam.size, n, p)
     if wmax and w[0] < -psd_tol:
         raise CPDViolationError(
             f"L is not CPD with respect to V: min eigenvalue {w[0]:.3e} "
             f"< -{psd_tol:.3e}"
         )
-    return psd_tol, lam
+    U = None if W is None else _lift(W[:, ::-1][:, :lam.size], Y, T)
+    return psd_tol, lam, U
 
 
 def bordered_matrix(e: NNP, idx: np.ndarray) -> np.ndarray:
@@ -678,22 +747,56 @@ def _decode(obj: dict) -> np.ndarray:
     return raw.reshape(tuple(obj["shape"]), order="F")
 
 
+def _is_shape(shape) -> bool:
+    return (isinstance(shape, list) and len(shape) == 2
+            and all(type(s) is int and s >= 0 for s in shape))
+
+
 def _block(obj, key: str) -> np.ndarray:
-    """The decoded block obj[key] of a record; ValueError naming the key
-    when the record is not a JSON object or the block is malformed."""
+    """The decoded block obj[key] of a record (an array already decoded by
+    :func:`read_json` as it is); ValueError naming the key when the record
+    is not a JSON object or the block is malformed."""
     if not isinstance(obj, dict):
         raise ValueError(f"ensemble record: expected a JSON object, not {type(obj).__name__}")
     block = obj.get(key)
+    if isinstance(block, np.ndarray):
+        return block
     if not isinstance(block, dict):
         raise ValueError(f"ensemble record: {key!r} is not a block {{\"shape\", \"data\"}}")
     shape, data = block.get("shape"), block.get("data")
-    if not (isinstance(shape, list) and len(shape) == 2
-            and all(type(s) is int and s >= 0 for s in shape)):
+    if not _is_shape(shape):
         raise ValueError(f"ensemble record: block {key!r} has shape {shape!r}, "
                          f"not [rows, cols]")
     if not isinstance(data, str):
         raise ValueError(f"ensemble record: block {key!r} has no base64 \"data\" string")
     return _decode(block)
+
+
+def _decoded_block(obj: dict):
+    """json object_hook: a well-formed block {"shape", "data"} as its decoded
+    array; any other object, and a block that does not decode, as parsed, so
+    that :func:`_block` reports it as it would report a text record."""
+    if obj.keys() == {"shape", "data"} and _is_shape(obj["shape"]) \
+            and isinstance(obj["data"], str):
+        try:
+            return _decode(obj)
+        except ValueError:
+            pass
+    return obj
+
+
+def read_json(path):
+    """The JSON document in the file at path, with each block decoded to its
+    read-only array while json.loads parses it: a block's base64 text is
+    dropped as soon as its closing brace is read, and the file's bytes before
+    parsing starts. The result is a record that :func:`nnp_from_dict` takes
+    as it takes a text one. The encoding is detected as by json.loads.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    text = raw.decode(json.detect_encoding(raw), "surrogatepass")
+    del raw
+    return json.loads(text, object_hook=_decoded_block)
 
 
 def write_json(obj, write: Callable[[bytes], object]) -> None:
@@ -743,15 +846,19 @@ def nnp_to_dict(e: NNP, stream: bool = False) -> dict:
     return obj
 
 
-def nnp_from_dict(obj: dict, psd_tol: float | None = None) -> NNP:
+def nnp_from_dict(obj: dict, psd_tol: float | None = None, *,
+                  spectrum: str | None = None) -> NNP:
     """Rebuild through make_nnp, or through make_factored_nnp when the record
-    has a factor; psd_tol overrides the stored tolerance. A malformed record
-    is a ValueError.
+    has a factor; psd_tol overrides the stored tolerance, and spectrum is
+    passed to make_nnp (a factored pair has its spectrum already). A
+    malformed record, or a tolerance that is not a finite number >= 0, is a
+    ValueError. obj is not modified, so one record can be reloaded again.
 
-    The constructors get read-only views of the decoded blocks, so the only
-    new n x n arrays are the L they keep (and, for a factor, the product
-    B C B^T it is symmetrised from). A factored record's L must match the
-    rebuilt L within 1e-10 * max |L|.
+    Blocks are text or arrays decoded by :func:`read_json`. The constructors
+    get read-only views of the decoded blocks, so the only new n x n arrays
+    are the L they keep, N^T L N (and, for a factor, the product B C B^T it
+    is symmetrised from). A factored record's L must match the rebuilt L
+    within 1e-10 * max |L|.
     """
     L, V = _block(obj, "L"), _block(obj, "V")
     if psd_tol is None:
@@ -759,7 +866,7 @@ def nnp_from_dict(obj: dict, psd_tol: float | None = None) -> NNP:
         if psd_tol is not None and type(psd_tol) not in (int, float):
             raise ValueError(f"ensemble record: psd_tol {psd_tol!r} is not a number")
     if "factor" not in obj:
-        return make_nnp(L, V, psd_tol=psd_tol)
+        return make_nnp(L, V, psd_tol=psd_tol, spectrum=spectrum)
     factor = obj["factor"]
     e = make_factored_nnp(_block(factor, "B"), _block(factor, "C"), V, psd_tol=psd_tol)
     _require_match(L, e.L)

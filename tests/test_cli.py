@@ -502,19 +502,67 @@ def test_psd_tol_override_accepted(capsys, tmp_path):
     assert len(out.splitlines()) == 7
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_psd_tol_that_is_not_finite_and_nonnegative_is_domain_error(capsys, tmp_path, tol):
+    lim = tmp_path / "lim.json"
+    run(capsys, "limit", "--gen", "uniform", "--n", "50", "--dim", "2",
+        "--kernel", "exponential", "--m", "10", "--out", str(lim))
+    code, out, err = run(capsys, "size-dist", "--ensemble", str(lim), "--psd-tol", tol)
+    assert code == 2 and out == ""
+    assert "psd_tol must be a finite number >= 0" in err
+
+
 def test_limit_validates_only_and_size_dist_reads_eigenvalues_only(
         capsys, tmp_path, decompositions):
     lim = tmp_path / "lim.json"
     code, _, _ = run(capsys, "limit", "--gen", "uniform", "--n", "300", "--dim", "2",
                      "--kernel", "exponential", "--m", "20", "--out", str(lim))
-    assert code == 0 and decompositions == {"eigh": 0, "eigvalsh": 0, "cholesky": 1}
+    # validation only: a Cholesky of each diagonal block of N^T L N (n - p = 299)
+    assert code == 0 and decompositions.orders == [("cholesky", 256), ("cholesky", 43)]
     # the default tolerance is re-derived from the identical pair on reload
     assert json.loads(lim.read_text())["nnp"]["psd_tol"] is None
+    decompositions.orders.clear()
     code, out, _ = run(capsys, "size-dist", "--ensemble", str(lim))
-    assert code == 0 and decompositions == {"eigh": 0, "eigvalsh": 1, "cholesky": 2}
+    # the one eigvalsh that gives the size law also decides the check
+    assert code == 0 and decompositions.orders == [("eigvalsh", 299)]
     assert sum(float(r.split(",")[1]) for r in out.splitlines()[1:]) == pytest.approx(1.0)
+    decompositions.orders.clear()
     code, _, _ = run(capsys, "sample", "--ensemble", str(lim), "--samples", "5")
-    assert code == 0 and decompositions == {"eigh": 1, "eigvalsh": 1, "cholesky": 3}
+    assert code == 0 and decompositions.orders == [("eigh", 299)]
+
+
+#: An exponential m = 10 limit on 1000 points: L = -D, V = 1.
+MEMORY_LIMIT = ("limit", "--gen", "uniform", "--n", "1000", "--dim", "2",
+                "--kernel", "exponential", "--m", "10")
+
+
+def traced_peak(fn) -> float:
+    """Peak of fn's traced allocations, in units of a 1000 x 1000 float64 array."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (1000 * 1000 * 8)
+    finally:
+        tracemalloc.stop()
+
+
+def test_limit_working_set(tmp_path):
+    """The distance matrix, L and N^T L N, plus panels of 256 rows: no
+    Cholesky factor (4.1 with one)."""
+    peak = traced_peak(lambda: main([*MEMORY_LIMIT, "--out", str(tmp_path / "lim.json")]))
+    assert peak <= 3.8
+
+
+def test_reload_working_set(tmp_path):
+    """From the record read_json parsed to the size law: L and N^T L N, plus
+    row blocks of 256 (4.0 when the blocks were decoded here and a Cholesky
+    ran before the eigvalsh)."""
+    lim = tmp_path / "lim.json"
+    assert main([*MEMORY_LIMIT, "--out", str(lim)]) == 0
+    record = ensembles.read_json(lim)["nnp"]
+    peak = traced_peak(lambda: ensembles.size_distribution(
+        ensembles.nnp_from_dict(record, spectrum="values")))
+    assert peak <= 2.6
 
 
 def test_outputs_deterministic(capsys):

@@ -198,6 +198,38 @@ def test_cpd_violation_rejected():
         make_nnp(distance_power_matrix(ps, 1), np.ones((4, 1)))
 
 
+#: psd_tol values that are not a finite number >= 0, each with the sign of
+#: the distance matrix it lets through (NaN, inf) or turns away (-1) today
+BAD_TOLS = [(math.nan, 1.0), (math.inf, 1.0), (-1.0, -1.0)]
+BAD_TOL_IDS = ["nan", "inf", "-1"]
+
+
+@pytest.mark.parametrize("tol,sign", BAD_TOLS, ids=BAD_TOL_IDS)
+def test_make_nnp_rejects_a_psd_tol_that_is_not_finite_and_nonnegative(tol, sign):
+    # +D is the wrong sign (not CPD), -D the valid one
+    D = distance_power_matrix(uniform_points(50, 2, seed=0), 1)
+    with pytest.raises(ValueError, match="psd_tol must be a finite number >= 0") as err:
+        make_nnp(sign * D, np.ones((50, 1)), psd_tol=tol)
+    assert not isinstance(err.value, CPDViolationError)
+
+
+@pytest.mark.parametrize("where", ["record", "override"])
+@pytest.mark.parametrize("tol,sign", BAD_TOLS, ids=BAD_TOL_IDS)
+def test_nnp_from_dict_rejects_a_psd_tol_that_is_not_finite_and_nonnegative(tol, sign, where):
+    D = distance_power_matrix(uniform_points(50, 2, seed=0), 1)
+    obj = nnp_to_dict(make_nnp(-D, np.ones((50, 1))))
+    obj["L"] = _encode(sign * D)
+    kwargs = {}
+    if where == "record":
+        # Python's json reads NaN and Infinity
+        obj = json.loads(json.dumps({**obj, "psd_tol": tol}))
+    else:
+        kwargs["psd_tol"] = tol
+    with pytest.raises(ValueError, match="psd_tol must be a finite number >= 0") as err:
+        nnp_from_dict(obj, **kwargs)
+    assert not isinstance(err.value, CPDViolationError)
+
+
 def test_eigenvector_projective_orthogonality():
     e = random_nnp(7, 3, seed=1)
     assert np.max(np.abs(e.U.T @ e.Q)) < 1e-10
@@ -607,8 +639,89 @@ def test_validation_only_construction_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # L's symmetrized copy, N^T L N and its Cholesky factor
-    assert peak <= 3 * n * n * 8
+    # L's symmetrized copy and N^T L N, factored in place by blocks of 256
+    # rows (3.0 n^2 when np.linalg.cholesky made the whole factor)
+    assert peak <= 2.5 * n * n * 8
+
+
+def _spectrum_with_smallest(order, smallest, seed):
+    """M + tau I: M symmetric with eigenvalues in [1, 2] but for one set to
+    smallest(tau), tau as make_nnp derives it from M's diagonal."""
+    rng = np.random.default_rng(seed)
+    Z = np.linalg.qr(rng.standard_normal((order, order)))[0]
+    w = rng.uniform(1.0, 2.0, order)
+    w[0] = 0.0
+    tau = 1e-10 * (1.0 + float(np.max(np.einsum("ij,j,ij->i", Z, w, Z))))
+    w[0] = smallest(tau)
+    M = (Z * w) @ Z.T
+    M = 0.5 * (M + M.T)
+    M.flat[:: order + 1] += tau
+    return M
+
+
+@pytest.mark.parametrize("order", [1, 255, 256, 257, 515])
+@pytest.mark.parametrize("smallest,passes", [(lambda t: -2.0 * t, False),
+                                             (lambda t: -0.5 * t, True),
+                                             (lambda t: t, True)],
+                         ids=["-2tau", "-tau/2", "+tau"])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_in_place_cholesky_decides_as_lapack(order, smallest, passes, layout, decompositions):
+    M = _spectrum_with_smallest(order, smallest, seed=order)
+    try:
+        np.linalg.cholesky(M)
+        lapack = True
+    except np.linalg.LinAlgError:
+        lapack = False
+    decompositions.orders.clear()
+    A = np.array(M, order=layout)
+    assert ensembles._cholesky_in_place(A) is lapack is passes
+    # only diagonal blocks reach LAPACK; a success factors every block
+    blocks = [min(256, order - k) for k in range(0, order, 256)]
+    orders = [o for _, o in decompositions.orders]
+    assert orders == (blocks if passes else blocks[:len(orders)])
+
+
+def test_failed_cholesky_falls_back_to_a_fresh_compression(monkeypatch, decompositions):
+    # N^T L N (order 515) has one eigenvalue of -1e-3 in a direction spread
+    # over all rows, so the blocked Cholesky gets past its first block, having
+    # overwritten M, before it fails; the eigvalsh that decides must read the
+    # compression of L, not that partly factored M
+    n = 516
+    rng = np.random.default_rng(7)
+    V = np.ones((n, 1))
+    N = np.linalg.qr(np.hstack((V, rng.standard_normal((n, n - 1)))))[0][:, 1:]
+    w = rng.uniform(1.0, 2.0, n - 1)
+    w[0] = -1e-3
+    L = (N * w) @ N.T
+    L = 0.5 * (L + L.T)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    with pytest.raises(CPDViolationError, match="min eigenvalue -1.000e-03"):
+        make_nnp(L, V)
+    assert decompositions["cholesky"] >= 2 and len(seen) == 1
+    Q = ensembles._projective_part(V, n)[1]
+    np.testing.assert_array_equal(seen[0], ensembles._compress(L, Q)[0])
+
+
+def test_requested_spectrum_matches_the_lazy_one():
+    # make_nnp(spectrum=...) keeps what the lazy properties compute
+    for L, V in _lazy_cases():
+        eigvalsh_first, eigh_first = make_nnp(L, V), make_nnp(L, V)
+        eigvalsh_first.lam, eigh_first.U
+        values = make_nnp(L, V, spectrum="values")
+        vectors = make_nnp(L, V, spectrum="vectors")
+        np.testing.assert_array_equal(values.lam, eigvalsh_first.lam)
+        np.testing.assert_array_equal(vectors.lam, eigh_first.lam)
+        np.testing.assert_array_equal(vectors.U, eigh_first.U)
+        assert vectors.U.flags.f_contiguous
+    with pytest.raises(ValueError, match="spectrum must be"):
+        make_nnp(np.eye(3), spectrum="eigh")
 
 
 def test_deciding_path_is_logged(caplog, decompositions):
@@ -636,17 +749,33 @@ def test_deciding_path_is_logged(caplog, decompositions):
     np.testing.assert_allclose(t.lam, centred.process.lam, rtol=1e-8)
     assert not any("noise floor forced q = 0" in m for m in msgs)
     assert decompositions["eigh"] == 3 and max(o for _, o in decompositions.orders) == 5
-    # the dense path on the same L: one Cholesky accepts the untranslated pair
+    # the dense path on the same L: a blocked Cholesky of N^T L N (order
+    # n - p = 290, so blocks of 256 and 34 rows) accepts the untranslated pair
+    decompositions.orders.clear()
     _, msgs = logged(lambda: make_nnp(e.L, e.V))
-    assert len(msgs) == 1 and "Cholesky" in msgs[0] and "accepted" in msgs[0]
-    assert decompositions == {"eigh": 3, "eigvalsh": 0, "cholesky": 1}
+    assert len(msgs) == 1 and "blocked Cholesky" in msgs[0]
+    assert "in 2 blocks accepted the pair" in msgs[0]
+    assert decompositions.orders == [("cholesky", 256), ("cholesky", 34)]
+    # a caller that needs the spectrum has its one decomposition decide
+    for spectrum, name in (("values", "eigvalsh"), ("vectors", "eigh")):
+        decompositions.orders.clear()
+        r, msgs = logged(lambda: make_nnp(e.L, e.V, spectrum=spectrum))
+        assert len(msgs) == 1
+        assert f"{name} (requested by the caller) decided with min eigenvalue" in msgs[0]
+        assert "q = 5" in msgs[0] and decompositions.orders == [(name, 290)]
+        np.testing.assert_allclose(r.lam, e.lam, rtol=1e-8)
+        assert r.psd_tol == 1e-10 * (1.0 + r.lam[0])
     # and on the translated L the dense noise floor still hides the spectrum
     # (q = 0; centring the cloud is what would mend it)
+    decompositions.orders.clear()
     d, msgs = logged(lambda: make_nnp(t.L, t.V))
     assert d.q == 0 and d.U.shape == (300, 0)
-    assert decompositions == {"eigh": 3, "eigvalsh": 1, "cholesky": 2}
+    *blocks, last = decompositions.orders
+    assert last == ("eigvalsh", 290) and blocks
+    assert all(name == "cholesky" and order <= 256 for name, order in blocks)
     assert any("noise floor forced q = 0" in m for m in msgs)
-    assert any("eigvalsh decided with min eigenvalue -" in m and "psd_tol 1.000e-10" in m
+    assert any("blocked Cholesky of N^T L N + " in m and "in 2 blocks failed; eigvalsh "
+               "decided with min eigenvalue -" in m and "psd_tol 1.000e-10" in m
                for m in msgs)
 
 
@@ -751,29 +880,71 @@ def test_write_json_needs_str_keys():
         write_json({1: 2}, lambda b: None)
 
 
-def test_reload_hands_make_nnp_the_decoded_bytes_without_a_copy(monkeypatch):
+def test_reload_hands_make_nnp_the_decoded_bytes_without_a_copy(monkeypatch, decompositions):
     """At make_nnp's entry only the decoded bytes of L and V are new: no
-    ASCII copy of the base64 text and no copy of the decoded arrays."""
+    ASCII copy of the base64 text and no copy of the decoded arrays. The
+    requested spectrum reaches make_nnp, whose one eigvalsh decides."""
     e = random_nnp(1000, 2, seed=45)
     obj = json.loads(json_text(e))
     seen = {}
 
-    def spy(L, V, psd_tol=None):
+    def spy(L, V, psd_tol=None, *, spectrum=None):
         seen["peak"] = tracemalloc.get_traced_memory()[1]
         seen["writeable"] = (L.flags.writeable, V.flags.writeable)
-        return make_nnp(L, V, psd_tol)
+        seen["spectrum"] = spectrum
+        return make_nnp(L, V, psd_tol, spectrum=spectrum)
 
     monkeypatch.setattr(ensembles, "make_nnp", spy)
+    decompositions.orders.clear()
     tracemalloc.start()
     try:
-        e2 = nnp_from_dict(obj)
+        e2 = nnp_from_dict(obj, spectrum="values")
     finally:
         tracemalloc.stop()
-    assert seen["writeable"] == (False, False)
+    assert seen["writeable"] == (False, False) and seen["spectrum"] == "values"
+    assert decompositions.orders == [("eigvalsh", 998)]
     # a decode through base64.b64decode and a copy peaked at 2.3 times this
     assert seen["peak"] < 1.25 * (e.L.nbytes + e.V.nbytes)
     assert e2.L.tobytes() == e.L.tobytes() and e2.V.tobytes() == e.V.tobytes()
     assert e2.L.flags.writeable is False
+    np.testing.assert_array_equal(e2.lam, e.lam)
+
+
+def test_read_json_decodes_each_block_as_it_parses(tmp_path):
+    e = ensembles.make_factored_nnp(np.arange(12.0).reshape(6, 2), np.eye(2),
+                                    np.ones((6, 1)))
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"nnp": nnp_to_dict(e), "fixed_size": 3}))
+    text = json.loads(path.read_text())
+    obj = ensembles.read_json(path)
+    assert obj["fixed_size"] == 3 and obj["nnp"]["psd_tol"] is None
+    for parsed, raw, keys in ((obj["nnp"], text["nnp"], "LV"),
+                              (obj["nnp"]["factor"], text["nnp"]["factor"], "BC")):
+        for key in keys:
+            assert isinstance(parsed[key], np.ndarray) and not parsed[key].flags.writeable
+            assert parsed[key].tobytes("F") == _decode(raw[key]).tobytes("F")
+    # the decoded record reloads, twice, to the pair the text record gives
+    for _ in range(2):
+        e2 = nnp_from_dict(obj["nnp"])
+        assert e2.L.tobytes() == nnp_from_dict(text["nnp"]).L.tobytes() == e.L.tobytes()
+        np.testing.assert_array_equal(e2.lam, e.lam)
+
+
+def test_read_json_leaves_a_malformed_block_to_nnp_from_dict(tmp_path):
+    # a block that does not decode stays text, so the reload reports it as it
+    # reports the text record
+    e = random_nnp(4, 1, seed=3)
+    obj = nnp_to_dict(e)
+    obj["L"]["data"] = obj["L"]["data"][:-4]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    parsed = ensembles.read_json(path)
+    assert parsed["L"] == obj["L"] and isinstance(parsed["V"], np.ndarray)
+    with pytest.raises(ValueError) as from_text:
+        nnp_from_dict(obj)
+    with pytest.raises(ValueError) as from_file:
+        nnp_from_dict(parsed)
+    assert str(from_file.value) == str(from_text.value)
 
 
 def test_encode_writes_column_major_whatever_the_layout():

@@ -5,6 +5,8 @@ of order h = H_{k,d}. make_factored_nnp takes its spectrum from an h x h
 eigh; make_nnp on the same (L; V) compresses and decomposes the n x n L.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,14 @@ def test_non_psd_schur_block_is_named():
     w[0] = -w[-1]
     with pytest.raises(CPDViolationError, match="Wronskian Schur block"):
         make_factored_nnp(B, (Z * w) @ Z.T, e.V)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0], ids=["nan", "inf", "-1"])
+def test_psd_tol_that_is_not_finite_and_nonnegative_is_rejected(tol):
+    e, B, C = factor_of()
+    with pytest.raises(ValueError, match="psd_tol must be a finite number >= 0") as err:
+        make_factored_nnp(B, C, e.V, psd_tol=tol)
+    assert not isinstance(err.value, CPDViolationError)
 
 
 @pytest.mark.parametrize("c", [1e-9, 1e-3, 1e3, 1e9])
