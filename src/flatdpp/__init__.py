@@ -24,9 +24,7 @@ from .ensembles import (
     NNP,
     RankDeficientError,
     SubsetDistribution,
-    elementary_symmetric,
     fixed_size_log_prob,
-    from_marginal_kernel,
     log_normalizer,
     log_prob,
     log_unnorm_prob,

@@ -21,8 +21,16 @@ block, "C": block}``; a reload rebuilds it from the factor and requires the
 stored L to match. :func:`write_json` writes such a dict as bytes, each
 block's base64 in chunks, so a file of any size is written without its text
 ever being held in memory; the CLI's ``limit`` streams its output this way.
-:func:`read_json` reads such a file back with each block decoded as it is
-parsed, so no base64 text outlives its block.
+:func:`read_json` reads such a file back by parsing only its skeleton: each
+long base64 string of a block is found by counting the file's quotes, cut
+out, and decoded from the file's bytes, so no base64 text is copied into a
+str.
+
+An L that is exactly zero, as in every projection limit, may be held as the
+zero kind: the read-only zero-stride view ``np.broadcast_to(0.0, (n, n))``,
+which takes no memory. :func:`make_nnp` recognises it in O(1), a record
+writes it from one encoded zero chunk (the bytes a dense zero L writes), and
+a block whose text is exactly the base64 of +0.0 entries decodes to it.
 """
 
 from __future__ import annotations
@@ -31,8 +39,9 @@ import binascii
 import json
 import logging
 import math
+import re
 from collections.abc import Iterator, Mapping
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
 
@@ -140,7 +149,8 @@ class NNP:
 
     Attributes
     ----------
-    L, V : the defining pair; V has shape (n, p), possibly p = 0.
+    L, V : the defining pair; V has shape (n, p), possibly p = 0. An L that
+        is exactly zero may be the zero kind, np.broadcast_to(0.0, (n, n)).
     Q : orthonormal basis of span(V), shape (n, p).
     lam : positive eigenvalues (descending) of N^T L N, where [Q | N] is an
         orthonormal basis of R^n; one cached eigvalsh on first read.
@@ -291,7 +301,9 @@ def make_nnp(L, V=None, psd_tol: float | None = None, *,
 
     When no eigenvalue exceeds n^2 * machine epsilon * max |L| in magnitude,
     M is rounding noise of the compression (L lies in the V-combinations) and
-    the spectrum is empty (q = 0). L = 0 and p = n need no decomposition.
+    the spectrum is empty (q = 0). L = 0 and p = n need no decomposition; an
+    L of the zero kind, np.broadcast_to(0.0, (n, n)), is kept as it is and
+    needs no sweep either.
     Which decomposition decided is logged at DEBUG on the
     ``flatdpp.ensembles`` logger. A NaN or infinite entry in L or V, or a
     psd_tol that is not a finite number >= 0, raises ValueError.
@@ -307,13 +319,24 @@ def make_nnp(L, V=None, psd_tol: float | None = None, *,
     return NNP(L, V, Q, logdet_vtv, tol, psd_tol, noise_floor, lam, U)
 
 
+def _is_zero_kind(arr: np.ndarray) -> bool:
+    """Whether arr is the zero kind of a float64 block: a non-empty
+    zero-stride view of +0.0, as np.broadcast_to(0.0, shape) makes."""
+    return (arr.dtype == np.float64 and arr.size > 0 and not any(arr.strides)
+            and arr.item(0) == 0.0 and math.copysign(1.0, arr.item(0)) > 0.0)
+
+
 def _checked_square(L) -> tuple[np.ndarray, float]:
     """(0.5 (L + L^T), max |L|) from one :func:`_symmetrized` sweep, or
     ValueError unless L is square, finite and symmetric within
-    1e-10 * max |L|."""
+    1e-10 * max |L|. The zero kind is kept as it is, with max |L| = 0."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("L must be square")
+    if _is_zero_kind(L):
+        logger.debug("make_nnp: L is the zero kind, kept without a sweep: noise floor 0, "
+                     "q = 0 (n=%d)", L.shape[0])
+        return L, 0.0
     S, scale, asymmetry = _symmetrized(L)
     if not np.isfinite(scale):
         raise ValueError("L has a non-finite entry")
@@ -544,34 +567,6 @@ def marginal_kernel(e: NNP) -> np.ndarray:
     return K
 
 
-def from_marginal_kernel(K, unit_tol: float = 1e-8) -> NNP:
-    """Recover an extended L-ensemble from a marginal kernel 0 <= K <= I.
-
-    Eigenvalues within unit_tol of 1 become the projective part V; the rest
-    are mapped through lambda -> lambda / (1 - lambda).
-    """
-    K = np.asarray(K, dtype=float)
-    K = 0.5 * (K + K.T)
-    w, vecs = np.linalg.eigh(K)
-    if np.any(w > 1.0 + unit_tol):
-        raise ValueError(f"marginal kernel eigenvalue {w.max():.6g} exceeds 1")
-    if np.any(w < -unit_tol):
-        raise ValueError(f"marginal kernel eigenvalue {w.min():.6g} below 0")
-    unit = w >= 1.0 - unit_tol
-    V = vecs[:, unit]
-    rest = ~unit
-    wr = np.clip(w[rest], 0.0, None)
-    L = (vecs[:, rest] * (wr / (1.0 - wr))) @ vecs[:, rest].T
-    return make_nnp(L, V)
-
-
-def elementary_symmetric(values: Sequence[float], k: int) -> float:
-    """e_k of nonnegative values, from the log-space recurrence; e_0 = 1."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return math.exp(log_elementary_symmetric(values, k))
-
-
 def _log_esp_table(lam: np.ndarray, k: int) -> np.ndarray:
     """log e_l(lam_1..lam_j) for l <= k, j <= len(lam), in log space."""
     qn = lam.size
@@ -723,11 +718,48 @@ def _base64_chunks(arr: np.ndarray) -> Iterator[bytes]:
     """Base64 of arr's float64 entries in column-major order, chunk by chunk.
 
     Reads arr's own buffer when it is Fortran-contiguous (the transpose of a
-    C-ordered array is); any other layout is copied once, as a whole.
+    C-ordered array is); any other layout is copied once, as a whole. The
+    zero kind is written from one cached encoded zero chunk: the bytes of a
+    dense zero array, with nothing copied.
     """
+    if _is_zero_kind(arr):
+        full, rest = divmod(8 * arr.size, _CHUNK_BYTES)
+        chunk = _zero_base64(_CHUNK_BYTES)
+        for _ in range(full):
+            yield chunk
+        if rest:
+            yield binascii.b2a_base64(bytes(rest), newline=False)
+        return
     data = np.asfortranarray(arr, dtype=np.float64).ravel(order="F").view(np.uint8)
     for lo in range(0, data.size, _CHUNK_BYTES):
         yield binascii.b2a_base64(data[lo:lo + _CHUNK_BYTES], newline=False)
+
+
+@lru_cache(maxsize=1)
+def _zero_base64(nbytes: int) -> bytes:
+    """The base64 of nbytes zero bytes, for the chunk size in use."""
+    return binascii.b2a_base64(bytes(nbytes), newline=False)
+
+
+def _zero_block(text, lo: int, hi: int, shape) -> np.ndarray | None:
+    """The zero kind of the given shape when text[lo:hi] (a str, or bytes)
+    is exactly the base64 of its +0.0 entries, else None. Decided by a
+    chunked comparison with the encoded zero chunk; nothing is decoded."""
+    nbytes = 8 * shape[0] * shape[1]
+    # the text of eight or more zero bytes starts with eleven A's
+    if nbytes == 0 or hi - lo != 4 * -(-nbytes // 3) or text[lo:lo + 4] not in ("AAAA", b"AAAA"):
+        return None
+    full, rest = divmod(nbytes, _CHUNK_BYTES)
+    chunk = _zero_base64(_CHUNK_BYTES) if full else b""
+    tail = binascii.b2a_base64(bytes(rest), newline=False)
+    if isinstance(text, str):
+        chunk, tail = chunk.decode("ascii"), tail.decode("ascii")
+    if not (text.startswith(tail, hi - len(tail))
+            and all(text.startswith(chunk, lo + k * len(chunk)) for k in range(full))):
+        return None
+    logger.debug("a %dx%d block's text is the base64 of +0.0 entries: read as the "
+                 "zero kind", *shape)
+    return np.broadcast_to(0.0, tuple(shape))
 
 
 def _encode(arr: np.ndarray, stream: bool = False) -> dict:
@@ -741,10 +773,15 @@ def _encode(arr: np.ndarray, stream: bool = False) -> dict:
 
 
 def _decode(obj: dict) -> np.ndarray:
-    """The block's array: a read-only, Fortran-ordered view of the decoded
-    bytes."""
-    raw = np.frombuffer(binascii.a2b_base64(obj["data"]), dtype=np.float64)
-    return raw.reshape(tuple(obj["shape"]), order="F")
+    """The block's array: the zero kind when its text is exactly the base64
+    of +0.0 entries (a -0.0 or any other entry keeps it dense), else a
+    read-only, Fortran-ordered view of the decoded bytes."""
+    data, shape = obj["data"], obj["shape"]
+    zero = _zero_block(data, 0, len(data), shape)
+    if zero is not None:
+        return zero
+    raw = np.frombuffer(binascii.a2b_base64(data), dtype=np.float64)
+    return raw.reshape(tuple(shape), order="F")
 
 
 def _is_shape(shape) -> bool:
@@ -786,17 +823,131 @@ def _decoded_block(obj: dict):
 
 
 def read_json(path):
-    """The JSON document in the file at path, with each block decoded to its
-    read-only array while json.loads parses it: a block's base64 text is
-    dropped as soon as its closing brace is read, and the file's bytes before
-    parsing starts. The result is a record that :func:`nnp_from_dict` takes
-    as it takes a text one. The encoding is detected as by json.loads.
+    """The JSON document in the file at path, with each well-formed block
+    decoded to its read-only array: what json.loads(text,
+    object_hook=_decoded_block) returns for the file's text, malformed
+    documents and records included. The result is a record that
+    :func:`nnp_from_dict` takes as it takes a text one. The encoding is
+    detected as by json.loads.
+
+    A UTF-8 file without a backslash that has long "data" strings to cut
+    out (:func:`_data_strings`) is read by :func:`_skeleton_json`, which
+    parses only the text left and decodes each string from the file's
+    bytes. Any other file, and any document that path cannot vouch for (a
+    syntax error, a cut string that is neither plain base64 nor valid JSON
+    text), is parsed as a whole by json.loads, which then gives its result
+    or raises its error.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    text = raw.decode(json.detect_encoding(raw), "surrogatepass")
+    encoding = json.detect_encoding(raw)
+    if encoding == "utf-8" and (spans := _data_strings(raw)):
+        try:
+            return _skeleton_json(raw, spans)
+        except ValueError:
+            pass
+    text = raw.decode(encoding, "surrogatepass")
     del raw
     return json.loads(text, object_hook=_decoded_block)
+
+
+#: Shortest "data" string that :func:`_skeleton_json` cuts out of a document.
+_CUT_MIN = 1024
+
+#: JSON's whitespace characters.
+_JSON_SPACE = b" \t\n\r"
+
+#: Characters that JSON does not allow unescaped in a string.
+_CONTROL = re.compile(r"[\x00-\x1f]")
+
+
+def _data_strings(raw: bytes) -> list[tuple[int, int]]:
+    """(start, end) of the contents of the strings of raw to cut out: each
+    string at least _CUT_MIN bytes long that follows the string "data" and a
+    colon (JSON whitespace aside). None in a document with a backslash.
+
+    Without a backslash every quote delimits a string, so a quote opens one
+    exactly when an even number of quotes precede it: the quotes between
+    two "data" keys are counted, not scanned one by one.
+    """
+    spans: list[tuple[int, int]] = []
+    if raw.find(b"\\") >= 0:
+        return spans
+    at = quotes = 0  # quotes in raw[:at]
+    while (key := raw.find(b'"data"', at)) >= 0:
+        quotes += raw.count(b'"', at, key)
+        if quotes % 2:
+            # the quote at key closes a string
+            at, quotes = key + 1, quotes + 1
+            continue
+        at, quotes = key + 6, quotes + 2
+        start = raw.find(b'"', at, at + 64)
+        if start < 0 or raw[at:start].strip(_JSON_SPACE) != b":":
+            continue
+        end = raw.find(b'"', start + 1)
+        if end < 0:
+            break
+        if end - start > _CUT_MIN:
+            spans.append((start + 1, end))
+        at, quotes = end + 1, quotes + 2
+    return spans
+
+
+def _skeleton_json(raw: bytes, spans: list[tuple[int, int]]):
+    """read_json's result for the UTF-8 document raw, which has no
+    backslash, with the strings at spans cut out; or a ValueError.
+
+    Each string is replaced by a placeholder, the escape \\u0000 and its
+    index, and json.loads parses the skeleton left. Every object of it that
+    holds a placeholder gets its string back: a well-formed block is read
+    from raw as the zero kind, or else decoded by a strict a2b_base64 from a
+    memoryview of raw, whose output for input it accepts is that of the
+    lenient decode of :func:`_decode`; any other object, or a block that
+    strict base64 refuses, gets the string as text, for
+    :func:`_decoded_block` as in a whole parse.
+    """
+    parts, at = [], 0
+    for i, (lo, hi) in enumerate(spans):
+        parts += [raw[at:lo], b"\\u0000%d" % i]
+        at = hi
+    parts.append(raw[at:])
+    skeleton = b"".join(parts)
+    view = memoryview(raw)
+
+    def text(value: str) -> str:
+        lo, hi = spans[int(value[1:])]
+        s = raw[lo:hi].decode("utf-8", "surrogatepass")
+        if _CONTROL.search(s):
+            raise ValueError("a control character in a string")
+        return s
+
+    def block(value: str, shape) -> np.ndarray | None:
+        lo, hi = spans[int(value[1:])]
+        zero = _zero_block(raw, lo, hi, shape)
+        if zero is not None:
+            return zero
+        try:
+            data = np.frombuffer(binascii.a2b_base64(view[lo:hi], strict_mode=True),
+                                 dtype=np.float64)
+            return data.reshape(tuple(shape), order="F")
+        except ValueError:
+            return None
+
+    def pairs_hook(pairs):
+        obj = dict(pairs)
+        for key, value in pairs:
+            if key == "data" and isinstance(value, str) and value.startswith("\x00"):
+                if value != obj["data"]:
+                    text(value)  # a repeated key's string is read, then dropped
+                    continue
+                if obj.keys() == {"shape", "data"} and _is_shape(obj["shape"]):
+                    arr = block(value, obj["shape"])
+                    if arr is not None:
+                        return arr
+                obj["data"] = text(value)
+        return _decoded_block(obj)
+
+    return json.loads(skeleton.decode("utf-8", "surrogatepass"), object_pairs_hook=pairs_hook)
 
 
 def write_json(obj, write: Callable[[bytes], object]) -> None:

@@ -89,11 +89,11 @@ def classify_fixed(d: int, r, m: int) -> tuple[str, int]:
 
 
 def _sure_full_set(n: int) -> NNP:
-    return make_nnp(np.zeros((n, n)), np.eye(n))
+    return make_nnp(np.broadcast_to(0.0, (n, n)), np.eye(n))
 
 
 def _projection_process(ps: PointSet, k: int) -> NNP:
-    return make_nnp(np.zeros((ps.n, ps.n)), vandermonde(ps, k))
+    return make_nnp(np.broadcast_to(0.0, (ps.n, ps.n)), vandermonde(ps, k))
 
 
 def _wronskian_process(ps: PointSet, kernel: StationaryKernel, k: int,

@@ -66,9 +66,11 @@ def grid_points(n: int, d: int) -> PointSet:
     return PointSet(coords)
 
 
-#: Rows per block of PointSet's distinctness check: its temporaries are two
-#: arrays of this many rows by n columns.
+#: Rows per block of PointSet's distinctness sweep, and columns per piece of
+#: a block's partners: the sweep's temporaries are two arrays of at most this
+#: many rows by columns.
 _BLOCK_ROWS = 128
+_BLOCK_COLS = 1024
 
 
 def _sq_dists(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -90,16 +92,34 @@ def _sq_dists(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _min_sq_dist(coords: np.ndarray) -> float:
-    """Smallest squared distance between two of the n >= 2 points, one block
-    of rows at a time against the columns from the block's first on; the
-    n x n matrix is never formed. A set of at most _BLOCK_ROWS points is one
-    block: the whole matrix with its diagonal masked."""
+    """Smallest squared distance between two of the n >= 2 points whenever
+    its root is at most DISTINCT_TOL, as PointSet checks; otherwise some
+    squared distance whose root is above DISTINCT_TOL.
+
+    The points are sorted by their first coordinate, and each block of
+    _BLOCK_ROWS sorted points is compared, in pieces of _BLOCK_COLS columns,
+    only with the points from the block's first to the last whose first
+    coordinate is within 2 DISTINCT_TOL of the block's last one. Two points
+    at most DISTINCT_TOL apart are well within that in their first
+    coordinate, so every such pair is compared, and gets the squared distance
+    :func:`_sq_dists` gives it among any rows and columns. Points that share
+    their first coordinate, as on a vertical line, are compared pair by pair.
+    """
+    x = coords[np.argsort(coords[:, 0], kind="stable")]
+    first = x[:, 0]
+    # x[i] is compared with the points before stops[i], and no further one
+    # is within 2 DISTINCT_TOL of it in the first coordinate
+    stops = np.searchsorted(first, first + 2.0 * DISTINCT_TOL, side="right")
     best = np.inf
-    for lo in range(0, coords.shape[0], _BLOCK_ROWS):
-        sq = _sq_dists(coords[lo:lo + _BLOCK_ROWS], coords[lo:])
-        # the block's own pairs form the leading square, diagonal included
-        np.fill_diagonal(sq, np.inf)
-        best = min(best, float(sq.min()))
+    for lo in range(0, x.shape[0], _BLOCK_ROWS):
+        rows = x[lo:lo + _BLOCK_ROWS]
+        stop = int(stops[lo + rows.shape[0] - 1])
+        for col in range(lo, stop, _BLOCK_COLS):
+            sq = _sq_dists(rows, x[col:min(col + _BLOCK_COLS, stop)])
+            if col == lo:
+                # the block's own pairs form the leading square, diagonal included
+                np.fill_diagonal(sq, np.inf)
+            best = min(best, float(sq.min()))
     return best
 
 

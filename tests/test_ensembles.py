@@ -1,4 +1,5 @@
 import base64
+import binascii
 import itertools
 import json
 import logging
@@ -15,9 +16,7 @@ from flatdpp.ensembles import (
     _encode,
     RankDeficientError,
     SubsetDistribution,
-    elementary_symmetric,
     fixed_size_log_prob,
-    from_marginal_kernel,
     indices_of,
     log_elementary_symmetric,
     log_fixed_size_normalizer,
@@ -32,7 +31,7 @@ from flatdpp.ensembles import (
     size_distribution,
     write_json,
 )
-from flatdpp.flatlimit import fixed_size_limit
+from flatdpp.flatlimit import fixed_size_limit, varying_size_limit
 from flatdpp.geometry import PointSet, distance_power_matrix, uniform_points
 from flatdpp.kernels import builtin_kernel
 
@@ -327,53 +326,23 @@ def test_marginal_kernel_inclusion_oracle():
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
-def test_from_marginal_identity_kernel():
-    e = from_marginal_kernel(np.eye(3))
-    assert (e.p, e.q) == (3, 0)
-    vec = size_distribution(e)
-    assert vec[3] == pytest.approx(1.0)
-
-
-def test_from_marginal_half_kernel():
-    e = from_marginal_kernel(np.array([[0.5]]))
-    np.testing.assert_allclose(e.L, [[1.0]], atol=1e-12)
-    assert math.exp(log_prob(e, [0])) == pytest.approx(0.5, rel=1e-10)
-
-
-def test_from_marginal_round_trip_with_unit_eigenvalues():
-    rng = np.random.default_rng(11)
-    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    w = np.array([1.0, 1.0, 0.8, 0.5, 0.1, 0.0])
-    K = (Q * w) @ Q.T
-    e = from_marginal_kernel(K)
-    assert e.p == 2
-    np.testing.assert_allclose(marginal_kernel(e), K, atol=1e-8)
-
-
-def test_from_marginal_rejects_eigenvalue_above_one():
-    with pytest.raises(ValueError, match="exceeds"):
-        from_marginal_kernel(np.array([[1.5]]))
-
-
 # ---------------------------------------------------------------------------
 # elementary symmetric polynomials and sizes
 # ---------------------------------------------------------------------------
 
 
 def test_elementary_symmetric_values():
-    assert elementary_symmetric([], 0) == 1.0
-    assert elementary_symmetric([3.0, 7.0], 0) == 1.0
-    assert elementary_symmetric([1.0, 2.0, 3.0], 2) == pytest.approx(11.0)
-    assert elementary_symmetric([1.0, 2.0, 3.0], 4) == 0.0
+    assert log_elementary_symmetric([], 0) == 0.0
+    assert log_elementary_symmetric([3.0, 7.0], 0) == 0.0
     assert math.exp(log_elementary_symmetric([1.0, 2.0, 3.0], 2)) == pytest.approx(11.0)
+    assert log_elementary_symmetric([1.0, 2.0, 3.0], 4) == -math.inf
+    assert log_elementary_symmetric([1.0, 2.0], -1) == -math.inf
     values = np.random.default_rng(3).random(7)
     for k in range(8):
         ref = sum(math.prod(c) for c in itertools.combinations(values, k))
-        assert elementary_symmetric(values, k) == pytest.approx(ref, rel=1e-12)
+        assert math.exp(log_elementary_symmetric(values, k)) == pytest.approx(ref, rel=1e-12)
     with pytest.raises(ValueError, match="nonnegative"):
-        elementary_symmetric([1.0, -2.0], 1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        elementary_symmetric([1.0, 2.0], -1)
+        log_elementary_symmetric([1.0, -2.0], 1)
 
 
 def test_size_distribution_single_point():
@@ -959,3 +928,238 @@ def test_encode_writes_column_major_whatever_the_layout():
         np.testing.assert_array_equal(view, A)
         streamed = _encode(arr, stream=True)
         assert b"".join(streamed["data"]).decode() == column_major
+
+
+# ---------------------------------------------------------------------------
+# the skeleton reader and the zero kind of L
+# ---------------------------------------------------------------------------
+
+
+def assert_same(a, b):
+    """a and b are the same parse: equal values, arrays with equal bytes,
+    shape, strides and write flag."""
+    assert type(a) is type(b)
+    if isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            assert_same(a[key], b[key])
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif isinstance(a, np.ndarray):
+        assert (a.shape, a.strides, a.flags.writeable) == (b.shape, b.strides, b.flags.writeable)
+        assert a.tobytes("F") == b.tobytes("F")
+    else:
+        assert a == b
+
+
+def whole_parse(raw: bytes):
+    """What json.loads(text, object_hook=_decoded_block) returns for raw."""
+    text = raw.decode(json.detect_encoding(raw), "surrogatepass")
+    return json.loads(text, object_hook=ensembles._decoded_block)
+
+
+def _record_corpus():
+    e = random_nnp(60, 3, seed=50)
+    rec = nnp_to_dict(e)
+    L, V = rec["L"]["data"], rec["V"]["data"]
+    other = nnp_to_dict(random_nnp(60, 3, seed=51))["L"]["data"]
+    zero = nnp_to_dict(make_nnp(np.zeros((60, 60)), e.V))["L"]["data"]
+    negative_zero = base64.b64encode(np.array([-0.0] + [0.0] * 3599).tobytes()).decode()
+    dumps = json.dumps
+    block = '{"shape": [60, 60], "data": "%s"}'
+    # text records as limit writes them, and as other writers may
+    yield "limit", json_text(e), True
+    yield "compact", dumps({"nnp": rec, "fixed_size": 3}, separators=(",", ":")), True
+    yield "indented", dumps({"nnp": rec, "fixed_size": None}, indent=2), True
+    yield "data-before-shape", dumps({"L": {"data": L, "shape": [60, 60]},
+                                      "V": {"data": V, "shape": [60, 3]}}), True
+    yield "spaced-colon", '{"L": {"shape": [60, 60], "data" \n:\t "%s"}}' % L, True
+    yield "repeated-data", '{"L": {"shape": [60, 60], "data": "%s", "data": "%s"}}' % (
+        other, L), True
+    yield "repeated-short-last", '{"L": {"shape": [60, 60], "data": "%s", "data": "AAAA"}}' % L, True
+    yield "repeated-block", '{"L": %s, "L": %s}' % (block % other, block % L), True
+    yield "long-label", dumps({"label": "x" * 10240, "nnp": rec}), True
+    yield "long-data-outside-a-block", dumps({"data": L, "nnp": rec}), True
+    yield "long-data-beside-other-keys", dumps({"L": {"shape": [60, 60], "data": L,
+                                                      "note": 1}}), True
+    yield "data-as-a-value", dumps({"kind": "data", "x": L, "data2": L, "data": ["data", L]}), True
+    yield "data-in-a-list", dumps([{"data": L}, {"shape": [60, 60], "data": L}]), True
+    yield "escapes-beside-a-block", dumps({"a\\\"": "q \" \\ \\\" \\\\", "nnp": rec,
+                                           "b": "\\", "data": "\\\" x" + L}), True
+    yield "quoted-data-in-a-string", dumps({"note": '"data": "' + L + '"', "nnp": rec}), True
+    yield "nul-escape-elsewhere", dumps({"note": "\0", "nnp": rec}), True
+    yield "unicode-beside-a-block", dumps({"note": "é\u2603", "nnp": rec},
+                                          ensure_ascii=False), True
+    yield "zero", dumps({"L": {"shape": [60, 60], "data": zero}}), True
+    yield "negative-zero", dumps({"L": {"shape": [60, 60], "data": negative_zero}}), True
+    yield "wrong-shape", dumps({"L": {"shape": [60, 61], "data": L}}), True
+    yield "zero-wrong-shape", dumps({"L": {"shape": [59, 60], "data": zero}}), True
+    yield "shape-not-a-list", dumps({"L": {"shape": "60x60", "data": L}}), True
+    # blocks that strict base64 refuses: text, or whatever a lenient decode gives
+    yield "truncated", dumps({"L": {"shape": [60, 60], "data": L[:-3]}}), True
+    yield "truncated-by-four", dumps({"L": {"shape": [60, 60], "data": L[:-4]}}), True
+    yield "non-alphabet", dumps({"L": {"shape": [60, 60], "data": L[:100] + "*!" + L[100:]}}), True
+    yield "space-inside", dumps({"L": {"shape": [60, 60], "data": L[:100] + " " + L[100:]}}), True
+    yield "excess-padding", dumps({"L": {"shape": [60, 60], "data": L + "===="}}), True
+    yield "non-ascii", dumps({"L": {"shape": [60, 60], "data": L[:100] + "é" + L[100:]}},
+                             ensure_ascii=False), True
+    # documents json.loads refuses
+    yield "cut-short", json_text(e)[:-10], False
+    yield "missing-comma", '{"L": {"shape": [60, 60] "data": "%s"}}' % L, False
+    yield "extra-data", '{"L": {"shape": [60, 60], "data": "%s"}} 1' % L, False
+    yield "control-character", '{"L": {"shape": [60, 60], "data": "%s\t%s"}}' % (L, L), False
+    yield "dropped-control-character", '{"data": "%s\t", "data": 1}' % L, False
+    yield "data-after-a-string", '{"a": "x"data": "%s"}' % L, False
+    yield "unterminated", '{"L": {"shape": [60, 60], "data": "%s' % L, False
+
+
+@pytest.mark.parametrize("name,text,valid", list(_record_corpus()),
+                         ids=[c[0] for c in _record_corpus()])
+def test_read_json_returns_what_a_whole_parse_returns(tmp_path, name, text, valid):
+    path = tmp_path / "r.json"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    raw = path.read_bytes()
+    if not valid:
+        with pytest.raises(ValueError) as whole:
+            whole_parse(raw)
+        with pytest.raises(ValueError) as read:
+            ensembles.read_json(path)
+        assert (type(read.value), str(read.value)) == (type(whole.value), str(whole.value))
+        return
+    expected, got = whole_parse(raw), ensembles.read_json(path)
+    assert_same(got, expected)
+    # a record reloads, or fails, as its text record does
+    record = got.get("nnp", got) if isinstance(got, dict) else None
+    if isinstance(record, dict) and "L" in record:
+        text_record = json.loads(text)
+        text_record = text_record.get("nnp", text_record)
+        try:
+            e = nnp_from_dict(text_record)
+        except ValueError as err:
+            with pytest.raises(ValueError) as from_file:
+                nnp_from_dict(record)
+            assert str(from_file.value) == str(err)
+        else:
+            assert nnp_from_dict(record).L.tobytes() == e.L.tobytes()
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+def test_read_json_keeps_other_encodings_on_the_whole_parse(tmp_path, encoding):
+    path = tmp_path / "r.json"
+    path.write_bytes(json.dumps({"nnp": nnp_to_dict(random_nnp(60, 3, seed=52))})
+                     .encode(encoding))
+    got = ensembles.read_json(path)
+    assert_same(got, whole_parse(path.read_bytes()))
+    assert isinstance(got["nnp"]["L"], np.ndarray)
+
+
+def test_read_json_parses_only_the_skeleton(tmp_path, monkeypatch):
+    """json.loads sees a few hundred characters of a 60-point record, not its
+    17 kB base64 text, and each block is decoded once, from the file's bytes."""
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"nnp": nnp_to_dict(random_nnp(60, 3, seed=53))}))
+    parsed, decoded = [], []
+    loads, a2b = json.loads, binascii.a2b_base64
+    monkeypatch.setattr(json, "loads", lambda s, **kw: parsed.append(len(s)) or loads(s, **kw))
+    monkeypatch.setattr(binascii, "a2b_base64",
+                        lambda data, **kw: decoded.append(type(data)) or a2b(data, **kw))
+    obj = ensembles.read_json(path)
+    assert isinstance(obj["nnp"]["L"], np.ndarray) and len(parsed) == 1 and parsed[0] < 300
+    assert decoded == [memoryview, memoryview]
+
+
+def test_zero_block_reads_as_the_zero_kind(tmp_path, caplog):
+    V = np.ones((50, 1))
+    text = json.dumps(nnp_to_dict(make_nnp(np.zeros((50, 50)), V)))
+    path = tmp_path / "z.json"
+    path.write_text(text)
+    with caplog.at_level(logging.DEBUG, logger="flatdpp.ensembles"):
+        from_file = ensembles.read_json(path)
+    assert any("read as the zero kind" in r.getMessage() for r in caplog.records)
+    for record in (from_file, json.loads(text)):
+        L = ensembles._block(record, "L")
+        assert L.shape == (50, 50) and L.strides == (0, 0) and not L.flags.writeable
+        assert L.tobytes() == bytes(8 * 2500)
+        e = nnp_from_dict(record)
+        assert e.L.strides == (0, 0) and (e.p, e.q) == (1, 0)
+    # a -0.0 entry keeps the block dense, as does one nonzero bit
+    for first in (-0.0, 5e-324):
+        L = np.zeros((50, 50))
+        L[0, 0] = first
+        record = nnp_to_dict(make_nnp(L, V))
+        path.write_text(json.dumps(record))
+        for block in (ensembles.read_json(path)["L"], _decode(record["L"])):
+            assert block.strides == (8, 400) and block.tobytes("F") == L.tobytes("F")
+
+
+def test_zero_kind_skips_the_sweep(monkeypatch, caplog, decompositions):
+    def no_sweep(L):
+        raise AssertionError("swept the zero kind")
+
+    zero = np.broadcast_to(0.0, (300, 300))
+    V = np.random.default_rng(54).standard_normal((300, 4))
+    dense = make_nnp(np.zeros((300, 300)), V)
+    monkeypatch.setattr(ensembles, "_symmetrized", no_sweep)
+    with caplog.at_level(logging.DEBUG, logger="flatdpp.ensembles"):
+        e = make_nnp(zero, V, spectrum="vectors")
+    assert "L is the zero kind" in caplog.records[0].getMessage()
+    assert e.L is zero and (e.p, e.q, e.psd_tol) == (4, 0, 1e-10)
+    assert e.U.shape == (300, 0) and decompositions.orders == []
+    assert log_unnorm_prob(e, [0, 1, 2, 3]) == log_unnorm_prob(dense, [0, 1, 2, 3])
+    # -0.0 or any other constant is no zero kind: the sweep reads it
+    for value in (-0.0, 1.0):
+        with pytest.raises(AssertionError, match="swept"):
+            make_nnp(np.broadcast_to(value, (300, 300)), V)
+
+
+def test_projection_limits_hold_the_zero_kind():
+    ps = uniform_points(40, 2, seed=55)
+    gaussian = builtin_kernel("gaussian")
+    for res in (fixed_size_limit(ps, gaussian, 10), fixed_size_limit(ps, gaussian, 40),
+                varying_size_limit(ps, gaussian, 3)):
+        assert res.process.L.strides == (0, 0) and res.process.q == 0
+
+
+@pytest.mark.parametrize("chunk", [3, 24, 8 * 7 * 7 + 3, 3 << 16])
+def test_zero_kind_writes_the_bytes_of_a_dense_zero(monkeypatch, chunk):
+    monkeypatch.setattr(ensembles, "_CHUNK_BYTES", chunk)
+    for n in (1, 7, 40):
+        V = np.ones((n, 1))
+        dense = json.dumps(nnp_to_dict(make_nnp(np.zeros((n, n)), V)))
+        zero_kind = make_nnp(np.broadcast_to(0.0, (n, n)), V)
+        assert json_text(zero_kind) == dense
+        assert json.dumps(nnp_to_dict(zero_kind)) == dense
+
+
+def test_zero_kind_limit_and_reload_stay_small(tmp_path):
+    """A 2000-point projection limit, and the reload of its record, allocate
+    less than an eighth of one n x n float64 array (the file's bytes aside);
+    its record is the one a dense zero L writes."""
+    n = 2000
+    ps = uniform_points(n, 2, seed=56)
+    gaussian = builtin_kernel("gaussian")
+    tracemalloc.start()
+    try:
+        res = fixed_size_limit(ps, gaussian, 10)
+        peak_limit = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = json_text(res.process)
+    assert text == json.dumps(nnp_to_dict(make_nnp(np.zeros((n, n)), res.process.V)))
+    record = json.loads(text)
+    path = tmp_path / "z.json"
+    path.write_text(text)
+    del text
+    tracemalloc.start()
+    try:
+        e = nnp_from_dict(record)
+        peak_text = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        e = nnp_from_dict(ensembles.read_json(path))
+        peak_file = tracemalloc.get_traced_memory()[1] - path.stat().st_size
+    finally:
+        tracemalloc.stop()
+    assert e.L.strides == (0, 0) and (e.p, e.q) == (10, 0)
+    assert max(peak_limit, peak_text, peak_file) < n * n * 8 / 8

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,92 @@ def test_near_coincident_pair_found_in_any_block(d, pair):
     with pytest.raises(ValueError, match=rf"^points are not pairwise distinct "
                                          rf"\(min distance {dmin:.3e}\)$"):
         PointSet(coords)
+
+
+def _reference_min_distance(coords):
+    """The check the sort-and-sweep replaced: every pair, one n x n matrix."""
+    sq = geometry._sq_dists(coords, coords)
+    np.fill_diagonal(sq, np.inf)
+    return float(np.sqrt(sq.min()))
+
+
+def _grid(n, d):
+    return grid_points(n, d).coords.copy()
+
+
+def _vertical_line(n):
+    # every point shares its first coordinate: the sweep compares all pairs,
+    # past one piece of _BLOCK_COLS columns
+    return np.column_stack([np.full(n, 0.5), np.linspace(0.0, 1.0, n)])
+
+
+def _sorted_cloud(n, d, seed):
+    # already in the sweep's order: rows i and i + 1 are neighbours there
+    coords = np.random.default_rng(seed).uniform(size=(n, d))
+    return coords[np.argsort(coords[:, 0], kind="stable")]
+
+
+def _moved(coords, i, j, offset):
+    coords = coords.copy()
+    coords[j] = coords[i] + offset
+    return coords
+
+
+_T = DISTINCT_TOL
+_LINE = geometry._BLOCK_COLS + 3 * _B
+
+
+@pytest.mark.parametrize("coords", [
+    _grid(400, 2), _grid(343, 3), _grid(300, 1),
+    _moved(_grid(400, 2), 3, 377, 0.0),
+    _moved(_grid(400, 2), _B - 1, _B, [0.0, 0.6 * _T]),
+    _moved(_grid(343, 3), 2 * _B - 1, 2 * _B, [0.0, 0.0, 0.9 * _T]),
+    _moved(_grid(343, 3), 10, 300, [0.0, 1.5 * _T, 0.0]),
+    _vertical_line(_LINE),
+    _moved(_vertical_line(_LINE), _B - 1, _B, [0.0, 0.3 * _T]),
+    _moved(_vertical_line(_LINE), 5, _LINE - 2, 0.0),
+    _moved(_vertical_line(_LINE), _B, _LINE - 1, [0.0, 2 * _T]),
+    _moved(np.random.default_rng(4).uniform(size=(3 * _B, 1)), _B - 1, _B, 0.5 * _T),
+    _moved(np.random.default_rng(5).uniform(size=(3 * _B, 2)), _B - 1, _B,
+           [0.7 * _T, 0.7 * _T]),
+    _moved(np.random.default_rng(6).uniform(size=(3 * _B, 3)) + 1e6, 2 * _B, 2 * _B - 1,
+           [0.0, 0.0, 0.0]),
+    _moved(np.random.default_rng(7).uniform(size=(3 * _B, 3)), 0, 3 * _B - 1,
+           [0.5 * _T, -0.5 * _T, 0.5 * _T]),
+    _moved(_sorted_cloud(3 * _B, 1, 8), _B - 1, _B, 0.9 * _T),
+    _moved(_sorted_cloud(3 * _B, 2, 9), 2 * _B - 1, 2 * _B, [0.7 * _T, 0.7 * _T]),
+    _moved(_sorted_cloud(3 * _B, 3, 10), _B - 1, _B, [0.5 * _T, 0.5 * _T, 0.5 * _T]),
+], ids=["grid-2d", "grid-3d", "grid-1d", "grid-2d-duplicate", "grid-2d-shared-x",
+        "grid-3d-shared-xy", "grid-3d-just-apart", "vertical-line",
+        "vertical-line-block-boundary", "vertical-line-pieces-apart",
+        "vertical-line-just-apart", "1d-block-boundary", "2d-diagonal-gap",
+        "3d-far-from-origin", "3d-first-and-last", "1d-sorted-block-boundary",
+        "2d-sorted-block-boundary", "3d-sorted-block-boundary"])
+def test_sort_and_sweep_finds_what_every_pair_finds(coords):
+    """Same verdict, message and minimum distance as comparing every pair."""
+    dmin = _reference_min_distance(coords)
+    if dmin > DISTINCT_TOL:
+        assert PointSet(coords).n == len(coords)
+        assert math.sqrt(geometry._min_sq_dist(coords)) > DISTINCT_TOL
+        return
+    assert math.sqrt(geometry._min_sq_dist(coords)) == dmin
+    with pytest.raises(ValueError) as err:
+        PointSet(coords)
+    assert str(err.value) == f"points are not pairwise distinct (min distance {dmin:.3e})"
+
+
+def test_sweep_compares_only_neighbours_in_the_first_coordinate(monkeypatch):
+    """On a uniform cloud each block of sorted rows meets about its own
+    columns, not the rest of the set."""
+    compared, sq_dists = [], geometry._sq_dists
+
+    def spy(rows, cols):
+        compared.append(rows.shape[0] * cols.shape[0])
+        return sq_dists(rows, cols)
+
+    monkeypatch.setattr(geometry, "_sq_dists", spy)
+    PointSet(np.random.default_rng(8).uniform(size=(2000, 2)))
+    assert sum(compared) < 2 * 2000 * _B
 
 
 def test_shape_validation():
