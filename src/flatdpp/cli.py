@@ -122,7 +122,7 @@ def cmd_limit(args) -> int:
     print(f"regime: {res.label}" + (f" bracket: {bracket}" if bracket else ""),
           file=sys.stderr)
     with _byte_output(args.out) as write:
-        ensembles.write_json(res.to_dict(stream=True), write)
+        ensembles.write_json(res.to_dict(), write)
         write(b"\n")
     return 0
 

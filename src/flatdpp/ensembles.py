@@ -12,25 +12,24 @@ unnormalized mass is nonnegative for a valid ensemble, as is the normalizer
 Z = det(I + N^T L N) det(V^T V), where the columns of N are an orthonormal
 basis of the orthogonal complement of span(V).
 
-A pair is stored as JSON (:func:`nnp_to_dict`, :func:`nnp_from_dict`): n, p,
-the caller's PSD tolerance, and L and V as blocks ``{"shape": [rows, cols],
-"data": base64}``, where data is the base64 of the block's float64 entries
-in column-major order and the machine's byte order. A pair built from a
-factor L = B C B^T (:func:`make_factored_nnp`) also stores ``"factor": {"B":
-block, "C": block}``; a reload rebuilds it from the factor and requires the
-stored L to match. :func:`write_json` writes such a dict as bytes, each
-block's base64 in chunks, so a file of any size is written without its text
-ever being held in memory; the CLI's ``limit`` streams its output this way.
-:func:`read_json` reads such a file back by parsing only its skeleton: each
-long base64 string of a block is found by counting the file's quotes, cut
-out, and decoded from the file's bytes, so no base64 text is copied into a
-str.
+A pair is stored as a record (:func:`nnp_to_dict`, :func:`nnp_from_dict`):
+a dict of n, p, the caller's PSD tolerance, and L and V as float64 arrays.
+A pair built from a factor L = B C B^T (:func:`make_factored_nnp`) also
+holds ``"factor": {"B": B, "C": C}``; a reload rebuilds it from the factor
+and requires the stored L to match. :func:`write_json` writes a record as
+JSON bytes, each array as a block ``{"shape": [rows, cols], "data":
+base64}``, where data is the base64 of the block's float64 entries in
+column-major order and the machine's byte order, written in chunks so that
+no text of a block is ever held whole; the CLI's ``limit`` streams its
+output this way. :func:`read_json` reads such a file back to the same dict:
+it cuts each block's base64 out of the file's bytes, parses only the
+skeleton left, and decodes each block from the file's bytes.
 
 An L that is exactly zero, as in every projection limit, may be held as the
 zero kind: the read-only zero-stride view ``np.broadcast_to(0.0, (n, n))``,
 which takes no memory. :func:`make_nnp` recognises it in O(1), a record
 writes it from one encoded zero chunk (the bytes a dense zero L writes), and
-a block whose text is exactly the base64 of +0.0 entries decodes to it.
+a block whose data is exactly the base64 of +0.0 entries reads back as it.
 """
 
 from __future__ import annotations
@@ -103,14 +102,20 @@ def _compress(L: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     H^T L1 H = L1 - X Y^T - Y X^T for X = Z T - Y T^T (Y^T Z) T / 2, whose
     trailing block is M, updated in place.
     """
-    p = Q.shape[1]
+    n, p = Q.shape
     Y, T = _reflectors(Q)
     if p == 0:
         return L.copy(), Y, T
     ZQ = L @ Q
     W = ZQ - 0.5 * (Q @ (Q.T @ ZQ))
     strip = L[:, :p] - (W @ Q[:p].T + Q @ W[:p].T)
-    M = np.matmul(np.hstack((W, Q))[p:], np.hstack((Q, W))[p:].T)
+    # M is the leading rows of an n x (n - p) buffer: freed, it holds the
+    # n x q eigenvectors U (q <= n - p) that NNP.U lifts next, whereas an
+    # (n - p) x (n - p) block is 8 p (n - p) bytes short, so U's placement,
+    # and whether it grows the heap by another n x n array, would depend on
+    # the small arrays beside it.
+    M = np.empty((n, n - p))[:n - p]
+    np.matmul(np.hstack((W, Q))[p:], np.hstack((Q, W))[p:].T, out=M)
     np.subtract(L[p:, p:], M, out=M)
     Z = strip @ Y[:p] + np.vstack((strip[p:].T @ Y[p:], M @ Y[p:]))
     X = Z @ T - 0.5 * (Y @ (T.T @ (Y.T @ Z) @ T))
@@ -175,7 +180,7 @@ class NNP:
     first use.
     """
 
-    def __init__(self, L, V, Q, logdet_vtv, psd_tol, given_tol, noise_floor, lam,
+    def __init__(self, L, V, *, Q, logdet_vtv, psd_tol, given_tol, noise_floor, lam,
                  U=None, factor=None):
         self.L = L
         self.V = V
@@ -316,7 +321,8 @@ def make_nnp(L, V=None, psd_tol: float | None = None, *,
     V, Q, logdet_vtv = _projective_part(V, n)
     noise_floor = n * n * np.finfo(float).eps * scale
     tol, lam, U = _validate(L, Q, noise_floor, psd_tol, spectrum)
-    return NNP(L, V, Q, logdet_vtv, tol, psd_tol, noise_floor, lam, U)
+    return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, psd_tol=tol, given_tol=psd_tol,
+               noise_floor=noise_floor, lam=lam, U=U)
 
 
 def _is_zero_kind(arr: np.ndarray) -> bool:
@@ -423,7 +429,8 @@ def make_factored_nnp(B, C, V=None, psd_tol: float | None = None) -> NNP:
             f"< -{tol:.3e}"
         )
     U = np.asfortranarray(Qr @ Z[:, ::-1][:, :lam.size])
-    return NNP(L, V, Q, logdet_vtv, tol, psd_tol, noise_floor, lam, U=U, factor=(B, C))
+    return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, psd_tol=tol, given_tol=psd_tol,
+               noise_floor=noise_floor, lam=lam, U=U, factor=(B, C))
 
 
 #: Rows of a diagonal block of :func:`_cholesky_in_place`; its panel and
@@ -741,223 +748,121 @@ def _zero_base64(nbytes: int) -> bytes:
     return binascii.b2a_base64(bytes(nbytes), newline=False)
 
 
-def _zero_block(text, lo: int, hi: int, shape) -> np.ndarray | None:
-    """The zero kind of the given shape when text[lo:hi] (a str, or bytes)
-    is exactly the base64 of its +0.0 entries, else None. Decided by a
-    chunked comparison with the encoded zero chunk; nothing is decoded."""
+def _zero_block(buf: bytes, lo: int, hi: int, shape) -> np.ndarray | None:
+    """The zero kind of the given shape when buf[lo:hi] is exactly the
+    base64 of its +0.0 entries, else None. Decided by a chunked comparison
+    with the encoded zero chunk; nothing is decoded."""
     nbytes = 8 * shape[0] * shape[1]
     # the text of eight or more zero bytes starts with eleven A's
-    if nbytes == 0 or hi - lo != 4 * -(-nbytes // 3) or text[lo:lo + 4] not in ("AAAA", b"AAAA"):
+    if nbytes == 0 or hi - lo != 4 * -(-nbytes // 3) or not buf.startswith(b"AAAA", lo):
         return None
     full, rest = divmod(nbytes, _CHUNK_BYTES)
     chunk = _zero_base64(_CHUNK_BYTES) if full else b""
     tail = binascii.b2a_base64(bytes(rest), newline=False)
-    if isinstance(text, str):
-        chunk, tail = chunk.decode("ascii"), tail.decode("ascii")
-    if not (text.startswith(tail, hi - len(tail))
-            and all(text.startswith(chunk, lo + k * len(chunk)) for k in range(full))):
+    if not (buf.startswith(tail, hi - len(tail))
+            and all(buf.startswith(chunk, lo + k * len(chunk)) for k in range(full))):
         return None
     logger.debug("a %dx%d block's text is the base64 of +0.0 entries: read as the "
                  "zero kind", *shape)
     return np.broadcast_to(0.0, tuple(shape))
 
 
-def _encode(arr: np.ndarray, stream: bool = False) -> dict:
-    """The block {"shape", "data"} of arr; with stream=True, "data" is the
-    iterator of its base64 chunks, encoded as :func:`write_json` consumes it."""
-    chunks = _base64_chunks(arr)
-    return {
-        "shape": list(arr.shape),
-        "data": chunks if stream else b"".join(chunks).decode("ascii"),
-    }
-
-
-def _decode(obj: dict) -> np.ndarray:
-    """The block's array: the zero kind when its text is exactly the base64
-    of +0.0 entries (a -0.0 or any other entry keeps it dense), else a
-    read-only, Fortran-ordered view of the decoded bytes."""
-    data, shape = obj["data"], obj["shape"]
-    zero = _zero_block(data, 0, len(data), shape)
+def _block_array(buf: bytes, lo: int, hi: int, shape) -> np.ndarray:
+    """The array of a block {"shape", "data"} whose base64 is buf[lo:hi]:
+    the zero kind when that is exactly the base64 of +0.0 entries (a -0.0
+    or any other entry keeps it dense), else a read-only, Fortran-ordered
+    view of the bytes a strict a2b_base64 decodes from a memoryview of buf.
+    A bad shape, data that is not base64, or a size that does not match the
+    shape is a ValueError."""
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(s) is int and s >= 0 for s in shape)):
+        raise ValueError(f"ensemble record: a block has shape {shape!r}, not [rows, cols]")
+    zero = _zero_block(buf, lo, hi, shape)
     if zero is not None:
         return zero
-    raw = np.frombuffer(binascii.a2b_base64(data), dtype=np.float64)
-    return raw.reshape(tuple(shape), order="F")
+    try:
+        data = binascii.a2b_base64(memoryview(buf)[lo:hi], strict_mode=True)
+    except binascii.Error as err:
+        raise ValueError(f"ensemble record: a block's data is not base64 ({err})") from None
+    rows, cols = shape
+    if len(data) != 8 * rows * cols:
+        raise ValueError(f"ensemble record: a {rows}x{cols} block holds {len(data)} bytes, "
+                         f"not {8 * rows * cols}")
+    return np.frombuffer(data, dtype=np.float64).reshape((rows, cols), order="F")
 
 
-def _is_shape(shape) -> bool:
-    return (isinstance(shape, list) and len(shape) == 2
-            and all(type(s) is int and s >= 0 for s in shape))
-
-
-def _block(obj, key: str) -> np.ndarray:
-    """The decoded block obj[key] of a record (an array already decoded by
-    :func:`read_json` as it is); ValueError naming the key when the record
-    is not a JSON object or the block is malformed."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"ensemble record: expected a JSON object, not {type(obj).__name__}")
-    block = obj.get(key)
-    if isinstance(block, np.ndarray):
-        return block
-    if not isinstance(block, dict):
-        raise ValueError(f"ensemble record: {key!r} is not a block {{\"shape\", \"data\"}}")
-    shape, data = block.get("shape"), block.get("data")
-    if not _is_shape(shape):
-        raise ValueError(f"ensemble record: block {key!r} has shape {shape!r}, "
-                         f"not [rows, cols]")
-    if not isinstance(data, str):
-        raise ValueError(f"ensemble record: block {key!r} has no base64 \"data\" string")
-    return _decode(block)
-
-
-def _decoded_block(obj: dict):
-    """json object_hook: a well-formed block {"shape", "data"} as its decoded
-    array; any other object, and a block that does not decode, as parsed, so
-    that :func:`_block` reports it as it would report a text record."""
-    if obj.keys() == {"shape", "data"} and _is_shape(obj["shape"]) \
-            and isinstance(obj["data"], str):
-        try:
-            return _decode(obj)
-        except ValueError:
-            pass
-    return obj
+#: A "data" key and the quote that opens its string.
+_DATA_KEY = re.compile(rb'"data"[ \t\n\r]*:[ \t\n\r]*"')
 
 
 def read_json(path):
-    """The JSON document in the file at path, with each well-formed block
-    decoded to its read-only array: what json.loads(text,
-    object_hook=_decoded_block) returns for the file's text, malformed
-    documents and records included. The result is a record that
-    :func:`nnp_from_dict` takes as it takes a text one. The encoding is
-    detected as by json.loads.
+    """The JSON document in the file at path, each block {"shape", "data"}
+    read as its array (:func:`_block_array`): for a file that
+    :func:`write_json` wrote, the dict it was given.
 
-    A UTF-8 file without a backslash that has long "data" strings to cut
-    out (:func:`_data_strings`) is read by :func:`_skeleton_json`, which
-    parses only the text left and decodes each string from the file's
-    bytes. Any other file, and any document that path cannot vouch for (a
-    syntax error, a cut string that is neither plain base64 nor valid JSON
-    text), is parsed as a whole by json.loads, which then gives its result
-    or raises its error.
+    A file in another encoding is first re-encoded to UTF-8. In a document
+    without a backslash every quote delimits a string, so each string that
+    follows a "data" key ends at the next quote: it is cut out and replaced
+    by its index, json.loads parses only the skeleton left, and each block
+    is decoded from the file's bytes. A document with a backslash is parsed
+    whole, and each block's data is decoded from its ASCII encoding.
+
+    A "data" member that is not the base64 string of a block {"shape",
+    "data"}, or a block with a bad shape, data that is not base64 or a size
+    that does not match its shape, is a ValueError that starts "ensemble
+    record:". A document that json.loads refuses raises json.loads's error.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     encoding = json.detect_encoding(raw)
-    if encoding == "utf-8" and (spans := _data_strings(raw)):
-        try:
-            return _skeleton_json(raw, spans)
-        except ValueError:
-            pass
-    text = raw.decode(encoding, "surrogatepass")
-    del raw
-    return json.loads(text, object_hook=_decoded_block)
-
-
-#: Shortest "data" string that :func:`_skeleton_json` cuts out of a document.
-_CUT_MIN = 1024
-
-#: JSON's whitespace characters.
-_JSON_SPACE = b" \t\n\r"
-
-#: Characters that JSON does not allow unescaped in a string.
-_CONTROL = re.compile(r"[\x00-\x1f]")
-
-
-def _data_strings(raw: bytes) -> list[tuple[int, int]]:
-    """(start, end) of the contents of the strings of raw to cut out: each
-    string at least _CUT_MIN bytes long that follows the string "data" and a
-    colon (JSON whitespace aside). None in a document with a backslash.
-
-    Without a backslash every quote delimits a string, so a quote opens one
-    exactly when an even number of quotes precede it: the quotes between
-    two "data" keys are counted, not scanned one by one.
-    """
-    spans: list[tuple[int, int]] = []
-    if raw.find(b"\\") >= 0:
-        return spans
-    at = quotes = 0  # quotes in raw[:at]
-    while (key := raw.find(b'"data"', at)) >= 0:
-        quotes += raw.count(b'"', at, key)
-        if quotes % 2:
-            # the quote at key closes a string
-            at, quotes = key + 1, quotes + 1
-            continue
-        at, quotes = key + 6, quotes + 2
-        start = raw.find(b'"', at, at + 64)
-        if start < 0 or raw[at:start].strip(_JSON_SPACE) != b":":
-            continue
-        end = raw.find(b'"', start + 1)
-        if end < 0:
-            break
-        if end - start > _CUT_MIN:
-            spans.append((start + 1, end))
-        at, quotes = end + 1, quotes + 2
-    return spans
-
-
-def _skeleton_json(raw: bytes, spans: list[tuple[int, int]]):
-    """read_json's result for the UTF-8 document raw, which has no
-    backslash, with the strings at spans cut out; or a ValueError.
-
-    Each string is replaced by a placeholder, the escape \\u0000 and its
-    index, and json.loads parses the skeleton left. Every object of it that
-    holds a placeholder gets its string back: a well-formed block is read
-    from raw as the zero kind, or else decoded by a strict a2b_base64 from a
-    memoryview of raw, whose output for input it accepts is that of the
-    lenient decode of :func:`_decode`; any other object, or a block that
-    strict base64 refuses, gets the string as text, for
-    :func:`_decoded_block` as in a whole parse.
-    """
-    parts, at = [], 0
-    for i, (lo, hi) in enumerate(spans):
-        parts += [raw[at:lo], b"\\u0000%d" % i]
-        at = hi
+    if encoding != "utf-8":
+        raw = raw.decode(encoding, "surrogatepass").encode("utf-8", "surrogatepass")
+    parts, spans, at = [], [], 0
+    if b"\\" not in raw:
+        while (key := _DATA_KEY.search(raw, at)) and (end := raw.find(b'"', key.end())) >= 0:
+            parts += [raw[at:key.end()], b"%d" % len(spans)]
+            spans.append((key.end(), end))
+            at = end
     parts.append(raw[at:])
-    skeleton = b"".join(parts)
-    view = memoryview(raw)
 
-    def text(value: str) -> str:
-        lo, hi = spans[int(value[1:])]
-        s = raw[lo:hi].decode("utf-8", "surrogatepass")
-        if _CONTROL.search(s):
-            raise ValueError("a control character in a string")
-        return s
-
-    def block(value: str, shape) -> np.ndarray | None:
-        lo, hi = spans[int(value[1:])]
-        zero = _zero_block(raw, lo, hi, shape)
-        if zero is not None:
-            return zero
-        try:
-            data = np.frombuffer(binascii.a2b_base64(view[lo:hi], strict_mode=True),
-                                 dtype=np.float64)
-            return data.reshape(tuple(shape), order="F")
-        except ValueError:
-            return None
-
-    def pairs_hook(pairs):
+    def block(pairs):
         obj = dict(pairs)
-        for key, value in pairs:
-            if key == "data" and isinstance(value, str) and value.startswith("\x00"):
-                if value != obj["data"]:
-                    text(value)  # a repeated key's string is read, then dropped
-                    continue
-                if obj.keys() == {"shape", "data"} and _is_shape(obj["shape"]):
-                    arr = block(value, obj["shape"])
-                    if arr is not None:
-                        return arr
-                obj["data"] = text(value)
-        return _decoded_block(obj)
+        if "data" not in obj:
+            return obj
+        if obj.keys() != {"shape", "data"} or not isinstance(obj["data"], str):
+            raise ValueError('ensemble record: "data" is only the base64 string of a block '
+                             '{"shape": [rows, cols], "data": base64}')
+        if spans:
+            lo, hi = spans[int(obj["data"])]
+            return _block_array(raw, lo, hi, obj["shape"])
+        # a non-ASCII character becomes "?", which base64 refuses
+        data = obj["data"].encode("ascii", "replace")
+        return _block_array(data, 0, len(data), obj["shape"])
 
-    return json.loads(skeleton.decode("utf-8", "surrogatepass"), object_pairs_hook=pairs_hook)
+    try:
+        return json.loads(b"".join(parts).decode("utf-8", "surrogatepass"),
+                          object_pairs_hook=block)
+    except ValueError:
+        if spans:
+            # json.loads did not see the cut strings: a document it refuses
+            # raises its own error, at its place in the file
+            json.loads(raw)
+        raise
 
 
 def write_json(obj, write: Callable[[bytes], object]) -> None:
-    """Write json.dumps(obj) as ASCII bytes through write, where the values
-    of obj's dicts (str keys) may be iterators of ASCII chunks, as in
-    ``nnp_to_dict(e, stream=True)``: each is written as one JSON string, one
-    chunk at a time. Base64 needs no escaping, so the bytes are those of
-    json.dumps on the encoded dict.
+    """Write obj as JSON in ASCII bytes through write, as json.dumps writes
+    it, where each ndarray value is written as a block {"shape": [rows,
+    cols], "data": base64} of its float64 entries in column-major order:
+    its base64 is written chunk by chunk (:func:`_base64_chunks`), so its
+    text is never held whole. Dicts need str keys.
     """
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray):
+        write(b'{"shape": %s, "data": "' % json.dumps(list(obj.shape)).encode())
+        for chunk in _base64_chunks(obj):
+            write(chunk)
+        write(b'"}')
+    elif isinstance(obj, dict):
         write(b"{")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
@@ -965,36 +870,39 @@ def write_json(obj, write: Callable[[bytes], object]) -> None:
             write(b"%s%s: " % (b", " if i else b"", json.dumps(key).encode()))
             write_json(value, write)
         write(b"}")
-    elif isinstance(obj, Iterator):
-        write(b'"')
-        for chunk in obj:
-            write(chunk)
-        write(b'"')
     else:
         write(json.dumps(obj).encode())
 
 
-def nnp_to_dict(e: NNP, stream: bool = False) -> dict:
-    """L, V and the caller's PSD tolerance, null when make_nnp's default rule
-    applied: a reload re-derives that default from the identical pair. A
-    factored pair adds its factor {"B", "C"}.
-
-    With stream=True each block's "data" is an iterator of base64 chunks, for
-    one :func:`write_json`; the dict then holds no encoded text.
-    """
+def nnp_to_dict(e: NNP) -> dict:
+    """The record of e: n, p, the caller's PSD tolerance (null when
+    make_nnp's default rule applied: a reload re-derives that default from
+    the identical pair), and L and V as arrays; a factored pair adds its
+    factor {"B", "C"}. The arrays are e's own, read-only."""
     obj = {
         "n": e.n,
         "p": e.p,
         # L is exactly symmetric, so its transpose, a Fortran-ordered view,
         # has L's column-major bytes in L's own buffer
-        "L": _encode(e.L.T, stream),
-        "V": _encode(e.V, stream),
+        "L": e.L.T,
+        "V": e.V,
         "psd_tol": e._given_tol,
     }
     if e.factor is not None:
         B, C = e.factor
-        obj["factor"] = {"B": _encode(B, stream), "C": _encode(C, stream)}
+        obj["factor"] = {"B": B, "C": C}
     return obj
+
+
+def _block(obj, key: str) -> np.ndarray:
+    """The array obj[key] of a record; ValueError naming the key when the
+    record is not a JSON object or the value is not an array."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"ensemble record: expected a JSON object, not {type(obj).__name__}")
+    block = obj.get(key)
+    if not isinstance(block, np.ndarray):
+        raise ValueError(f"ensemble record: {key!r} is not a block {{\"shape\", \"data\"}}")
+    return block
 
 
 def nnp_from_dict(obj: dict, psd_tol: float | None = None, *,
@@ -1005,11 +913,12 @@ def nnp_from_dict(obj: dict, psd_tol: float | None = None, *,
     malformed record, or a tolerance that is not a finite number >= 0, is a
     ValueError. obj is not modified, so one record can be reloaded again.
 
-    Blocks are text or arrays decoded by :func:`read_json`. The constructors
-    get read-only views of the decoded blocks, so the only new n x n arrays
-    are the L they keep, N^T L N (and, for a factor, the product B C B^T it
-    is symmetrised from). A factored record's L must match the rebuilt L
-    within 1e-10 * max |L|.
+    Blocks are arrays, as :func:`read_json` and :func:`nnp_to_dict` give
+    them; a block read from a file is a read-only view of its decoded
+    bytes. The constructors get the arrays as they are, so the only new
+    n x n arrays are the L they keep, N^T L N (and, for a factor, the
+    product B C B^T it is symmetrised from). A factored record's L must
+    match the rebuilt L within 1e-10 * max |L|.
     """
     L, V = _block(obj, "L"), _block(obj, "V")
     if psd_tol is None:

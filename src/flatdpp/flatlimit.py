@@ -56,9 +56,9 @@ class FlatLimitResult:
             val = int(val)
         return f"{self.regime}({param}={val})"
 
-    def to_dict(self, stream: bool = False) -> dict:
-        """JSON-ready record; stream=True as in :func:`nnp_to_dict`, for
-        :func:`flatdpp.ensembles.write_json`."""
+    def to_dict(self) -> dict:
+        """The limit's record, with the ensemble's as :func:`nnp_to_dict`
+        gives it, for :func:`flatdpp.ensembles.write_json`."""
         meta = {k: (None if v is None or (isinstance(v, float) and math.isinf(v))
                     else v)
                 for k, v in self.metadata.items()}
@@ -67,7 +67,7 @@ class FlatLimitResult:
             "label": self.label,
             "fixed_size": self.fixed_size,
             "metadata": meta,
-            "nnp": nnp_to_dict(self.process, stream),
+            "nnp": nnp_to_dict(self.process),
         }
 
 

@@ -84,9 +84,6 @@ class MonomialBasis:
         """Slice covering the degree-`degree` block of the ordering."""
         return slice(self.block_offsets[degree], self.block_offsets[degree + 1])
 
-    def degrees(self) -> np.ndarray:
-        return np.array([sum(a) for a in self.indices], dtype=int)
-
 
 def vandermonde(ps: PointSet, k: int) -> np.ndarray:
     """n x count_poly(k, d) matrix of monomials of degree <= k at the points.

@@ -25,10 +25,6 @@ class WronskianMatrix:
         self.entries = entries
         self.basis = basis
 
-    @property
-    def shape(self):
-        return self.entries.shape
-
     def leading(self) -> np.ndarray:
         """The block of degrees <= k-1 (upper-left count_poly(k-1, d) square)."""
         p = count_poly(self.k - 1, self.d)
@@ -101,7 +97,7 @@ def schur_block(W: WronskianMatrix) -> np.ndarray:
     """
     p_prev = count_poly(W.k - 1, W.d)
     h = count_homogeneous(W.k, W.d)
-    A = W.entries[:p_prev, :p_prev]
+    A = W.leading()
     B = W.entries[:p_prev, p_prev:]
     C = W.entries[p_prev:, :p_prev]
     D = W.entries[p_prev:, p_prev:]

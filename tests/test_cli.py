@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 import os
@@ -68,12 +69,35 @@ LIMIT_COMMANDS = {
 }
 
 
+def block(arr) -> dict:
+    """The file format's block of arr, encoded here rather than by the
+    library: base64 of its float64 entries in column-major order."""
+    return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes("F")).decode()}
+
+
+def array(obj) -> np.ndarray:
+    """The writable array of a block."""
+    data = np.frombuffer(base64.b64decode(obj["data"]))
+    return data.reshape(obj["shape"], order="F").copy()
+
+
+def limit_text(res) -> bytes:
+    """What limit writes for res: json.dumps of its record, with each array
+    as its block."""
+    obj = res.to_dict()
+    nnp = obj["nnp"]
+    nnp.update(L=block(nnp["L"]), V=block(nnp["V"]))
+    if "factor" in nnp:
+        nnp["factor"] = {key: block(arr) for key, arr in nnp["factor"].items()}
+    return (json.dumps(obj) + "\n").encode()
+
+
 @pytest.mark.parametrize("case", LIMIT_COMMANDS)
 def test_limit_writes_json_dumps_of_the_result(capsysbinary, tmp_path, case):
     argv = ["limit", "--gen", "uniform", *LIMIT_COMMANDS[case].split()]
     res = cli._limit_result(parse_args(argv))
     assert case in (res.regime, "n=1")
-    expected = (json.dumps(res.to_dict()) + "\n").encode()
+    expected = limit_text(res)
     out = tmp_path / "lim.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == expected
@@ -139,7 +163,7 @@ def test_limit_streams_its_output(monkeypatch, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < res.process.L.nbytes
-    assert out.read_bytes() == (json.dumps(res.to_dict()) + "\n").encode()
+    assert out.read_bytes() == limit_text(res)
 
 
 def test_unknown_kernel_is_domain_error(capsys):
@@ -203,8 +227,7 @@ def test_size_dist_round_trip(capsys, tmp_path):
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
     vec = np.array([float(v) for _, v in rows])
-    obj = json.loads(lim.read_text())
-    e = ensembles.nnp_from_dict(obj["nnp"])
+    e = ensembles.nnp_from_dict(ensembles.read_json(lim)["nnp"])
     np.testing.assert_allclose(vec, ensembles.size_distribution(e), rtol=1e-12)
 
 
@@ -363,9 +386,9 @@ def test_tampered_ensemble_is_domain_error(capsys, tmp_path):
     run(capsys, "limit", "--gen", "uniform", "--n", "5", "--kernel", "exponential",
         "--m", "3", "--out", str(lim))
     obj = json.loads(lim.read_text())
-    L = ensembles._decode(obj["nnp"]["L"]).copy()
+    L = array(obj["nnp"]["L"])
     L[1, 2] = np.nan
-    obj["nnp"]["L"] = ensembles._encode(L)
+    obj["nnp"]["L"] = block(L)
     lim.write_text(json.dumps(obj))
     code, out, err = run(capsys, "size-dist", "--ensemble", str(lim))
     assert code == 2 and out == ""
@@ -439,8 +462,8 @@ def tamper(lim, edit):
     obj = json.loads(lim.read_text())
     nnp = obj["nnp"]
     blocks = {"L": nnp["L"], "B": nnp["factor"]["B"], "C": nnp["factor"]["C"]}
-    name, arr = edit({key: ensembles._decode(b).copy() for key, b in blocks.items()})
-    (nnp if name == "L" else nnp["factor"])[name] = ensembles._encode(arr)
+    name, arr = edit({key: array(b) for key, b in blocks.items()})
+    (nnp if name == "L" else nnp["factor"])[name] = block(arr)
     lim.write_text(json.dumps(obj))
 
 
@@ -485,7 +508,8 @@ def test_psd_tol_applies_to_the_factor_check(capsys, tmp_path):
     e = ensembles.make_factored_nnp(B, (Z * w) @ Z.T, e.V, psd_tol=1e-6)
     assert e.psd_tol == 1e-6 and e.q == 4
     lim = tmp_path / "neg.json"
-    lim.write_text(json.dumps(ensembles.nnp_to_dict(e)))
+    with lim.open("wb") as fh:
+        ensembles.write_json(ensembles.nnp_to_dict(e), fh.write)
     code, out, _ = run(capsys, "size-dist", "--ensemble", str(lim))
     assert code == 0 and len(out.splitlines()) == 302
     code, out, err = run(capsys, "size-dist", "--ensemble", str(lim), "--psd-tol", "1e-12")

@@ -137,4 +137,4 @@ def test_singular_leading_block_rejected():
 def test_shapes():
     for d, k in [(2, 2), (3, 1), (4, 2)]:
         W = wronskian_matrix(GAUSS, k, d)
-        assert W.shape == (count_poly(k, d), count_poly(k, d))
+        assert W.entries.shape == (count_poly(k, d), count_poly(k, d))
