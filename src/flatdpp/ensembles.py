@@ -154,8 +154,10 @@ class NNP:
 
     Attributes
     ----------
-    L, V : the defining pair; V has shape (n, p), possibly p = 0. An L that
-        is exactly zero may be the zero kind, np.broadcast_to(0.0, (n, n)).
+    L, V : the defining pair, read-only; V has shape (n, p), possibly
+        p = 0. Each is the caller's array when that was frozen (see
+        :func:`make_nnp`), else the pair's own copy. An L that is exactly
+        zero may be the zero kind, np.broadcast_to(0.0, (n, n)).
     Q : orthonormal basis of span(V), shape (n, p).
     lam : positive eigenvalues (descending) of N^T L N, where [Q | N] is an
         orthonormal basis of R^n; one cached eigvalsh on first read.
@@ -244,17 +246,19 @@ class NNP:
 _TILE = 128
 
 
-def _symmetrized(L: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _symmetrized(L: np.ndarray, out: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, float, float]:
     """(S, max |L|, max |L - L^T|) in one sweep over pairs of tiles of the
-    upper triangle and their mirrors, S = 0.5 (L + L^T) as a new C-ordered
-    array, bit for bit.
+    upper triangle and their mirrors, S = 0.5 (L + L^T) bit for bit, as a
+    new C-ordered array or, given out (which may be L itself), in out.
 
     IEEE addition is commutative, so the sum of a tile and its mirror's
     transpose, transposed, is the mirror's sum: S is exactly symmetric. A NaN
-    in L makes max |L| NaN. The sweep forms only tile-sized temporaries.
+    in L makes max |L| NaN. The sweep forms only tile-sized temporaries, and
+    each pair of tiles is read before either is written, so out = L is safe.
     """
     n = L.shape[0]
-    S = np.empty((n, n))
+    S = np.empty((n, n)) if out is None else out
     scratch = np.empty((min(n, _TILE), min(n, _TILE)))
     tiles = -(-n // _TILE)
     # per tile (row block, column block): max |L| and, above the diagonal,
@@ -277,13 +281,48 @@ def _symmetrized(L: np.ndarray) -> tuple[np.ndarray, float, float]:
     return S, float(scales.max(initial=0.0)), float(gaps.max(initial=0.0))
 
 
+def _symmetric_scale(L: np.ndarray) -> float | None:
+    """max |L| when L is finite and equal to L^T bit for bit, else None: one
+    check-only sweep over the pairs of tiles that :func:`_symmetrized` visits.
+
+    A tile and its mirror are compared as uint64 views, so a +0.0 facing a
+    -0.0 is an asymmetry, as is any difference in the last bit. The sweep
+    stops at the first pair that fails and forms only tile-sized scratch.
+    """
+    n = L.shape[0]
+    bits = L.view(np.uint64)
+    scratch = np.empty((min(n, _TILE), min(n, _TILE)))
+    same = np.empty(scratch.shape, dtype=bool)
+    scale = 0.0
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            A = L[i:i + _TILE, j:j + _TILE]
+            t = scratch[:A.shape[0], :A.shape[1]]
+            top = float(np.abs(A, out=t).max())
+            mirrored = np.equal(bits[i:i + _TILE, j:j + _TILE], bits[j:j + _TILE, i:i + _TILE].T,
+                                out=same[:A.shape[0], :A.shape[1]])
+            if not (math.isfinite(top) and mirrored.all()):
+                return None
+            scale = max(scale, top)
+    return scale
+
+
 def make_nnp(L, V=None, psd_tol: float | None = None, *,
              spectrum: str | None = None) -> NNP:
     """Validate a pair (L; V); by default its spectrum is computed only on
     first use.
 
-    One tiled sweep (:func:`_symmetrized`) checks that L is finite and
-    symmetric within 1e-10 * max |L| and forms the 0.5 (L + L^T) it keeps.
+    L is held once (:func:`_checked_square`). An L that nobody can write
+    (frozen: every array on its .base chain is read-only, and the chain ends
+    in an array that owns its data or in bytes, as for a block that
+    :func:`read_json` decoded), C- or F-contiguous, and finite and equal to
+    L^T bit for bit, is kept as it is, after one check-only tiled sweep;
+    an F-ordered one is held as its C-ordered transpose, which has the same
+    entries. Any other L takes one tiled sweep (:func:`_symmetrized`) that
+    checks that it is finite and symmetric within 1e-10 * max |L| and forms
+    the 0.5 (L + L^T) that is kept; that copy is what a kept L would be, bit
+    for bit. V is kept when it is frozen and copied otherwise, so the caller's
+    arrays are never held writable, and their flags are never changed.
     The law depends on V only through span(V), so the spectrum is that of
     M = N^T L N, L compressed to the orthogonal complement N of span(V). A
     thin SVD of V gives the rank check, Q and log det(V^T V) (none is taken
@@ -292,9 +331,10 @@ def make_nnp(L, V=None, psd_tol: float | None = None, *,
 
     With spectrum=None, validation is a Cholesky of M + tau I with
     tau = min(1e-10 * (1 + max diag M), psd_tol if given), blocked and in
-    place (:func:`_cholesky_in_place`), so L and M are the only n x n arrays
-    it allocates: if it succeeds, no eigenvalue is below -tau and
-    the pair is accepted, with psd_tol = tau unless the caller gave one.
+    place (:func:`_cholesky_in_place`), so M and, unless L is kept, L's copy
+    are the only n x n arrays it allocates: if it succeeds, no eigenvalue is
+    below -tau and the pair is accepted, with psd_tol = tau unless the
+    caller gave one.
     Otherwise L is compressed again and an eigvalsh of M decides by the
     eigenvalue rule: anything below -psd_tol raises
     :class:`CPDViolationError`, the default tolerance being
@@ -332,10 +372,35 @@ def _is_zero_kind(arr: np.ndarray) -> bool:
             and arr.item(0) == 0.0 and math.copysign(1.0, arr.item(0)) > 0.0)
 
 
-def _checked_square(L) -> tuple[np.ndarray, float]:
-    """(0.5 (L + L^T), max |L|) from one :func:`_symmetrized` sweep, or
-    ValueError unless L is square, finite and symmetric within
-    1e-10 * max |L|. The zero kind is kept as it is, with max |L| = 0."""
+def _frozen(arr: np.ndarray) -> bool:
+    """Whether arr is frozen: every ndarray on its .base chain is read-only
+    and the chain ends in an array that owns its data or in a bytes object.
+    A read-only view of a writable array, np.broadcast_to's included, is not
+    frozen."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return isinstance(arr, bytes)
+
+
+def _kept(arr: np.ndarray) -> np.ndarray:
+    """arr when it is frozen, else a copy in its layout that the caller
+    cannot write."""
+    return arr if _frozen(arr) else arr.copy(order="K")
+
+
+def _checked_square(L, *, owned: bool = False) -> tuple[np.ndarray, float]:
+    """(L as :func:`make_nnp` keeps it, max |L|), or ValueError unless L is
+    square, finite and symmetric within 1e-10 * max |L|.
+
+    The zero kind is kept as it is, with max |L| = 0. A frozen, C- or
+    F-contiguous L that :func:`_symmetric_scale` finds finite and
+    bit-symmetric is kept too, C-ordered (an F-ordered L as L^T). Any other
+    L is replaced by 0.5 (L + L^T) from one :func:`_symmetrized` sweep, which
+    writes it into L's own buffer when the caller owns L (owned=True)."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("L must be square")
@@ -343,7 +408,11 @@ def _checked_square(L) -> tuple[np.ndarray, float]:
         logger.debug("make_nnp: L is the zero kind, kept without a sweep: noise floor 0, "
                      "q = 0 (n=%d)", L.shape[0])
         return L, 0.0
-    S, scale, asymmetry = _symmetrized(L)
+    if (L.flags.c_contiguous or L.flags.f_contiguous) and _frozen(L):
+        scale = _symmetric_scale(L)
+        if scale is not None:
+            return (L if L.flags.c_contiguous else L.T), scale
+    S, scale, asymmetry = _symmetrized(L, out=L if owned else None)
     if not np.isfinite(scale):
         raise ValueError("L has a non-finite entry")
     if scale > 0 and asymmetry > 1e-10 * scale:
@@ -362,6 +431,7 @@ def _projective_part(V, n: int) -> tuple[np.ndarray, np.ndarray, float]:
         V = V[:, None]
     if V.shape[0] != n:
         raise ValueError("V must have n rows")
+    V = _kept(V)
     if not np.all(np.isfinite(V)):
         raise ValueError("V has a non-finite entry")
     p = V.shape[1]
@@ -384,8 +454,10 @@ def make_factored_nnp(B, C, V=None, psd_tol: float | None = None) -> NNP:
     """Validate the pair (B C B^T; V), B of shape (n, h) and C symmetric
     h x h, and take its spectrum from the factor: no n x n decomposition.
 
-    L = B C B^T is formed once and kept (checked and symmetrised as in
-    :func:`make_nnp`, whose Q, rank check and log det(V^T V) are taken too).
+    L = B C B^T is formed once, checked and symmetrised in its own buffer as
+    in :func:`make_nnp`, and kept; make_nnp's Q, rank check and
+    log det(V^T V) are taken too, and B, C and V are kept or copied by its
+    rule for V.
     With R = (I - QQ^T) B (projected twice) and its thin QR R = Q_r R_r, the
     nonzero spectrum of N^T L N is that of the small K = R_r C R_r^T; one
     eigh of K gives the CPD check, lam and U = Q_r Z, so q <= h. Projecting
@@ -398,14 +470,14 @@ def make_factored_nnp(B, C, V=None, psd_tol: float | None = None) -> NNP:
     raises ValueError.
     """
     _check_tol(psd_tol)
-    B, C = np.array(B, dtype=float), np.array(C, dtype=float)
+    B, C = _kept(np.asarray(B, dtype=float)), _kept(np.asarray(C, dtype=float))
     if B.ndim != 2 or C.shape != (B.shape[1], B.shape[1]):
         raise ValueError(f"a factor needs B of shape (n, h) and C of shape (h, h), "
                          f"not {B.shape} and {C.shape}")
     if not (np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
         raise ValueError("the factor has a non-finite entry")
     n, h = B.shape
-    L, _ = _checked_square(B @ C @ B.T)
+    L, _ = _checked_square(B @ C @ B.T, owned=True)
     V, Q, logdet_vtv = _projective_part(V, n)
     p = Q.shape[1]
     R = B - Q @ (Q.T @ B)
@@ -808,9 +880,10 @@ def read_json(path):
     whole, and each block's data is decoded from its ASCII encoding.
 
     A "data" member that is not the base64 string of a block {"shape",
-    "data"}, or a block with a bad shape, data that is not base64 or a size
-    that does not match its shape, is a ValueError that starts "ensemble
-    record:". A document that json.loads refuses raises json.loads's error.
+    "data"}, a block that repeats a key, or a block with a bad shape, data
+    that is not base64 or a size that does not match its shape, is a
+    ValueError that starts "ensemble record:". A document that json.loads
+    refuses raises json.loads's error.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -829,6 +902,10 @@ def read_json(path):
         obj = dict(pairs)
         if "data" not in obj:
             return obj
+        if len(obj) < len(pairs):
+            # json.loads keeps the last value of a repeated key, and a cut
+            # string that it drops would never be checked
+            raise ValueError("ensemble record: a block {\"shape\", \"data\"} repeats a key")
         if obj.keys() != {"shape", "data"} or not isinstance(obj["data"], str):
             raise ValueError('ensemble record: "data" is only the base64 string of a block '
                              '{"shape": [rows, cols], "data": base64}')
@@ -882,8 +959,9 @@ def nnp_to_dict(e: NNP) -> dict:
     obj = {
         "n": e.n,
         "p": e.p,
-        # L is exactly symmetric, so its transpose, a Fortran-ordered view,
-        # has L's column-major bytes in L's own buffer
+        # L is exactly symmetric and, as make_nnp keeps it, C-ordered (a kept
+        # Fortran-ordered block is held as its transpose), so L^T, a
+        # Fortran-ordered view, has L's column-major bytes in L's own buffer
         "L": e.L.T,
         "V": e.V,
         "psd_tol": e._given_tol,
@@ -915,10 +993,13 @@ def nnp_from_dict(obj: dict, psd_tol: float | None = None, *,
 
     Blocks are arrays, as :func:`read_json` and :func:`nnp_to_dict` give
     them; a block read from a file is a read-only view of its decoded
-    bytes. The constructors get the arrays as they are, so the only new
-    n x n arrays are the L they keep, N^T L N (and, for a factor, the
-    product B C B^T it is symmetrised from). A factored record's L must
-    match the rebuilt L within 1e-10 * max |L|.
+    bytes, which nobody can write, so it is frozen. The constructors get
+    the arrays as they are and keep a frozen block that is finite and
+    bit-symmetric (for L) without a copy, as for every record that
+    :func:`write_json` wrote: the only new n x n array of a dense reload is
+    N^T L N, and that of a factored one the product B C B^T, symmetrised in
+    its own buffer. A factored record's L must match the rebuilt L within
+    1e-10 * max |L|.
     """
     L, V = _block(obj, "L"), _block(obj, "V")
     if psd_tol is None:

@@ -89,7 +89,10 @@ def classify_fixed(d: int, r, m: int) -> tuple[str, int]:
 
 
 def _sure_full_set(n: int) -> NNP:
-    return make_nnp(np.broadcast_to(0.0, (n, n)), np.eye(n))
+    # frozen, so make_nnp keeps V = I rather than copying it
+    V = np.eye(n)
+    V.setflags(write=False)
+    return make_nnp(np.broadcast_to(0.0, (n, n)), V)
 
 
 def _projection_process(ps: PointSet, k: int) -> NNP:
@@ -203,5 +206,7 @@ def default_ensemble(ps: PointSet, beta: int, gamma: float) -> NNP:
     half_up = (beta + 1) // 2
     L = distance_power_matrix(ps, beta)
     L *= gamma * (-1.0) ** half_up
+    # bit-symmetric by construction: frozen, make_nnp keeps it without a copy
+    L.setflags(write=False)
     V = vandermonde(ps, half_up - 1)
     return make_nnp(L, V)

@@ -1,5 +1,6 @@
 import base64
 import binascii
+import hashlib
 import itertools
 import json
 import logging
@@ -601,15 +602,94 @@ def test_validation_only_construction_memory():
     n = 2000
     L = -distance_power_matrix(uniform_points(n, 2, seed=59), 1)
     V = np.ones((n, 1))
-    tracemalloc.start()
-    try:
-        make_nnp(L, V)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def peak():
+        tracemalloc.start()
+        try:
+            make_nnp(L, V)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     # L's symmetrized copy and N^T L N, factored in place by blocks of 256
     # rows (3.0 n^2 when np.linalg.cholesky made the whole factor)
-    assert peak <= 2.5 * n * n * 8
+    assert peak() <= 2.5 * n * n * 8
+    # a frozen, bit-symmetric L is kept: N^T L N is the only n x n array
+    L.setflags(write=False)
+    assert peak() <= 1.25 * n * n * 8
+
+
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def _symmetric(n, seed):
+    """A positive semi-definite L, symmetric bit for bit."""
+    X = np.random.default_rng(seed).standard_normal((n, n))
+    A = X @ X.T / n
+    return 0.5 * (A + A.T)
+
+
+def test_a_frozen_bit_symmetric_l_is_kept():
+    S = _symmetric(300, 60)
+    V = np.ones((300, 1))
+    copied = make_nnp(S.copy(), V)
+    L = _frozen(S.copy())
+    e = make_nnp(L, V)
+    assert e.L is L and e.L.tobytes() == copied.L.tobytes()
+    # a Fortran-ordered one is held as its C-ordered transpose
+    F = _frozen(np.asfortranarray(S))
+    e = make_nnp(F, V)
+    assert e.L.base is F and e.L.flags.c_contiguous and e.L.tobytes() == copied.L.tobytes()
+    np.testing.assert_array_equal(e.lam, copied.lam)
+
+
+def _copied_cases():
+    """(name, L): Ls that make_nnp must replace by 0.5 (L + L^T)."""
+    S = _symmetric(300, 61)
+    yield "writable", S.copy()
+    view = S.copy()[:]
+    view.setflags(write=False)
+    yield "read-only-view-of-writable", view
+    signed = S.copy()
+    signed[0, 1], signed[1, 0] = 0.0, -0.0
+    yield "signed-zero-pair", _frozen(signed)
+    ulp = S.copy()
+    ulp[5, 3] = np.nextafter(ulp[3, 5], np.inf)
+    yield "one-ulp", _frozen(ulp)
+    wide = np.zeros((300, 600))
+    wide[:, ::2] = S
+    yield "not-contiguous", _frozen(wide)[:, ::2]
+
+
+@pytest.mark.parametrize("name", [c[0] for c in _copied_cases()])
+def test_any_other_l_gets_the_symmetrized_copy(name):
+    L = dict(_copied_cases())[name]
+    writeable = L.flags.writeable
+    e = make_nnp(L, np.ones((300, 1)))
+    assert not np.shares_memory(e.L, L) and e.L.flags.c_contiguous
+    assert e.L.tobytes() == (0.5 * (L + L.T)).tobytes()
+    assert L.flags.writeable is writeable
+
+
+def test_constructors_leave_the_callers_arrays_as_they_were():
+    L, V = np.eye(4), np.ones((4, 1))
+    e = make_nnp(L, V)
+    assert L.flags.writeable and V.flags.writeable and e.V is not V
+    S = _symmetric(8, 62)
+    L, V = S + np.eye(8), np.random.default_rng(62).standard_normal((8, 2))
+    B, C = np.random.default_rng(63).standard_normal((8, 3)), np.diag([1.0, 2.0, 3.0])
+    dense, factored = make_nnp(L, V), ensembles.make_factored_nnp(B, C, V)
+    before = [(log_unnorm_prob(x, [0, 2, 5]), x.lam.tolist()) for x in (dense, factored)]
+    for arr in (L, V, B, C):
+        assert arr.flags.writeable
+        arr[...] = 7.0
+    assert [(log_unnorm_prob(x, [0, 2, 5]), x.lam.tolist()) for x in (dense, factored)] == before
+    # a frozen V is kept, and stays as the caller froze it
+    V = _frozen(np.ones((4, 1)))
+    e = make_nnp(np.eye(4), V)
+    assert e.V is V and not V.flags.writeable
 
 
 def _spectrum_with_smallest(order, smallest, seed):
@@ -901,6 +981,61 @@ def test_reload_hands_make_nnp_the_decoded_bytes_without_a_copy(monkeypatch, dec
     np.testing.assert_array_equal(e2.lam, e.lam)
 
 
+def decoded_bytes(block: np.ndarray) -> np.ndarray:
+    """The bytes a decoded block views, as a uint8 array over them."""
+    base = block
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base, bytes)
+    return np.frombuffer(base, dtype=np.uint8)
+
+
+#: A dense limit (L = -D, V = 1) and a Wronskian one (a 5 x 5 factor, p = 10).
+LIMITS = {"dense": ("exponential", 10), "factored": ("gaussian", 13)}
+
+
+@pytest.mark.parametrize("kind", LIMITS)
+def test_reload_keeps_the_decoded_blocks(tmp_path, kind):
+    kernel, m = LIMITS[kind]
+    e = fixed_size_limit(uniform_points(60, 2, seed=64), builtin_kernel(kernel), m).process
+    record = reread(nnp_to_dict(e), tmp_path)
+    e2 = nnp_from_dict(record)
+    if kind == "dense":
+        kept = {"L": e2.L, "V": e2.V}
+        assert e2.L.tobytes() == e.L.tobytes()
+        np.testing.assert_array_equal(e2.lam, e.lam)
+    else:
+        kept = {"V": e2.V, "B": e2.factor[0], "C": e2.factor[1]}
+        # the factored pair's L is its own product B C B^T
+        assert not np.shares_memory(e2.L, record["L"])
+    blocks = {**record, **record.get("factor", {})}
+    for key, arr in kept.items():
+        assert np.shares_memory(arr, decoded_bytes(blocks[key])), key
+
+
+@pytest.mark.parametrize("kind", LIMITS)
+def test_rewriting_a_reloaded_record_copies_nothing(tmp_path, kind):
+    """A reloaded record is written again from the blocks it kept: less than
+    an eighth of one n x n float64 array is allocated, and the bytes are the
+    file's."""
+    n = 1000
+    kernel, m = LIMITS[kind]
+    e = fixed_size_limit(uniform_points(n, 2, seed=65), builtin_kernel(kernel), m).process
+    path = tmp_path / "e.json"
+    with path.open("wb") as fh:
+        write_json(nnp_to_dict(e), fh.write)
+    e2 = nnp_from_dict(read_json(path))
+    digest = hashlib.sha256()
+    tracemalloc.start()
+    try:
+        write_json(nnp_to_dict(e2), digest.update)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 8
+    assert digest.digest() == hashlib.sha256(path.read_bytes()).digest()
+
+
 def test_read_json_decodes_each_block_as_it_parses(tmp_path):
     e = ensembles.make_factored_nnp(np.arange(12.0).reshape(6, 2), np.eye(2),
                                     np.ones((6, 1)))
@@ -993,7 +1128,9 @@ def _record_corpus():
                                       "V": {"data": V, "shape": [60, 3]}}), "ok"
     yield "spaced-colon", '{"L": {"shape": [60, 60], "data" \n:\t "%s"}}' % L, "ok"
     yield "repeated-data", '{"L": {"shape": [60, 60], "data": "%s", "data": "%s"}}' % (
-        other, L), "ok"
+        other, L), "record"
+    yield "repeated-shape", dumps({"L": {"shape": [60, 60], "data": L}})[:-2] + \
+        ', "shape": [60, 60]}}', "record"
     yield "repeated-short-last", ('{"L": {"shape": [60, 60], "data": "%s", "data": "AAAA"}}'
                                   % L), "record"
     yield "repeated-block", '{"L": %s, "L": %s}' % (block % other, block % L), "ok"
@@ -1034,6 +1171,8 @@ def _record_corpus():
     yield "extra-data", '{"L": {"shape": [60, 60], "data": "%s"}} 1' % L, "json"
     yield "control-character", '{"L": {"shape": [60, 60], "data": "%s\t%s"}}' % (L, L), "json"
     yield "dropped-control-character", '{"data": "%s\t", "data": 1}' % L, "json"
+    yield "dropped-control-character-in-a-block", ('{"L": {"shape": [1, 1], "data": "x\ty", '
+                                                   '"data": "AAAAAAAA8D8="}}'), "json"
     yield "data-after-a-string", '{"a": "x"data": "%s"}' % L, "json"
     yield "unterminated", '{"L": {"shape": [60, 60], "data": "%s' % L, "json"
 
@@ -1112,7 +1251,7 @@ def test_zero_block_reads_as_the_zero_kind(tmp_path, caplog):
 
 
 def test_zero_kind_skips_the_sweep(monkeypatch, caplog, decompositions):
-    def no_sweep(L):
+    def no_sweep(L, out=None):
         raise AssertionError("swept the zero kind")
 
     zero = np.broadcast_to(0.0, (300, 300))
