@@ -39,6 +39,7 @@ import json
 import logging
 import math
 import re
+import time
 from collections.abc import Iterator, Mapping
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -331,10 +332,11 @@ def make_nnp(L, V=None, psd_tol: float | None = None, *,
 
     With spectrum=None, validation is a Cholesky of M + tau I with
     tau = min(1e-10 * (1 + max diag M), psd_tol if given), blocked and in
-    place (:func:`_cholesky_in_place`), so M and, unless L is kept, L's copy
-    are the only n x n arrays it allocates: if it succeeds, no eigenvalue is
-    below -tau and the pair is accepted, with psd_tol = tau unless the
-    caller gave one.
+    place, with each panel multiplied by the inverse of its diagonal block's
+    factor in one GEMM (:func:`_cholesky_in_place`), so M and, unless L is
+    kept, L's copy are the only n x n arrays it allocates: if it succeeds, no
+    eigenvalue is below -tau and the pair is accepted, with psd_tol = tau
+    unless the caller gave one.
     Otherwise L is compressed again and an eigvalsh of M decides by the
     eigenvalue rule: anything below -psd_tol raises
     :class:`CPDViolationError`, the default tolerance being
@@ -349,7 +351,8 @@ def make_nnp(L, V=None, psd_tol: float | None = None, *,
     the spectrum is empty (q = 0). L = 0 and p = n need no decomposition; an
     L of the zero kind, np.broadcast_to(0.0, (n, n)), is kept as it is and
     needs no sweep either.
-    Which decomposition decided is logged at DEBUG on the
+    Which decomposition decided, and the wall time of the deciding step
+    (compression plus decomposition, in ms), is logged at DEBUG on the
     ``flatdpp.ensembles`` logger. A NaN or infinite entry in L or V, or a
     psd_tol that is not a finite number >= 0, raises ValueError.
     """
@@ -508,6 +511,27 @@ def make_factored_nnp(B, C, V=None, psd_tol: float | None = None) -> NNP:
 #: Rows of a diagonal block of :func:`_cholesky_in_place`; its panel and
 #: the row blocks of its trailing update are this many rows tall too.
 _CHOLESKY_BLOCK = 256
+#: Order up to which :func:`_lower_inverse` calls np.linalg.inv.
+_INVERSE_LEAF = 32
+
+
+def _lower_inverse(F: np.ndarray) -> np.ndarray:
+    """Inverse of the nonsingular lower-triangular F, by halves:
+    [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]].
+
+    Only blocks of at most _INVERSE_LEAF rows reach np.linalg.inv, and the
+    rest is GEMM: at order 256 this takes a third of the time of one
+    np.linalg.inv, which runs an LU with pivoting and solves for all of I.
+    """
+    m = F.shape[0]
+    if m <= _INVERSE_LEAF:
+        return np.linalg.inv(F)
+    h = m // 2
+    G = np.zeros_like(F)
+    G[:h, :h] = _lower_inverse(F[:h, :h])
+    G[h:, h:] = _lower_inverse(F[h:, h:])
+    G[h:, :h] = -G[h:, h:] @ (F[h:, :h] @ G[:h, :h])
+    return G
 
 
 def _cholesky_in_place(A: np.ndarray) -> bool:
@@ -516,9 +540,13 @@ def _cholesky_in_place(A: np.ndarray) -> bool:
 
     Each diagonal block of at most _CHOLESKY_BLOCK rows is factored by
     np.linalg.cholesky; a failure there is a failure of A. The panel below it
-    is solved against that factor, and the trailing lower triangle (diagonal
-    blocks whole) is updated by row blocks. The temporaries are the size of a
-    panel, so no n x n array is made; only A's lower triangle is read.
+    is multiplied by the inverse of that factor (:func:`_lower_inverse`) in
+    one GEMM, which is cheaper than solving against the factor
+    (np.linalg.solve would run an LU of the triangular factor, then two
+    triangular solves over the whole panel). The
+    trailing lower triangle (diagonal blocks whole) is then updated by row
+    blocks. The temporaries are the size of a panel, so no n x n array is
+    made; only A's lower triangle is read.
     """
     m, b = A.shape[0], _CHOLESKY_BLOCK
     for k in range(0, m, b):
@@ -530,7 +558,7 @@ def _cholesky_in_place(A: np.ndarray) -> bool:
         if e == m:
             break
         # P^T is the factor's panel below the block: P = F^{-1} A[e:, k:e]^T
-        P = np.linalg.solve(F, A[e:, k:e].T)
+        P = _lower_inverse(F) @ A[e:, k:e].T
         for lo in range(e, m, b):
             hi = min(lo + b, m)
             A[lo:hi, e:hi] -= P[:, lo - e:hi - e].T @ P[:, :hi - e]
@@ -551,6 +579,7 @@ def _validate(L: np.ndarray, Q: np.ndarray, noise_floor: float, psd_tol: float |
     if noise_floor == 0.0 or p == n:
         # L = 0, or the sure full set: no spectrum to check
         return (1e-10 if psd_tol is None else psd_tol), np.zeros(0), None
+    start = time.perf_counter()
     M, Y, T = _compress(L, Q)
     if spectrum is None:
         tau = 1e-10 * (1.0 + float(np.max(M.diagonal())))
@@ -560,7 +589,8 @@ def _validate(L: np.ndarray, Q: np.ndarray, noise_floor: float, psd_tol: float |
         blocks = -(-M.shape[0] // _CHOLESKY_BLOCK)
         if _cholesky_in_place(M):
             logger.debug("make_nnp: blocked Cholesky of N^T L N + %.3e I in %d blocks "
-                         "accepted the pair (n=%d, p=%d)", tau, blocks, n, p)
+                         "accepted the pair (n=%d, p=%d, %.1f ms)", tau, blocks, n, p,
+                         1e3 * (time.perf_counter() - start))
             return (tau if psd_tol is None else psd_tol), None, None
         # M is partly factored: the eigenvalues are those of a fresh compression
         del M
@@ -573,12 +603,13 @@ def _validate(L: np.ndarray, Q: np.ndarray, noise_floor: float, psd_tol: float |
         w, W = np.linalg.eigh(M)
     else:
         w, W = np.linalg.eigvalsh(M), None
+    ms = 1e3 * (time.perf_counter() - start)
     del M
     lam, wmax = _positive_spectrum(w, noise_floor)
     if psd_tol is None:
         psd_tol = 1e-10 * (1.0 + wmax)
     logger.debug("make_nnp: %s decided with min eigenvalue %.3e, psd_tol %.3e, q = %d "
-                 "(n=%d, p=%d)", decider, w[0], psd_tol, lam.size, n, p)
+                 "(n=%d, p=%d, %.1f ms)", decider, w[0], psd_tol, lam.size, n, p, ms)
     if wmax and w[0] < -psd_tol:
         raise CPDViolationError(
             f"L is not CPD with respect to V: min eigenvalue {w[0]:.3e} "

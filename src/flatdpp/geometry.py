@@ -66,9 +66,9 @@ def grid_points(n: int, d: int) -> PointSet:
     return PointSet(coords)
 
 
-#: Rows per block of PointSet's distinctness sweep, and columns per piece of
-#: a block's partners: the sweep's temporaries are two arrays of at most this
-#: many rows by columns.
+#: Rows per block of PointSet's distinctness sweep and of :func:`_sq_dists`,
+#: and columns per piece of a sweep block's partners: the sweep's
+#: temporaries are two arrays of at most this many rows by columns.
 _BLOCK_ROWS = 128
 _BLOCK_COLS = 1024
 
@@ -80,15 +80,22 @@ def _sq_dists(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     Each term (x_ik - x_jk)^2 is symmetric in (i, j) and the terms are added
     in the same order for both, so _sq_dists(x, x) is exactly symmetric with
     a zero diagonal, and every pair gets the same value whichever rows and
-    columns it is computed among; only two result-sized arrays are live.
+    columns it is computed among. Blocks of _BLOCK_ROWS rows are accumulated
+    straight into the result, with one scratch array of a block's size for
+    the next coordinate's terms, so the result is the only large array.
     """
-    sq = np.subtract.outer(rows[:, 0], cols[:, 0])
-    sq *= sq
-    for k in range(1, rows.shape[1]):
-        diff = np.subtract.outer(rows[:, k], cols[:, k])
-        diff *= diff
-        sq += diff
-    return sq
+    out = np.empty((rows.shape[0], cols.shape[0]))
+    scratch = np.empty((min(_BLOCK_ROWS, rows.shape[0]), cols.shape[0]))
+    for lo in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = rows[lo:lo + _BLOCK_ROWS]
+        sq, diff = out[lo:lo + block.shape[0]], scratch[:block.shape[0]]
+        np.subtract.outer(block[:, 0], cols[:, 0], out=sq)
+        sq *= sq
+        for k in range(1, rows.shape[1]):
+            np.subtract.outer(block[:, k], cols[:, k], out=diff)
+            diff *= diff
+            sq += diff
+    return out
 
 
 def _min_sq_dist(coords: np.ndarray) -> float:
@@ -144,5 +151,6 @@ def distance_power_matrix(ps: PointSet, p: int) -> np.ndarray:
         sq **= p // 2
     else:
         np.sqrt(sq, out=sq)
-        sq **= p
+        if p > 1:
+            sq **= p
     return sq

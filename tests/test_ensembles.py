@@ -5,6 +5,7 @@ import itertools
 import json
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -692,12 +693,14 @@ def test_constructors_leave_the_callers_arrays_as_they_were():
     assert e.V is V and not V.flags.writeable
 
 
-def _spectrum_with_smallest(order, smallest, seed):
-    """M + tau I: M symmetric with eigenvalues in [1, 2] but for one set to
-    smallest(tau), tau as make_nnp derives it from M's diagonal."""
-    rng = np.random.default_rng(seed)
+def _spectrum_with_smallest(spectrum, smallest):
+    """M + tau I: M symmetric with the eigenvalues spectrum (an order gives
+    that many in [1, 2]) but for the first set to smallest(tau), tau as
+    make_nnp derives it from M's diagonal. The order seeds the rotation."""
+    order = spectrum if isinstance(spectrum, int) else len(spectrum)
+    rng = np.random.default_rng(order)
     Z = np.linalg.qr(rng.standard_normal((order, order)))[0]
-    w = rng.uniform(1.0, 2.0, order)
+    w = rng.uniform(1.0, 2.0, order) if isinstance(spectrum, int) else spectrum.copy()
     w[0] = 0.0
     tau = 1e-10 * (1.0 + float(np.max(np.einsum("ij,j,ij->i", Z, w, Z))))
     w[0] = smallest(tau)
@@ -707,14 +710,23 @@ def _spectrum_with_smallest(order, smallest, seed):
     return M
 
 
-@pytest.mark.parametrize("order", [1, 255, 256, 257, 515])
+# four blocks, the last of one row, and eigenvalues from 1e-9 to 1 (M + tau I
+# has a condition number near 1e10): the margin is decided in the one-row
+# Schur complement, reached through three panels multiplied by inverse
+# factors whose condition numbers are 1e2 to 4e2
+_LOG_SPACED = np.logspace(-9.0, 0.0, 3 * 256 + 1)
+
+
+@pytest.mark.parametrize("spectrum", [1, 255, 256, 257, 515,
+                                      pytest.param(_LOG_SPACED, id="769-log-spaced")])
 @pytest.mark.parametrize("smallest,passes", [(lambda t: -2.0 * t, False),
                                              (lambda t: -0.5 * t, True),
                                              (lambda t: t, True)],
                          ids=["-2tau", "-tau/2", "+tau"])
 @pytest.mark.parametrize("layout", ["C", "F"])
-def test_in_place_cholesky_decides_as_lapack(order, smallest, passes, layout, decompositions):
-    M = _spectrum_with_smallest(order, smallest, seed=order)
+def test_in_place_cholesky_decides_as_lapack(spectrum, smallest, passes, layout, decompositions):
+    M = _spectrum_with_smallest(spectrum, smallest)
+    order = M.shape[0]
     try:
         np.linalg.cholesky(M)
         lapack = True
@@ -727,6 +739,17 @@ def test_in_place_cholesky_decides_as_lapack(order, smallest, passes, layout, de
     blocks = [min(256, order - k) for k in range(0, order, 256)]
     orders = [o for _, o in decompositions.orders]
     assert orders == (blocks if passes else blocks[:len(orders)])
+
+
+@pytest.mark.parametrize("order", [1, 32, 33, 255, 256])
+@pytest.mark.parametrize("log_spaced", [False, True], ids=["1..2", "1e-9..1"])
+def test_lower_inverse_inverts_the_factor(order, log_spaced):
+    # eigenvalues in [1, 2], or log-spaced over 1e-9..1 (cond F = 3e4 at order 32)
+    spectrum, smallest = (np.logspace(-9.0, 0.0, order), 1e-9) if log_spaced else (order, 1.0)
+    F = np.linalg.cholesky(_spectrum_with_smallest(spectrum, lambda t: smallest))
+    G = ensembles._lower_inverse(F)
+    bound = order * np.finfo(float).eps * np.linalg.cond(F)
+    assert np.abs(G @ F - np.eye(order)).max() <= bound
 
 
 def test_failed_cholesky_falls_back_to_a_fresh_compression(monkeypatch, decompositions):
@@ -803,6 +826,8 @@ def test_deciding_path_is_logged(caplog, decompositions):
     _, msgs = logged(lambda: make_nnp(e.L, e.V))
     assert len(msgs) == 1 and "blocked Cholesky" in msgs[0]
     assert "in 2 blocks accepted the pair" in msgs[0]
+    # with the deciding step's wall time: compression plus decomposition
+    assert re.search(r"\(n=300, p=10, \d+\.\d ms\)$", msgs[0])
     assert decompositions.orders == [("cholesky", 256), ("cholesky", 34)]
     # a caller that needs the spectrum has its one decomposition decide
     for spectrum, name in (("values", "eigvalsh"), ("vectors", "eigh")):
@@ -811,6 +836,7 @@ def test_deciding_path_is_logged(caplog, decompositions):
         assert len(msgs) == 1
         assert f"{name} (requested by the caller) decided with min eigenvalue" in msgs[0]
         assert "q = 5" in msgs[0] and decompositions.orders == [(name, 290)]
+        assert re.search(r"\(n=300, p=10, \d+\.\d ms\)$", msgs[0])
         np.testing.assert_allclose(r.lam, e.lam, rtol=1e-8)
         assert r.psd_tol == 1e-10 * (1.0 + r.lam[0])
     # and on the translated L the dense noise floor still hides the spectrum
@@ -824,7 +850,7 @@ def test_deciding_path_is_logged(caplog, decompositions):
     assert any("noise floor forced q = 0" in m for m in msgs)
     assert any("blocked Cholesky of N^T L N + " in m and "in 2 blocks failed; eigvalsh "
                "decided with min eigenvalue -" in m and "psd_tol 1.000e-10" in m
-               for m in msgs)
+               and re.search(r"\(n=300, p=10, \d+\.\d ms\)$", m) for m in msgs)
 
 
 def test_scaling_leaves_minimal_fixed_size_law_invariant():

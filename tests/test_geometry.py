@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,41 @@ def test_squared_distances_bit_identical_to_pairwise_formula_up_to_d2():
             old[iu] = sq ** (p // 2) if p % 2 == 0 else np.sqrt(sq) ** p
             old += old.T
             assert np.array_equal(distance_power_matrix(ps, p), old)
+
+
+def _unblocked_power(coords, p):
+    """The n x n reference: each coordinate's differences squared and summed
+    in coordinate order, then the root and the power."""
+    if p == 0:
+        return np.ones((len(coords), len(coords)))
+    sq = sum(np.subtract.outer(coords[:, k], coords[:, k]) ** 2 for k in range(coords.shape[1]))
+    return sq ** (p // 2) if p % 2 == 0 else np.sqrt(sq) ** p
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_blocked_powers_bit_identical_to_unblocked(n, d):
+    ps = PointSet(np.random.default_rng(10 * n + d).uniform(-2.0, 5.0, size=(n, d)))
+    for p in range(6):
+        D = distance_power_matrix(ps, p)
+        assert D.tobytes() == _unblocked_power(ps.coords, p).tobytes()
+        assert np.array_equal(D, D.T)
+        assert np.all(np.diagonal(D) == (1.0 if p == 0 else 0.0))
+
+
+def test_distance_powers_make_no_n_by_n_temporary():
+    n = 2000
+    ps = uniform_points(n, 3, seed=11)
+    for p in (1, 2, 3):
+        tracemalloc.start()
+        try:
+            distance_power_matrix(ps, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result and one block of 128 rows (3 n^2 when each coordinate's
+        # differences were an n x n array)
+        assert peak <= 1.1 * n * n * 8
 
 
 def test_negative_or_fractional_power_rejected():
