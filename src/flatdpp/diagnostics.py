@@ -42,7 +42,7 @@ from .ensembles import (
     mask_of,
 )
 from .flatlimit import _fixed_size_dispatch, fixed_size_limit, limit_size_distribution
-from .geometry import DISTINCT_TOL, PointSet, _sq_dists
+from .geometry import PointSet, _sq_dists, coincidence_radius
 from .kernels import StationaryKernel, kernel_matrix
 
 logger = logging.getLogger(__name__)
@@ -333,14 +333,15 @@ def _block_slogdets(kernel: StationaryKernel, Z: PointSet, idx: np.ndarray,
     return log_unnorm_prob(e, idx)[::-1]
 
 
-def _near_duplicate_representatives(xs: np.ndarray) -> np.ndarray:
-    """rep[j]: the earliest row kept that lies within DISTINCT_TOL of row j, or j.
+def _near_duplicate_representatives(xs: np.ndarray, radius: float) -> np.ndarray:
+    """rep[j]: the earliest row kept that lies within radius of row j, or j.
 
     Rows are taken in order and a row is kept unless an earlier kept row lies
-    within DISTINCT_TOL of it, so the kept rows form a valid PointSet.
+    within radius of it, so the kept rows are distinct in any PointSet whose
+    coincidence radius is at most radius.
     """
     rep = np.arange(xs.shape[0])
-    close = np.triu(np.sqrt(_sq_dists(xs, xs)) <= DISTINCT_TOL, 1)
+    close = np.triu(np.sqrt(_sq_dists(xs, xs)) <= radius, 1)
     for i, j in zip(*np.nonzero(close)):
         if rep[i] == i and rep[j] == j:
             rep[j] = i
@@ -358,14 +359,16 @@ def conditional_density(kernel: StationaryKernel, Y, x_grid,
     on any ground set that contains it. Values are normalized to sum to one
     over the grid and vanish at grid points coinciding with an element of Y
     (and, in the limit, where V is singular on Y + x). A grid point within
-    DISTINCT_TOL of another grid point of its block takes that point's value.
+    the coincidence radius of Y and the grid of another grid point of its
+    block takes that point's value.
     precision is as in eps_ensemble_distribution, with the digits at risk
     read on K_Y.
     """
     Y = np.asarray(Y, dtype=float).reshape(len(Y), -1)
     x_grid = np.asarray(x_grid, dtype=float).reshape(len(x_grid), -1)
     k = Y.shape[0]
-    free = np.min(np.linalg.norm(x_grid[:, None, :] - Y, axis=2), axis=1) > DISTINCT_TOL
+    radius = coincidence_radius(Y, x_grid)
+    free = np.min(np.linalg.norm(x_grid[:, None, :] - Y, axis=2), axis=1) > radius
     xs, where = np.unique(x_grid[free], axis=0, return_inverse=True)
     wanted = None if eps is None else _backend(
         "conditional_density", kernel_matrix(kernel, PointSet(Y), eps), k + 1, eps, precision)
@@ -376,7 +379,7 @@ def conditional_density(kernel: StationaryKernel, Y, x_grid,
         vals = np.full(xs.shape[0], -math.inf)
         for lo in range(0, xs.shape[0], CONDITIONAL_BLOCK):
             block = xs[lo:lo + CONDITIONAL_BLOCK]
-            rep = _near_duplicate_representatives(block)
+            rep = _near_duplicate_representatives(block, radius)
             own = np.flatnonzero(rep == np.arange(rep.size))
             Z = PointSet(np.vstack([Y, block[own]]))
             idx = np.column_stack([np.tile(np.arange(k), (own.size, 1)), np.arange(k, Z.n)])

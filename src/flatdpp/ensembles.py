@@ -43,7 +43,7 @@ import time
 from collections.abc import Iterator, Mapping
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,7 +98,7 @@ def _compress(L: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     with W = L Q - Q (Q^T L Q) / 2. Rounded to float64, L1 is on the scale of
     N^T L N, so the reflector step adds errors on that scale rather than on
     the scale of L's span(V) part (applied to L itself, it leaves rounding
-    noise several times larger, enough to move the rank cut). Only L1's
+    noise several times larger, on the scale of that part). Only L1's
     strip L1[:, :p] and trailing block L1[p:, p:] are formed. With Z = L1 Y,
     H^T L1 H = L1 - X Y^T - Y X^T for X = Z T - Y T^T (Y^T Z) T / 2, whose
     trailing block is M, updated in place.
@@ -136,18 +136,40 @@ def _lift(W: np.ndarray, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
     return U
 
 
-def _positive_spectrum(w: np.ndarray, noise_floor: float) -> tuple[np.ndarray, float]:
-    """(lam, wmax): the ascending eigenvalues w that are spectrum, descending,
-    and max |w|; (empty, 0.0) when all of w is rounding noise of the
-    compression."""
-    wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    if wmax <= noise_floor:
-        logger.debug("N^T L N is rounding noise: the noise floor forced q = 0 "
-                     "(max |eigenvalue| %.3e <= noise floor %.3e)", wmax, noise_floor)
-        return w[:0].copy(), 0.0
-    # eigenvalues below ~1e3 times the eigensolver noise floor are
-    # indistinguishable from zero modes
-    return w[w > 1e-12 * wmax][::-1].copy(), wmax
+class _Bound(NamedTuple):
+    """beta = n eps (max |L| + ||M||_F), M = N^T L N (for a factor, K): the
+    one bound that decides PSD and rank. It sums the backward errors of the
+    compression (eps ||L||_2 <= n eps max |L|) and of the symmetric
+    eigensolver (n eps ||M||_2 <= n eps ||M||_F), so by Weyl's inequality
+    each computed eigenvalue is within beta of an exact one. Eigenvalues
+    above beta are spectrum, one below -psd_tol (by default beta) is a CPD
+    violation, and those in between are unresolved: counted and logged, not
+    kept. beta scales with L, so no decision changes under L -> c L.
+    """
+
+    n: int
+    max_l: float
+    norm_m: float
+
+    @property
+    def beta(self) -> float:
+        return self.n * np.finfo(float).eps * (self.max_l + self.norm_m)
+
+    def spectrum(self, w: np.ndarray, tol: float, what: str, where: str,
+                 refusal: str | None = None) -> np.ndarray:
+        """lam: the ascending eigenvalues w above beta, descending. Given a
+        refusal, a w[0] below -tol raises CPDViolationError with it; what
+        and where frame the DEBUG line of the decision."""
+        lam = w[w > self.beta][::-1].copy()
+        logger.debug("%s with min eigenvalue %.3e, psd_tol %.3e; %s; q = %d, %d unresolved (%s)",
+                     what, w[0] if w.size else 0.0, tol, self, lam.size, w.size - lam.size, where)
+        if refusal is not None and w.size and w[0] < -tol:
+            raise CPDViolationError(f"{refusal} min eigenvalue {w[0]:.3e} < -{tol:.3e}")
+        return lam
+
+    def __str__(self) -> str:
+        return (f"beta {self.beta:.3e} = n eps (max |L| {self.max_l:.3e} "
+                f"+ ||M||_F {self.norm_m:.3e})")
 
 
 class NNP:
@@ -160,16 +182,15 @@ class NNP:
         :func:`make_nnp`), else the pair's own copy. An L that is exactly
         zero may be the zero kind, np.broadcast_to(0.0, (n, n)).
     Q : orthonormal basis of span(V), shape (n, p).
-    lam : positive eigenvalues (descending) of N^T L N, where [Q | N] is an
-        orthonormal basis of R^n; one cached eigvalsh on first read.
+    lam : eigenvalues above beta (descending) of N^T L N, where [Q | N] is
+        an orthonormal basis of R^n; one cached eigvalsh on first read.
     U : their eigenvectors lifted back as U = N W, column-major and
         orthogonal to Q by construction; one cached eigh on first read, which
         also sets lam when it is not yet known (otherwise U keeps the top q).
-    q : number of positive eigenvalues; q <= n - p.
+    q : number of eigenvalues above beta; q <= n - p.
     logdet_vtv : log det(V^T V), 0.0 when p = 0.
-    psd_tol : the tolerance that accepted the pair (see :func:`make_nnp`):
-        the caller's, or else the Cholesky shift tau, or, when an eigvalsh
-        or eigh decided, the eigenvalue rule's 1e-10 * (1 + max |eigenvalue|).
+    psd_tol : the tolerance that accepted the pair: the caller's, or else
+        beta = n eps (max |L| + ||N^T L N||_F) (:class:`_Bound`).
     factor : (B, C) with L = B C B^T when the pair was built by
         :func:`make_factored_nnp`, else None.
 
@@ -183,18 +204,17 @@ class NNP:
     first use.
     """
 
-    def __init__(self, L, V, *, Q, logdet_vtv, psd_tol, given_tol, noise_floor, lam,
-                 U=None, factor=None):
+    def __init__(self, L, V, *, Q, logdet_vtv, psd_tol, bound, lam, U=None, factor=None):
         self.L = L
         self.V = V
         self.Q = Q
         self.logdet_vtv = logdet_vtv
-        self.psd_tol = psd_tol
+        self.psd_tol = bound.beta if psd_tol is None else psd_tol
         self.factor = factor
         self.n = L.shape[0]
         self.p = V.shape[1]
-        self._given_tol = given_tol
-        self._noise_floor = noise_floor
+        self._given_tol = psd_tol
+        self._bound = bound
         self._lam: np.ndarray | None = None
         self._U: np.ndarray | None = None
         self._acceptance_tables: dict[int, np.ndarray] = {}
@@ -213,11 +233,14 @@ class NNP:
             # no eigenvector to compute
             self._U = np.zeros((self.n, 0), order="F")
 
+    def _keep(self, w: np.ndarray, name: str) -> None:
+        self._set_lam(self._bound.spectrum(w, self.psd_tol, f"NNP: {name} of N^T L N read",
+                                           f"n={self.n}, p={self.p}"))
+
     @property
     def lam(self) -> np.ndarray:
         if self._lam is None:
-            w = np.linalg.eigvalsh(_compress(self.L, self.Q)[0])
-            self._set_lam(_positive_spectrum(w, self._noise_floor)[0])
+            self._keep(np.linalg.eigvalsh(_compress(self.L, self.Q)[0]), "eigvalsh")
         return self._lam
 
     @property
@@ -231,7 +254,7 @@ class NNP:
             w, W = np.linalg.eigh(M)
             del M
             if self._lam is None:
-                self._set_lam(_positive_spectrum(w, self._noise_floor)[0])
+                self._keep(w, "eigh")
             if self._U is None:
                 U = _lift(W[:, ::-1][:, : self._lam.size], Y, T)
                 U.setflags(write=False)
@@ -330,31 +353,27 @@ def make_nnp(L, V=None, psd_tol: float | None = None, *,
     when V is the identity); the p Householder reflectors of Q compress L to
     M in O(n^2 p) without forming N.
 
-    With spectrum=None, validation is a Cholesky of M + tau I with
-    tau = min(1e-10 * (1 + max diag M), psd_tol if given), blocked and in
-    place, with each panel multiplied by the inverse of its diagonal block's
-    factor in one GEMM (:func:`_cholesky_in_place`), so M and, unless L is
-    kept, L's copy are the only n x n arrays it allocates: if it succeeds, no
-    eigenvalue is below -tau and the pair is accepted, with psd_tol = tau
-    unless the caller gave one.
-    Otherwise L is compressed again and an eigvalsh of M decides by the
-    eigenvalue rule: anything below -psd_tol raises
-    :class:`CPDViolationError`, the default tolerance being
-    1e-10 * (1 + max |eigenvalue|), and eigenvalues inside [-psd_tol, 0] are
-    zero modes. A caller that needs the spectrum anyway passes
-    spectrum="values" (one eigvalsh, which also gives lam) or "vectors" (one
-    eigh, which also gives lam and U): the one decomposition decides by the
-    same rule and no Cholesky runs.
+    With spectrum=None, validation is a Cholesky of M + psd_tol I, blocked
+    and in place, with each panel multiplied by the inverse of its diagonal
+    block's factor in one GEMM (:func:`_cholesky_in_place`), so M and, unless
+    L is kept, L's copy are the only n x n arrays it allocates: if it
+    succeeds, no eigenvalue is below -psd_tol and the pair is accepted.
+    Otherwise L is compressed again and an eigvalsh of M decides. psd_tol
+    defaults to beta = n eps (max |L| + ||M||_F), the backward error of the
+    compression and the eigensolver (:class:`_Bound`): eigenvalues above beta
+    are spectrum, one below -psd_tol raises :class:`CPDViolationError`, and
+    those in between are unresolved. A caller that needs the spectrum anyway
+    passes spectrum="values" (one eigvalsh, which also gives lam) or
+    "vectors" (one eigh, which also gives lam and U): the one decomposition
+    decides by the same rule and no Cholesky runs.
 
-    When no eigenvalue exceeds n^2 * machine epsilon * max |L| in magnitude,
-    M is rounding noise of the compression (L lies in the V-combinations) and
-    the spectrum is empty (q = 0). L = 0 and p = n need no decomposition; an
-    L of the zero kind, np.broadcast_to(0.0, (n, n)), is kept as it is and
-    needs no sweep either.
-    Which decomposition decided, and the wall time of the deciding step
-    (compression plus decomposition, in ms), is logged at DEBUG on the
-    ``flatdpp.ensembles`` logger. A NaN or infinite entry in L or V, or a
-    psd_tol that is not a finite number >= 0, raises ValueError.
+    L = 0 and p = n need no decomposition; an L of the zero kind,
+    np.broadcast_to(0.0, (n, n)), is kept as it is and needs no sweep either.
+    The deciding decomposition, beta and its two terms, q, the unresolved
+    count and the deciding step's wall time (compression plus
+    decomposition, in ms) are logged at DEBUG on the ``flatdpp.ensembles``
+    logger. A NaN or infinite entry in L or V, or a psd_tol that is not a
+    finite number >= 0, raises ValueError.
     """
     _check_tol(psd_tol)
     if spectrum not in (None, "values", "vectors"):
@@ -362,10 +381,8 @@ def make_nnp(L, V=None, psd_tol: float | None = None, *,
     L, scale = _checked_square(L)
     n = L.shape[0]
     V, Q, logdet_vtv = _projective_part(V, n)
-    noise_floor = n * n * np.finfo(float).eps * scale
-    tol, lam, U = _validate(L, Q, noise_floor, psd_tol, spectrum)
-    return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, psd_tol=tol, given_tol=psd_tol,
-               noise_floor=noise_floor, lam=lam, U=U)
+    bound, lam, U = _validate(L, Q, scale, psd_tol, spectrum)
+    return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, psd_tol=psd_tol, bound=bound, lam=lam, U=U)
 
 
 def _is_zero_kind(arr: np.ndarray) -> bool:
@@ -408,7 +425,7 @@ def _checked_square(L, *, owned: bool = False) -> tuple[np.ndarray, float]:
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("L must be square")
     if _is_zero_kind(L):
-        logger.debug("make_nnp: L is the zero kind, kept without a sweep: noise floor 0, "
+        logger.debug("make_nnp: L is the zero kind, kept without a sweep: beta 0, "
                      "q = 0 (n=%d)", L.shape[0])
         return L, 0.0
     if (L.flags.c_contiguous or L.flags.f_contiguous) and _frozen(L):
@@ -463,13 +480,9 @@ def make_factored_nnp(B, C, V=None, psd_tol: float | None = None) -> NNP:
     rule for V.
     With R = (I - QQ^T) B (projected twice) and its thin QR R = Q_r R_r, the
     nonzero spectrum of N^T L N is that of the small K = R_r C R_r^T; one
-    eigh of K gives the CPD check, lam and U = Q_r Z, so q <= h. Projecting
-    B off span(V) leaves errors on the scale of B, not of R, so K's
-    eigenvalues are known only to about the noise floor
-    (h + p) eps ||C|| ||R|| (2 ||B|| + ||R||) (Frobenius norms); those at or
-    below it are not spectrum. An eigenvalue below -psd_tol, by default
-    max(1e-10 max |eigenvalue|, noise floor), raises
-    :class:`CPDViolationError`; a psd_tol that is not a finite number >= 0
+    eigh of K gives the CPD check, lam and U = Q_r Z, so q <= h, by
+    make_nnp's rule with K for M (:class:`_Bound`): a dense pair with the
+    same L and V decides alike. A psd_tol that is not a finite number >= 0
     raises ValueError.
     """
     _check_tol(psd_tol)
@@ -479,33 +492,24 @@ def make_factored_nnp(B, C, V=None, psd_tol: float | None = None) -> NNP:
                          f"not {B.shape} and {C.shape}")
     if not (np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
         raise ValueError("the factor has a non-finite entry")
-    n, h = B.shape
-    L, _ = _checked_square(B @ C @ B.T, owned=True)
+    n = B.shape[0]
+    L, scale = _checked_square(B @ C @ B.T, owned=True)
     V, Q, logdet_vtv = _projective_part(V, n)
-    p = Q.shape[1]
     R = B - Q @ (Q.T @ B)
     R -= Q @ (Q.T @ R)
     Qr, Rr = np.linalg.qr(R)
     K = Rr @ C @ Rr.T
-    w, Z = np.linalg.eigh(0.5 * (K + K.T))
-    norm_R = float(np.linalg.norm(R))
-    noise_floor = ((h + p) * np.finfo(float).eps * float(np.linalg.norm(C)) * norm_R
-                   * (2.0 * float(np.linalg.norm(B)) + norm_R))
-    lam, wmax = _positive_spectrum(w, noise_floor)
-    lam = lam[lam > noise_floor]
-    tol = psd_tol if psd_tol is not None else (max(1e-10 * wmax, noise_floor) or 1e-10)
-    logger.debug("make_factored_nnp: eigh of the %dx%d factor decided with min eigenvalue "
-                 "%.3e, psd_tol %.3e, noise floor %.3e, q = %d (n=%d, p=%d)",
-                 w.size, w.size, w[0] if w.size else 0.0, tol, noise_floor, lam.size, n, p)
-    if w.size and w[0] < -tol:
-        raise CPDViolationError(
-            f"L = B C B^T is not CPD with respect to V: the Wronskian Schur block C, "
-            f"compressed to the complement of span(V), has min eigenvalue {w[0]:.3e} "
-            f"< -{tol:.3e}"
-        )
+    K = 0.5 * (K + K.T)
+    w, Z = np.linalg.eigh(K)
+    bound = _Bound(n, scale, float(np.linalg.norm(K)))
+    lam = bound.spectrum(
+        w, bound.beta if psd_tol is None else psd_tol,
+        f"make_factored_nnp: eigh of the {w.size}x{w.size} factor decided",
+        f"n={n}, p={V.shape[1]}", "L = B C B^T is not CPD with respect to V: the Wronskian "
+        "Schur block C, compressed to the complement of span(V), has")
     U = np.asfortranarray(Qr @ Z[:, ::-1][:, :lam.size])
-    return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, psd_tol=tol, given_tol=psd_tol,
-               noise_floor=noise_floor, lam=lam, U=U, factor=(B, C))
+    return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, psd_tol=psd_tol, bound=bound, lam=lam, U=U,
+               factor=(B, C))
 
 
 #: Rows of a diagonal block of :func:`_cholesky_in_place`; its panel and
@@ -571,52 +575,39 @@ def _check_tol(psd_tol: float | None) -> None:
         raise ValueError(f"psd_tol must be a finite number >= 0, not {psd_tol!r}")
 
 
-def _validate(L: np.ndarray, Q: np.ndarray, noise_floor: float, psd_tol: float | None,
-              spectrum: str | None) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """(the tolerance that accepted (L; V), lam and U if they were computed),
-    or raise."""
+def _validate(L: np.ndarray, Q: np.ndarray, scale: float, psd_tol: float | None,
+              spectrum: str | None) -> tuple[_Bound, np.ndarray | None, np.ndarray | None]:
+    """(the bound, lam and U if they were computed) for (L; V), whose
+    max |L| is scale, or raise."""
     n, p = Q.shape
-    if noise_floor == 0.0 or p == n:
+    if scale == 0.0 or p == n:
         # L = 0, or the sure full set: no spectrum to check
-        return (1e-10 if psd_tol is None else psd_tol), np.zeros(0), None
+        return _Bound(n, scale, 0.0), np.zeros(0), None
     start = time.perf_counter()
     M, Y, T = _compress(L, Q)
+    bound = _Bound(n, scale, float(np.linalg.norm(M)))
+    tol = bound.beta if psd_tol is None else psd_tol
     if spectrum is None:
-        tau = 1e-10 * (1.0 + float(np.max(M.diagonal())))
-        if psd_tol is not None:
-            tau = min(tau, psd_tol)
-        M.flat[:: M.shape[0] + 1] += tau
+        M.flat[:: M.shape[0] + 1] += tol
         blocks = -(-M.shape[0] // _CHOLESKY_BLOCK)
         if _cholesky_in_place(M):
             logger.debug("make_nnp: blocked Cholesky of N^T L N + %.3e I in %d blocks "
-                         "accepted the pair (n=%d, p=%d, %.1f ms)", tau, blocks, n, p,
-                         1e3 * (time.perf_counter() - start))
-            return (tau if psd_tol is None else psd_tol), None, None
+                         "accepted the pair; %s (n=%d, p=%d, %.1f ms)", tol, blocks, bound,
+                         n, p, 1e3 * (time.perf_counter() - start))
+            return bound, None, None
         # M is partly factored: the eigenvalues are those of a fresh compression
         del M
         M = _compress(L, Q)[0]
-        decider = (f"blocked Cholesky of N^T L N + {tau:.3e} I in {blocks} blocks "
-                   f"failed; eigvalsh")
+        decider = f"blocked Cholesky of N^T L N + {tol:.3e} I in {blocks} blocks failed; eigvalsh"
     else:
         decider = ("eigh" if spectrum == "vectors" else "eigvalsh") + " (requested by the caller)"
-    if spectrum == "vectors":
-        w, W = np.linalg.eigh(M)
-    else:
-        w, W = np.linalg.eigvalsh(M), None
+    w, W = np.linalg.eigh(M) if spectrum == "vectors" else (np.linalg.eigvalsh(M), None)
     ms = 1e3 * (time.perf_counter() - start)
     del M
-    lam, wmax = _positive_spectrum(w, noise_floor)
-    if psd_tol is None:
-        psd_tol = 1e-10 * (1.0 + wmax)
-    logger.debug("make_nnp: %s decided with min eigenvalue %.3e, psd_tol %.3e, q = %d "
-                 "(n=%d, p=%d, %.1f ms)", decider, w[0], psd_tol, lam.size, n, p, ms)
-    if wmax and w[0] < -psd_tol:
-        raise CPDViolationError(
-            f"L is not CPD with respect to V: min eigenvalue {w[0]:.3e} "
-            f"< -{psd_tol:.3e}"
-        )
+    lam = bound.spectrum(w, tol, f"make_nnp: {decider} decided", f"n={n}, p={p}, {ms:.1f} ms",
+                         "L is not CPD with respect to V:")
     U = None if W is None else _lift(W[:, ::-1][:, :lam.size], Y, T)
-    return psd_tol, lam, U
+    return bound, lam, U
 
 
 def bordered_matrix(e: NNP, idx: np.ndarray) -> np.ndarray:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Two points closer than this (Euclidean) are considered coincident.
-DISTINCT_TOL = 1e-12
+def coincidence_radius(*clouds: np.ndarray) -> float:
+    """Distance at or below which two points of the clouds are coincident:
+    4096 eps times their largest |coordinate| (9.1e-13 at unit scale), so
+    distinct points stay distinct under any scaling."""
+    return 4096 * np.finfo(float).eps * max(float(np.max(np.abs(c), initial=0.0)) for c in clouds)
 
 
 class PointSet:
@@ -33,7 +36,7 @@ class PointSet:
         self.d = d
         if n > 1:
             dmin = float(np.sqrt(_min_sq_dist(self.coords)))
-            if dmin <= DISTINCT_TOL:
+            if dmin <= coincidence_radius(self.coords):
                 raise ValueError(
                     f"points are not pairwise distinct (min distance {dmin:.3e})"
                 )
@@ -100,14 +103,14 @@ def _sq_dists(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _min_sq_dist(coords: np.ndarray) -> float:
     """Smallest squared distance between two of the n >= 2 points whenever
-    its root is at most DISTINCT_TOL, as PointSet checks; otherwise some
-    squared distance whose root is above DISTINCT_TOL.
+    its root is at most their :func:`coincidence_radius` r, as PointSet
+    checks; otherwise some squared distance whose root is above r.
 
     The points are sorted by their first coordinate, and each block of
     _BLOCK_ROWS sorted points is compared, in pieces of _BLOCK_COLS columns,
     only with the points from the block's first to the last whose first
-    coordinate is within 2 DISTINCT_TOL of the block's last one. Two points
-    at most DISTINCT_TOL apart are well within that in their first
+    coordinate is within 2 r of the block's last one. Two points at most r
+    apart are well within that in their first
     coordinate, so every such pair is compared, and gets the squared distance
     :func:`_sq_dists` gives it among any rows and columns. Points that share
     their first coordinate, as on a vertical line, are compared pair by pair.
@@ -115,8 +118,8 @@ def _min_sq_dist(coords: np.ndarray) -> float:
     x = coords[np.argsort(coords[:, 0], kind="stable")]
     first = x[:, 0]
     # x[i] is compared with the points before stops[i], and no further one
-    # is within 2 DISTINCT_TOL of it in the first coordinate
-    stops = np.searchsorted(first, first + 2.0 * DISTINCT_TOL, side="right")
+    # is within 2 r of it in the first coordinate
+    stops = np.searchsorted(first, first + 2.0 * coincidence_radius(coords), side="right")
     best = np.inf
     for lo in range(0, x.shape[0], _BLOCK_ROWS):
         rows = x[lo:lo + _BLOCK_ROWS]

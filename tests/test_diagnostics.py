@@ -463,8 +463,9 @@ def test_conditional_density_builds_one_limit_per_block(monkeypatch, decompositi
 
 @pytest.mark.parametrize("eps", [None, 0.5])
 def test_conditional_near_duplicate_grid_points_share_a_value(eps):
-    # 0.4 and 0.4 + 1e-13 are closer than DISTINCT_TOL: one block must not
-    # reject them, and both take the value the grid point 0.4 has on its own
+    # 0.4 and 0.4 + 1e-13 are closer than their coincidence radius (7.3e-13):
+    # one block must not reject them, and both take the value the grid point
+    # 0.4 has on its own
     dens = conditional_density(GAUSS, [0.2, 0.6], [0.4, 0.4 + 1e-13, 0.8], eps=eps)
     a, b = conditional_density(GAUSS, [0.2, 0.6], [0.4, 0.8], eps=eps)
     np.testing.assert_allclose(dens, np.array([a, a, b]) / (2 * a + b), rtol=1e-12)

@@ -192,10 +192,19 @@ def test_rank_deficient_V_rejected():
         make_nnp(np.eye(4), V)
 
 
+def spectrum_bound(L, V):
+    """beta = n eps (max |L| + ||N^T L N||_F), N an SVD complement of span(V)."""
+    n = L.shape[0]
+    N = np.linalg.svd(V, full_matrices=True)[0][:, V.shape[1]:] if V.shape[1] else np.eye(n)
+    return n * np.finfo(float).eps * (np.max(np.abs(L)) + np.linalg.norm(N.T @ L @ N))
+
+
 def test_cpd_violation_rejected():
-    ps = PointSet([0.0, 0.3, 0.9, 1.4])
-    with pytest.raises(CPDViolationError, match=r"min eigenvalue -1\.733e\+00 < -2\.733e-10$"):
-        make_nnp(distance_power_matrix(ps, 1), np.ones((4, 1)))
+    # the default psd_tol is the bound beta
+    L, V = distance_power_matrix(PointSet([0.0, 0.3, 0.9, 1.4]), 1), np.ones((4, 1))
+    beta = re.escape(f"{spectrum_bound(L, V):.3e}")
+    with pytest.raises(CPDViolationError, match=rf"min eigenvalue -1\.733e\+00 < -{beta}$"):
+        make_nnp(L, V)
 
 
 #: psd_tol values that are not a finite number >= 0, each with the sign of
@@ -520,6 +529,89 @@ def test_span_v_combinations_leave_no_spectrum():
             assert e2.lam[0] == pytest.approx(1e-8 * (r @ r), rel=1e-6)
 
 
+# ---------------------------------------------------------------------------
+# one bound, beta = n eps (max |L| + ||N^T L N||_F), decides PSD and rank
+# ---------------------------------------------------------------------------
+
+#: scale factors of L (or C) under which no decision may change
+SCALES = [1e-30, 1e-12, 1.0, 1e12, 1e30]
+
+
+def _distances(n=50):
+    return distance_power_matrix(uniform_points(n, 2, seed=0), 1)
+
+
+def _noise_beside_one_eigenvalue():
+    """V A^T + A V^T + 1e-8 b b^T at n = 6, p = 1: N^T L N has one genuine
+    eigenvalue (6.9e-8); the other four are rounding noise."""
+    rng = np.random.default_rng(0)
+    V, A, b = rng.standard_normal((6, 1)), rng.standard_normal((6, 1)), rng.standard_normal(6)
+    return V @ A.T + A @ V.T + 1e-8 * np.outer(b, b), V
+
+
+def _decision(build):
+    """(q, None) when build() accepts the pair, else (None, the error type)."""
+    try:
+        return build().q, None
+    except CPDViolationError as err:
+        return None, type(err)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_a_wrong_sign_is_refused_at_every_scale(c):
+    # +D is not CPD with respect to ones at any scale; -D gives q = n - 1
+    D, V = _distances(), np.ones((50, 1))
+    with pytest.raises(CPDViolationError):
+        make_nnp(c * D, V)
+    assert make_nnp(-c * D, V).q == 49
+
+
+@pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+def test_noise_beside_a_genuine_eigenvalue_is_unresolved(c, caplog):
+    L, V = _noise_beside_one_eigenvalue()
+    with caplog.at_level(logging.DEBUG, logger="flatdpp.ensembles"):
+        e = make_nnp(c * L, V, spectrum="values")
+    assert e.q == 1 and e.lam[0] == pytest.approx(6.879e-8 * c, rel=1e-3)
+    assert "; q = 1, 4 unresolved (n=6, p=1, " in caplog.records[-1].getMessage()
+
+
+def test_genuine_eigenvalues_above_the_bound_are_kept():
+    # (3+3d+d^2)exp(-d) at m = 8 on 2000 points: L = -D^5 with p = 6,
+    # so q = 1994 exactly. All 1994 eigenvalues of N^T L N are positive, the
+    # smallest near 3e-13; the 1e-12 relative cut kept 1963 of them
+    e = fixed_size_limit(uniform_points(2000, 2, seed=11), builtin_kernel("(3+3d+d^2)exp(-d)"),
+                         8).process
+    assert e.p == 6 and 1967 <= e.q <= 1994
+    assert e.lam[-1] > e.psd_tol == e._bound.beta
+
+
+def _pairs():
+    """(name, build(c, tol)): pairs whose L, or factor C, is scaled by c."""
+    D, ones = _distances(), np.ones((50, 1))
+    noisy, V = _noise_beside_one_eigenvalue()
+    g = fixed_size_limit(uniform_points(300, 2, seed=11), builtin_kernel("gaussian"), 13).process
+    B, C = g.factor
+    w, Z = np.linalg.eigh(C)
+    w[0] = -1e-9
+    C_negative = (Z * w) @ Z.T
+    yield "-D", lambda c, tol: make_nnp(-c * D, ones, psd_tol=tol)
+    yield "+D", lambda c, tol: make_nnp(c * D, ones, psd_tol=tol)
+    yield "noise", lambda c, tol: make_nnp(c * noisy, V, psd_tol=tol, spectrum="values")
+    yield "dense-wronskian", lambda c, tol: make_nnp(c * g.L, g.V, psd_tol=tol)
+    yield "factor", lambda c, tol: ensembles.make_factored_nnp(B, c * C, g.V, psd_tol=tol)
+    yield "factor-negative", lambda c, tol: ensembles.make_factored_nnp(
+        B, c * C_negative, g.V, psd_tol=tol)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _pairs()])
+@pytest.mark.parametrize("tol", [None, 1e-12, 1e-6])
+def test_scaling_l_changes_no_decision(name, tol):
+    build = dict(_pairs())[name]
+    decisions = {c: _decision(lambda: build(c, None if tol is None else c * tol))
+                 for c in SCALES}
+    assert len(set(decisions.values())) == 1, decisions
+
+
 def test_eigenvectors_column_major_orthonormal_and_orthogonal_to_v():
     for n, p in ((7, 0), (7, 1), (7, 3), (40, 5)):
         e = random_nnp(n, p, seed=n + p)
@@ -533,14 +625,11 @@ def test_eigenvectors_column_major_orthonormal_and_orthogonal_to_v():
 
 def eager_spectrum(L, V):
     """Reference: an SVD complement N of span(V), then eigh of N^T L N, with
-    make_nnp's cuts (n^2 eps max|L| noise floor, 1e-12 relative rank)."""
+    make_nnp's one cut: eigenvalues above beta = n eps (max|L| + ||N^T L N||_F)."""
     n = L.shape[0]
     N = np.linalg.svd(V, full_matrices=True)[0][:, V.shape[1]:] if V.shape[1] else np.eye(n)
     w, W = np.linalg.eigh(N.T @ L @ N)
-    wmax = np.max(np.abs(w), initial=0.0)
-    if wmax <= n * n * np.finfo(float).eps * np.max(np.abs(L)):
-        wmax = math.inf
-    keep = w > 1e-12 * wmax
+    keep = w > spectrum_bound(L, V)
     return w[keep][::-1], (N @ W)[:, keep][:, ::-1]
 
 
@@ -589,14 +678,13 @@ def test_read_order_does_not_change_q():
         np.testing.assert_allclose(e1.lam, e2.lam, rtol=0, atol=1e-12)
 
 
-def test_compression_noise_stays_below_the_rank_cut():
+def test_compression_noise_stays_below_the_bound():
     # Gaussian m = 13 in the plane: the Wronskian limit has q = H_{4,2} = 5.
-    # Its other eigenvalues are rounding noise of N^T L N, near 4e-13 of the
-    # largest; reflectors applied to L without projecting out span(V) first
-    # leave noise near 3e-12, above the 1e-12 rank cut (q = 6 on these clouds)
+    # On the dense path its other eigenvalues are rounding noise of N^T L N,
+    # below 1e-14, under beta (5e-13 to 6e-13 here)
     for seed in (1, 2, 3):
         e = fixed_size_limit(uniform_points(300, 2, seed=seed), builtin_kernel("gaussian"), 13)
-        assert e.process.q == 5
+        assert e.process.q == make_nnp(e.process.L, e.process.V).q == 5
 
 
 def test_validation_only_construction_memory():
@@ -695,8 +783,8 @@ def test_constructors_leave_the_callers_arrays_as_they_were():
 
 def _spectrum_with_smallest(spectrum, smallest):
     """M + tau I: M symmetric with the eigenvalues spectrum (an order gives
-    that many in [1, 2]) but for the first set to smallest(tau), tau as
-    make_nnp derives it from M's diagonal. The order seeds the rotation."""
+    that many in [1, 2]) but for the first set to smallest(tau), for the
+    shift tau = 1e-10 (1 + max diag M). The order seeds the rotation."""
     order = spectrum if isinstance(spectrum, int) else len(spectrum)
     rng = np.random.default_rng(order)
     Z = np.linalg.qr(rng.standard_normal((order, order)))[0]
@@ -812,20 +900,22 @@ def test_deciding_path_is_logged(caplog, decompositions):
     assert e.q == 5 and e.U.shape == (300, 5)
     assert decompositions == {"eigh": 1, "eigvalsh": 0, "cholesky": 0}
     assert decompositions.orders == [("eigh", 5)]
-    # the translated cloud: its factor's noise floor scales with B, not with
-    # n^2 eps max|L|, so q = 5 with the centred cloud's eigenvalues
+    # beta, its two terms and the unresolved count
+    assert re.search(r"psd_tol (\S+); beta \1 = n eps \(max \|L\| \S+ \+ \|\|M\|\|_F \S+\); "
+                     r"q = 5, 0 unresolved \(n=300, p=10\)$", msgs[0])
+    # the translated cloud: q = 5 with the centred cloud's eigenvalues
     centred = fixed_size_limit(PointSet(ps.coords - ps.coords.mean(axis=0)), kernel, 13)
     t, msgs = logged(lambda: fixed_size_limit(PointSet(ps.coords + 10.0), kernel, 13).process)
     assert t.q == 5 and t.U.shape == (300, 5)
     np.testing.assert_allclose(t.lam, centred.process.lam, rtol=1e-8)
-    assert not any("noise floor forced q = 0" in m for m in msgs)
+    assert "q = 5, 0 unresolved" in msgs[0]
     assert decompositions["eigh"] == 3 and max(o for _, o in decompositions.orders) == 5
     # the dense path on the same L: a blocked Cholesky of N^T L N (order
     # n - p = 290, so blocks of 256 and 34 rows) accepts the untranslated pair
     decompositions.orders.clear()
     _, msgs = logged(lambda: make_nnp(e.L, e.V))
     assert len(msgs) == 1 and "blocked Cholesky" in msgs[0]
-    assert "in 2 blocks accepted the pair" in msgs[0]
+    assert "in 2 blocks accepted the pair; beta " in msgs[0]
     # with the deciding step's wall time: compression plus decomposition
     assert re.search(r"\(n=300, p=10, \d+\.\d ms\)$", msgs[0])
     assert decompositions.orders == [("cholesky", 256), ("cholesky", 34)]
@@ -838,19 +928,20 @@ def test_deciding_path_is_logged(caplog, decompositions):
         assert "q = 5" in msgs[0] and decompositions.orders == [(name, 290)]
         assert re.search(r"\(n=300, p=10, \d+\.\d ms\)$", msgs[0])
         np.testing.assert_allclose(r.lam, e.lam, rtol=1e-8)
-        assert r.psd_tol == 1e-10 * (1.0 + r.lam[0])
-    # and on the translated L the dense noise floor still hides the spectrum
-    # (q = 0; centring the cloud is what would mend it)
+        assert r.psd_tol == r._bound.beta == pytest.approx(spectrum_bound(e.L, e.V), rel=1e-6)
+        assert re.search(r"; q = 5, 285 unresolved \(n=300, p=10, \d+\.\d ms\)$", msgs[0])
+    # the dense path on the translated L decides by the same rule as its
+    # factor: the Cholesky accepts, and q = 5 with the centred eigenvalues,
+    # each within beta, the bound that max |L| ~ 2e9 sets
     decompositions.orders.clear()
     d, msgs = logged(lambda: make_nnp(t.L, t.V))
-    assert d.q == 0 and d.U.shape == (300, 0)
-    *blocks, last = decompositions.orders
-    assert last == ("eigvalsh", 290) and blocks
-    assert all(name == "cholesky" and order <= 256 for name, order in blocks)
-    assert any("noise floor forced q = 0" in m for m in msgs)
-    assert any("blocked Cholesky of N^T L N + " in m and "in 2 blocks failed; eigvalsh "
-               "decided with min eigenvalue -" in m and "psd_tol 1.000e-10" in m
-               and re.search(r"\(n=300, p=10, \d+\.\d ms\)$", m) for m in msgs)
+    assert decompositions.orders == [("cholesky", 256), ("cholesky", 34)]
+    assert len(msgs) == 1 and "in 2 blocks accepted the pair" in msgs[0]
+    _, msgs = logged(lambda: d.lam)
+    assert d.q == 5 and d.U.shape == (300, 5)
+    np.testing.assert_allclose(d.lam, centred.process.lam, rtol=0, atol=d.psd_tol)
+    assert len(msgs) == 1 and msgs[0].startswith("NNP: eigvalsh of N^T L N read with min ")
+    assert msgs[0].endswith("; q = 5, 285 unresolved (n=300, p=10)")
 
 
 def test_scaling_leaves_minimal_fixed_size_law_invariant():
@@ -1287,7 +1378,8 @@ def test_zero_kind_skips_the_sweep(monkeypatch, caplog, decompositions):
     with caplog.at_level(logging.DEBUG, logger="flatdpp.ensembles"):
         e = make_nnp(zero, V, spectrum="vectors")
     assert "L is the zero kind" in caplog.records[0].getMessage()
-    assert e.L is zero and (e.p, e.q, e.psd_tol) == (4, 0, 1e-10)
+    # beta = n eps (max |L| + ||M||_F) is 0 for L = 0
+    assert e.L is zero and (e.p, e.q, e.psd_tol) == (4, 0, 0.0)
     assert e.U.shape == (300, 0) and decompositions.orders == []
     assert log_unnorm_prob(e, [0, 1, 2, 3]) == log_unnorm_prob(dense, [0, 1, 2, 3])
     # -0.0 or any other constant is no zero kind: the sweep reads it

@@ -131,17 +131,18 @@ def test_q_is_bounded_by_the_factor_when_n_minus_p_is_smaller():
     assert_same_spectrum(e, make_nnp(e.L, e.V), 4)
 
 
-def test_eigenvalues_within_the_noise_floor_are_not_spectrum():
+def test_eigenvalues_within_the_bound_are_not_spectrum():
     # C's 1e-10 direction gives an eigenvalue near 5e-10. Once B's span(V)
-    # part is 1e6, projecting it off leaves errors of that size, and the
-    # eigenvalue falls inside the floor: it is cut, not kept as spectrum
+    # part is 1e6, max |L| is 1e12 and the bound beta = n eps (max |L| +
+    # ||K||_F) is 1e-2: the eigenvalue falls inside it and is unresolved,
+    # not kept as spectrum
     x = uniform_points(50, 2, seed=1).coords
     x = x - x.mean(axis=0)
     C, V = np.diag([1.0, 1e-10]), np.ones((50, 1))
     kept = make_factored_nnp(x, C, V)
-    assert kept.q == 2 and kept.lam[1] > 1e3 * kept._noise_floor
+    assert kept.q == 2 and kept.lam[1] > 1e3 * kept._bound.beta
     cut = make_factored_nnp(x + 1e6, C, V)
-    assert cut.q == 1 and cut._noise_floor > 10 * kept.lam[1]
+    assert cut.q == 1 and cut._bound.beta > 10 * kept.lam[1]
     np.testing.assert_allclose(cut.lam, kept.lam[:1], rtol=1e-9)
 
 
@@ -153,6 +154,17 @@ def test_translated_cloud_keeps_the_spectrum(shift):
     assert e.q == 5
     np.testing.assert_allclose(e.lam, centred.process.lam, rtol=1e-8)
     assert np.abs(e.Q.T @ e.U).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0, 3.0, 10.0])
+def test_dense_and_factored_pairs_agree_on_q(shift):
+    # one bound decides both: beta = n eps (max |L| + ||M||_F), with M the
+    # n x n N^T L N or the factor's K; each eigenvalue within beta of the other
+    e = fixed_size_limit(PointSet(uniform_points(300, 2, seed=11).coords + shift),
+                         GAUSS, 13).process
+    dense = make_nnp(e.L, e.V)
+    assert dense.q == e.q == 5
+    np.testing.assert_allclose(dense.lam, e.lam, rtol=0, atol=max(dense.psd_tol, e.psd_tol))
 
 
 def test_reload_rebuilds_the_same_pair_from_the_factor(decompositions):

@@ -6,8 +6,8 @@ import pytest
 
 from flatdpp import geometry
 from flatdpp.geometry import (
-    DISTINCT_TOL,
     PointSet,
+    coincidence_radius,
     distance_matrix,
     distance_power_matrix,
     grid_points,
@@ -112,6 +112,19 @@ def test_coincident_points_rejected():
         PointSet([0.5, 0.5 + 1e-13])
 
 
+@pytest.mark.parametrize("scale", [1e-30, 1e-12, 1.0, 1e12, 1e30])
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e6])
+def test_coincidence_is_relative_to_the_cloud(scale, shift):
+    # a distinct cloud stays distinct at any scale and shift, and a pair
+    # half its coincidence radius apart is refused at each
+    coords = scale * (np.random.default_rng(4).uniform(size=(9, 2)) + shift)
+    assert PointSet(coords).n == 9
+    near = coords.copy()
+    near[8] = near[3] + [0.5 * coincidence_radius(coords), 0.0]
+    with pytest.raises(ValueError, match=r"^points are not pairwise distinct \(min distance"):
+        PointSet(near)
+
+
 _B = geometry._BLOCK_ROWS
 
 
@@ -124,11 +137,11 @@ def test_near_coincident_pair_found_in_any_block(d, pair):
     PointSet(coords)
     i, j = pair
     coords[j] = coords[i]
-    coords[j, 0] += 0.4 * DISTINCT_TOL
+    coords[j, 0] += 0.4 * coincidence_radius(coords)
     iu = np.triu_indices(len(coords), k=1)
     diff = coords[iu[0]] - coords[iu[1]]
     dmin = float(np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff))))
-    assert dmin <= DISTINCT_TOL
+    assert dmin <= coincidence_radius(coords)
     with pytest.raises(ValueError, match=rf"^points are not pairwise distinct "
                                          rf"\(min distance {dmin:.3e}\)$"):
         PointSet(coords)
@@ -163,7 +176,8 @@ def _moved(coords, i, j, offset):
     return coords
 
 
-_T = DISTINCT_TOL
+#: the coincidence radius of a cloud whose largest |coordinate| is 1
+_T = coincidence_radius(np.ones(1))
 _LINE = geometry._BLOCK_COLS + 3 * _B
 
 
@@ -196,9 +210,9 @@ _LINE = geometry._BLOCK_COLS + 3 * _B
 def test_sort_and_sweep_finds_what_every_pair_finds(coords):
     """Same verdict, message and minimum distance as comparing every pair."""
     dmin = _reference_min_distance(coords)
-    if dmin > DISTINCT_TOL:
+    if dmin > coincidence_radius(coords):
         assert PointSet(coords).n == len(coords)
-        assert math.sqrt(geometry._min_sq_dist(coords)) > DISTINCT_TOL
+        assert math.sqrt(geometry._min_sq_dist(coords)) > coincidence_radius(coords)
         return
     assert math.sqrt(geometry._min_sq_dist(coords)) == dmin
     with pytest.raises(ValueError) as err:

@@ -1,0 +1,97 @@
+"""Symmetries of the problem: maps of the ground set that leave every law alone.
+
+Each case builds a flat limit on 9 points in [0, 1]^2 (seed 4), maps the
+cloud, builds the same limit again and compares the two laws through the
+enumeration oracle by total variation. The 11 limits cover every regime:
+the isotropic kernels see only distances, and a linear map of the plane maps
+each space of polynomials of degree < k onto itself, so permuting, rotating
+and reflecting the points changes no law. Scaling the cloud leaves the
+fixed-size laws alone: it scales L by a constant and V by an invertible
+diagonal map, and a fixed-size law does not see either.
+Translation and scales past 10^4 in the polynomial regimes need a centred,
+scaled monomial frame, which the library does not build yet.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from flatdpp.cli import main
+from flatdpp.diagnostics import brute_force_distribution, tv_distance
+from flatdpp.ensembles import SubsetDistribution
+from flatdpp.flatlimit import fixed_size_limit, varying_size_limit
+from flatdpp.geometry import PointSet
+from flatdpp.kernels import builtin_kernel
+
+#: (kernel, fixed size m) and (kernel, varying exponent p)
+FIXED = [("gaussian", 3), ("gaussian", 4), ("gaussian", 5), ("gaussian", 6),
+         ("exponential", 5), ("(1+d)exp(-d)", 5), ("(3+3d+d^2)exp(-d)", 7)]
+VARYING = [("exponential", 1), ("gaussian", 2), ("gaussian", 3), ("(1+d)exp(-d)", 3)]
+LIMITS = [(k, "m", m) for k, m in FIXED] + [(k, "p", p) for k, p in VARYING]
+IDS = [f"{k}-{kind}{v}" for k, kind, v in LIMITS]
+
+COORDS = np.random.default_rng(4).uniform(size=(9, 2))
+#: the bound on the TV distance between the laws (they read <= 2.1e-14)
+TV = 1e-10
+
+
+def law(coords, kernel, kind, value) -> SubsetDistribution:
+    ps, kern = PointSet(coords), builtin_kernel(kernel)
+    if kind == "m":
+        return brute_force_distribution(fixed_size_limit(ps, kern, value).process, value)
+    return brute_force_distribution(varying_size_limit(ps, kern, value).process)
+
+
+def rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize("kernel,kind,value", LIMITS, ids=IDS)
+def test_permuting_the_points(kernel, kind, value):
+    perm = np.random.default_rng(40).permutation(9)
+    before, after = law(COORDS, kernel, kind, value), law(COORDS[perm], kernel, kind, value)
+    # point j of the cloud is point where[j] of the permuted one
+    where = np.argsort(perm)
+    masks = [sum(1 << int(where[j]) for j in range(9) if mask >> j & 1)
+             for mask in before.masks.tolist()]
+    assert tv_distance(SubsetDistribution(9, masks, before.values), after) <= TV
+
+
+@pytest.mark.parametrize("kernel,kind,value", LIMITS, ids=IDS)
+@pytest.mark.parametrize("linear", [rotation(0.7), np.diag([-1.0, 1.0])],
+                         ids=["rotation-0.7", "reflection"])
+def test_rotating_and_reflecting_the_points(kernel, kind, value, linear):
+    before, after = law(COORDS, kernel, kind, value), law(COORDS @ linear.T, kernel, kind, value)
+    assert tv_distance(before, after) <= TV
+
+
+@pytest.mark.parametrize("kernel,kind,value", [c for c in LIMITS if c[1] == "m"],
+                         ids=[i for i, c in zip(IDS, LIMITS) if c[1] == "m"])
+@pytest.mark.parametrize("scale", [1e-2, 1e2])
+def test_scaling_the_points_leaves_fixed_size_laws(kernel, kind, value, scale):
+    before, after = law(COORDS, kernel, kind, value), law(scale * COORDS, kernel, kind, value)
+    assert tv_distance(before, after) <= TV
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e-12, 1e12, 1e30])
+def test_distinct_points_stay_distinct_at_any_scale(scale):
+    # distinctness is judged relative to the cloud, so the exponential law
+    # (V = ones, no monomial to lose digits) holds from 1e-30 to 1e30
+    before = law(COORDS, "exponential", "m", 5)
+    assert tv_distance(before, law(scale * COORDS, "exponential", "m", 5)) <= TV
+
+
+def test_limit_of_a_permuted_csv_has_the_same_size_law(tmp_path):
+    perm = np.random.default_rng(41).permutation(9)
+    laws = []
+    for name, coords in (("points", COORDS), ("permuted", COORDS[perm])):
+        csv, lim, size = (tmp_path / f"{name}.{ext}" for ext in ("csv", "json", "size.csv"))
+        np.savetxt(csv, coords, delimiter=",", fmt="%.17g")
+        assert main(["limit", "--points", str(csv), "--kernel", "exponential", "--vary",
+                     "--p", "1", "--out", str(lim)]) == 0
+        assert main(["size-dist", "--ensemble", str(lim), "--out", str(size)]) == 0
+        laws.append(np.loadtxt(size, delimiter=",", skiprows=1)[:, 1])
+    assert laws[0].size == 10 and laws[0].sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(laws[1], laws[0], rtol=0, atol=1e-12)
