@@ -139,11 +139,11 @@ def _ensemble_from_args(args, spectrum: str):
     if args.ensemble:
         obj = ensembles.read_json(args.ensemble)
         if not (isinstance(obj, dict) and "nnp" in obj):
-            return ensembles.nnp_from_dict(obj, psd_tol=args.psd_tol, spectrum=spectrum), None
+            return ensembles.nnp_from_dict(obj, spectrum=spectrum), None
         fixed = obj.get("fixed_size")
         if fixed is not None and type(fixed) is not int:
             raise ValueError(f"ensemble record: fixed_size {fixed!r} is not an integer")
-        e = ensembles.nnp_from_dict(obj["nnp"], psd_tol=args.psd_tol, spectrum=spectrum)
+        e = ensembles.nnp_from_dict(obj["nnp"], spectrum=spectrum)
         return e, fixed
     res = _limit_result(args)
     return res.process, res.fixed_size
@@ -308,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def ensemble_file(p):
         p.add_argument("--ensemble", help="JSON produced by the limit command")
-        p.add_argument("--psd-tol", type=float, dest="psd_tol",
-                       help="override the stored PSD tolerance when loading")
 
     def command(name, func, help, *groups):
         p = sub.add_parser(name, help=help)
@@ -364,12 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_ensemble_options(args) -> None:
     """Usage error for a construction option given beside --ensemble (sample
-    keeps --seed, which seeds its sampler), or for --psd-tol without it."""
-    if not hasattr(args, "ensemble"):
-        return
-    if args.ensemble is None:
-        if args.psd_tol is not None:
-            args.parser.error("argument --psd-tol: only read with argument --ensemble")
+    keeps --seed, which seeds its sampler)."""
+    if getattr(args, "ensemble", None) is None:
         return
     for dest in CONSTRUCTION_OPTIONS:
         if getattr(args, dest, None) is not None and not (

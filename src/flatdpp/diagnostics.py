@@ -38,7 +38,6 @@ from .ensembles import (
     log_fixed_size_normalizer,
     log_normalizer,
     log_unnorm_prob,
-    marginal_kernel,
     mask_of,
 )
 from .flatlimit import _fixed_size_dispatch, fixed_size_limit, limit_size_distribution
@@ -397,9 +396,18 @@ def conditional_density(kernel: StationaryKernel, Y, x_grid,
 
 
 def inclusion_probabilities(e: NNP, m: int | None = None) -> np.ndarray:
-    """P(i in X) per ground index; diagonal of K, or enumeration when m is fixed."""
+    """P(i in X) per ground index; diagonal of K, or enumeration when m is fixed.
+
+    The diagonal of K = QQ^T + U diag(lam / (1 + lam)) U^T is read as
+    rowsum(Q o Q) + (U o U) lam / (1 + lam), with no n x n array: each
+    einsum runs in one pass over its operands. U is read first, so one eigh
+    serves both U and lam.
+    """
     if m is None:
-        return np.clip(np.diag(marginal_kernel(e)), 0.0, 1.0)
+        U = e.U
+        diag = (np.einsum("ij,ij->i", e.Q, e.Q)
+                + np.einsum("ij,ij,j->i", U, U, e.lam / (1.0 + e.lam)))
+        return np.clip(diag, 0.0, 1.0)
     return brute_force_distribution(e, m).inclusion_vector()
 
 

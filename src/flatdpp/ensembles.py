@@ -13,7 +13,7 @@ Z = det(I + N^T L N) det(V^T V), where the columns of N are an orthonormal
 basis of the orthogonal complement of span(V).
 
 A pair is stored as a record (:func:`nnp_to_dict`, :func:`nnp_from_dict`):
-a dict of n, p, the caller's PSD tolerance, and L and V as float64 arrays.
+a dict of n, p, and L and V as float64 arrays.
 A pair built from a factor L = B C B^T (:func:`make_factored_nnp`) also
 holds ``"factor": {"B": B, "C": C}``; a reload rebuilds it from the factor
 and requires the stored L to match. :func:`write_json` writes a record as
@@ -142,9 +142,9 @@ class _Bound(NamedTuple):
     compression (eps ||L||_2 <= n eps max |L|) and of the symmetric
     eigensolver (n eps ||M||_2 <= n eps ||M||_F), so by Weyl's inequality
     each computed eigenvalue is within beta of an exact one. Eigenvalues
-    above beta are spectrum, one below -psd_tol (by default beta) is a CPD
-    violation, and those in between are unresolved: counted and logged, not
-    kept. beta scales with L, so no decision changes under L -> c L.
+    above beta are spectrum, one below -beta is a CPD violation, and those in
+    between are unresolved: counted and logged, not kept. beta scales with
+    L, so no decision changes under L -> c L.
     """
 
     n: int
@@ -155,16 +155,17 @@ class _Bound(NamedTuple):
     def beta(self) -> float:
         return self.n * np.finfo(float).eps * (self.max_l + self.norm_m)
 
-    def spectrum(self, w: np.ndarray, tol: float, what: str, where: str,
+    def spectrum(self, w: np.ndarray, what: str, where: str,
                  refusal: str | None = None) -> np.ndarray:
         """lam: the ascending eigenvalues w above beta, descending. Given a
-        refusal, a w[0] below -tol raises CPDViolationError with it; what
+        refusal, a w[0] below -beta raises CPDViolationError with it; what
         and where frame the DEBUG line of the decision."""
-        lam = w[w > self.beta][::-1].copy()
-        logger.debug("%s with min eigenvalue %.3e, psd_tol %.3e; %s; q = %d, %d unresolved (%s)",
-                     what, w[0] if w.size else 0.0, tol, self, lam.size, w.size - lam.size, where)
-        if refusal is not None and w.size and w[0] < -tol:
-            raise CPDViolationError(f"{refusal} min eigenvalue {w[0]:.3e} < -{tol:.3e}")
+        beta = self.beta
+        lam = w[w > beta][::-1].copy()
+        logger.debug("%s with min eigenvalue %.3e; %s; q = %d, %d unresolved (%s)",
+                     what, w[0] if w.size else 0.0, self, lam.size, w.size - lam.size, where)
+        if refusal is not None and w.size and w[0] < -beta:
+            raise CPDViolationError(f"{refusal} min eigenvalue {w[0]:.3e} < -{beta:.3e}")
         return lam
 
     def __str__(self) -> str:
@@ -189,8 +190,6 @@ class NNP:
         also sets lam when it is not yet known (otherwise U keeps the top q).
     q : number of eigenvalues above beta; q <= n - p.
     logdet_vtv : log det(V^T V), 0.0 when p = 0.
-    psd_tol : the tolerance that accepted the pair: the caller's, or else
-        beta = n eps (max |L| + ||N^T L N||_F) (:class:`_Bound`).
     factor : (B, C) with L = B C B^T when the pair was built by
         :func:`make_factored_nnp`, else None.
 
@@ -204,16 +203,14 @@ class NNP:
     first use.
     """
 
-    def __init__(self, L, V, *, Q, logdet_vtv, psd_tol, bound, lam, U=None, factor=None):
+    def __init__(self, L, V, *, Q, logdet_vtv, bound, lam, U=None, factor=None):
         self.L = L
         self.V = V
         self.Q = Q
         self.logdet_vtv = logdet_vtv
-        self.psd_tol = bound.beta if psd_tol is None else psd_tol
         self.factor = factor
         self.n = L.shape[0]
         self.p = V.shape[1]
-        self._given_tol = psd_tol
         self._bound = bound
         self._lam: np.ndarray | None = None
         self._U: np.ndarray | None = None
@@ -234,7 +231,7 @@ class NNP:
             self._U = np.zeros((self.n, 0), order="F")
 
     def _keep(self, w: np.ndarray, name: str) -> None:
-        self._set_lam(self._bound.spectrum(w, self.psd_tol, f"NNP: {name} of N^T L N read",
+        self._set_lam(self._bound.spectrum(w, f"NNP: {name} of N^T L N read",
                                            f"n={self.n}, p={self.p}"))
 
     @property
@@ -331,8 +328,7 @@ def _symmetric_scale(L: np.ndarray) -> float | None:
     return scale
 
 
-def make_nnp(L, V=None, psd_tol: float | None = None, *,
-             spectrum: str | None = None) -> NNP:
+def make_nnp(L, V=None, *, spectrum: str | None = None) -> NNP:
     """Validate a pair (L; V); by default its spectrum is computed only on
     first use.
 
@@ -353,36 +349,34 @@ def make_nnp(L, V=None, psd_tol: float | None = None, *,
     when V is the identity); the p Householder reflectors of Q compress L to
     M in O(n^2 p) without forming N.
 
-    With spectrum=None, validation is a Cholesky of M + psd_tol I, blocked
-    and in place, with each panel multiplied by the inverse of its diagonal
-    block's factor in one GEMM (:func:`_cholesky_in_place`), so M and, unless
-    L is kept, L's copy are the only n x n arrays it allocates: if it
-    succeeds, no eigenvalue is below -psd_tol and the pair is accepted.
-    Otherwise L is compressed again and an eigvalsh of M decides. psd_tol
-    defaults to beta = n eps (max |L| + ||M||_F), the backward error of the
-    compression and the eigensolver (:class:`_Bound`): eigenvalues above beta
-    are spectrum, one below -psd_tol raises :class:`CPDViolationError`, and
-    those in between are unresolved. A caller that needs the spectrum anyway
-    passes spectrum="values" (one eigvalsh, which also gives lam) or
-    "vectors" (one eigh, which also gives lam and U): the one decomposition
-    decides by the same rule and no Cholesky runs.
+    One bound decides, beta = n eps (max |L| + ||M||_F), the backward error
+    of the compression and the eigensolver (:class:`_Bound`): eigenvalues
+    above beta are spectrum, one below -beta raises
+    :class:`CPDViolationError`, and those in between are unresolved. With
+    spectrum=None, validation is a Cholesky of M + beta I, blocked and in
+    place, with each panel multiplied by the inverse of its diagonal block's
+    factor in one GEMM (:func:`_cholesky_in_place`), so M and, unless L is
+    kept, L's copy are the only n x n arrays it allocates: if it succeeds,
+    no eigenvalue is below -beta and the pair is accepted. Otherwise L is
+    compressed again and an eigvalsh of M decides. A caller that needs the
+    spectrum anyway passes spectrum="values" (one eigvalsh, which also gives
+    lam) or "vectors" (one eigh, which also gives lam and U): the one
+    decomposition decides by the same rule and no Cholesky runs.
 
     L = 0 and p = n need no decomposition; an L of the zero kind,
     np.broadcast_to(0.0, (n, n)), is kept as it is and needs no sweep either.
     The deciding decomposition, beta and its two terms, q, the unresolved
     count and the deciding step's wall time (compression plus
     decomposition, in ms) are logged at DEBUG on the ``flatdpp.ensembles``
-    logger. A NaN or infinite entry in L or V, or a psd_tol that is not a
-    finite number >= 0, raises ValueError.
+    logger. A NaN or infinite entry in L or V raises ValueError.
     """
-    _check_tol(psd_tol)
     if spectrum not in (None, "values", "vectors"):
         raise ValueError(f"spectrum must be None, 'values' or 'vectors', not {spectrum!r}")
     L, scale = _checked_square(L)
     n = L.shape[0]
     V, Q, logdet_vtv = _projective_part(V, n)
-    bound, lam, U = _validate(L, Q, scale, psd_tol, spectrum)
-    return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, psd_tol=psd_tol, bound=bound, lam=lam, U=U)
+    bound, lam, U = _validate(L, Q, scale, spectrum)
+    return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, bound=bound, lam=lam, U=U)
 
 
 def _is_zero_kind(arr: np.ndarray) -> bool:
@@ -470,7 +464,7 @@ def _projective_part(V, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     return V, Q, 2.0 * float(np.linalg.slogdet(Q.T @ V)[1])
 
 
-def make_factored_nnp(B, C, V=None, psd_tol: float | None = None) -> NNP:
+def make_factored_nnp(B, C, V=None) -> NNP:
     """Validate the pair (B C B^T; V), B of shape (n, h) and C symmetric
     h x h, and take its spectrum from the factor: no n x n decomposition.
 
@@ -482,10 +476,8 @@ def make_factored_nnp(B, C, V=None, psd_tol: float | None = None) -> NNP:
     nonzero spectrum of N^T L N is that of the small K = R_r C R_r^T; one
     eigh of K gives the CPD check, lam and U = Q_r Z, so q <= h, by
     make_nnp's rule with K for M (:class:`_Bound`): a dense pair with the
-    same L and V decides alike. A psd_tol that is not a finite number >= 0
-    raises ValueError.
+    same L and V decides alike.
     """
-    _check_tol(psd_tol)
     B, C = _kept(np.asarray(B, dtype=float)), _kept(np.asarray(C, dtype=float))
     if B.ndim != 2 or C.shape != (B.shape[1], B.shape[1]):
         raise ValueError(f"a factor needs B of shape (n, h) and C of shape (h, h), "
@@ -503,13 +495,11 @@ def make_factored_nnp(B, C, V=None, psd_tol: float | None = None) -> NNP:
     w, Z = np.linalg.eigh(K)
     bound = _Bound(n, scale, float(np.linalg.norm(K)))
     lam = bound.spectrum(
-        w, bound.beta if psd_tol is None else psd_tol,
-        f"make_factored_nnp: eigh of the {w.size}x{w.size} factor decided",
+        w, f"make_factored_nnp: eigh of the {w.size}x{w.size} factor decided",
         f"n={n}, p={V.shape[1]}", "L = B C B^T is not CPD with respect to V: the Wronskian "
         "Schur block C, compressed to the complement of span(V), has")
     U = np.asfortranarray(Qr @ Z[:, ::-1][:, :lam.size])
-    return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, psd_tol=psd_tol, bound=bound, lam=lam, U=U,
-               factor=(B, C))
+    return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, bound=bound, lam=lam, U=U, factor=(B, C))
 
 
 #: Rows of a diagonal block of :func:`_cholesky_in_place`; its panel and
@@ -569,14 +559,8 @@ def _cholesky_in_place(A: np.ndarray) -> bool:
     return True
 
 
-def _check_tol(psd_tol: float | None) -> None:
-    """ValueError unless psd_tol is None or a finite number >= 0."""
-    if psd_tol is not None and not 0.0 <= psd_tol < math.inf:
-        raise ValueError(f"psd_tol must be a finite number >= 0, not {psd_tol!r}")
-
-
-def _validate(L: np.ndarray, Q: np.ndarray, scale: float, psd_tol: float | None,
-              spectrum: str | None) -> tuple[_Bound, np.ndarray | None, np.ndarray | None]:
+def _validate(L: np.ndarray, Q: np.ndarray, scale: float, spectrum: str | None
+              ) -> tuple[_Bound, np.ndarray | None, np.ndarray | None]:
     """(the bound, lam and U if they were computed) for (L; V), whose
     max |L| is scale, or raise."""
     n, p = Q.shape
@@ -586,25 +570,24 @@ def _validate(L: np.ndarray, Q: np.ndarray, scale: float, psd_tol: float | None,
     start = time.perf_counter()
     M, Y, T = _compress(L, Q)
     bound = _Bound(n, scale, float(np.linalg.norm(M)))
-    tol = bound.beta if psd_tol is None else psd_tol
     if spectrum is None:
-        M.flat[:: M.shape[0] + 1] += tol
+        M.flat[:: M.shape[0] + 1] += bound.beta
         blocks = -(-M.shape[0] // _CHOLESKY_BLOCK)
         if _cholesky_in_place(M):
-            logger.debug("make_nnp: blocked Cholesky of N^T L N + %.3e I in %d blocks "
-                         "accepted the pair; %s (n=%d, p=%d, %.1f ms)", tol, blocks, bound,
+            logger.debug("make_nnp: blocked Cholesky of N^T L N + beta I in %d blocks "
+                         "accepted the pair; %s (n=%d, p=%d, %.1f ms)", blocks, bound,
                          n, p, 1e3 * (time.perf_counter() - start))
             return bound, None, None
         # M is partly factored: the eigenvalues are those of a fresh compression
         del M
         M = _compress(L, Q)[0]
-        decider = f"blocked Cholesky of N^T L N + {tol:.3e} I in {blocks} blocks failed; eigvalsh"
+        decider = f"blocked Cholesky of N^T L N + beta I in {blocks} blocks failed; eigvalsh"
     else:
         decider = ("eigh" if spectrum == "vectors" else "eigvalsh") + " (requested by the caller)"
     w, W = np.linalg.eigh(M) if spectrum == "vectors" else (np.linalg.eigvalsh(M), None)
     ms = 1e3 * (time.perf_counter() - start)
     del M
-    lam = bound.spectrum(w, tol, f"make_nnp: {decider} decided", f"n={n}, p={p}, {ms:.1f} ms",
+    lam = bound.spectrum(w, f"make_nnp: {decider} decided", f"n={n}, p={p}, {ms:.1f} ms",
                          "L is not CPD with respect to V:")
     U = None if W is None else _lift(W[:, ::-1][:, :lam.size], Y, T)
     return bound, lam, U
@@ -974,10 +957,8 @@ def write_json(obj, write: Callable[[bytes], object]) -> None:
 
 
 def nnp_to_dict(e: NNP) -> dict:
-    """The record of e: n, p, the caller's PSD tolerance (null when
-    make_nnp's default rule applied: a reload re-derives that default from
-    the identical pair), and L and V as arrays; a factored pair adds its
-    factor {"B", "C"}. The arrays are e's own, read-only."""
+    """The record of e: n, p, and L and V as arrays; a factored pair adds
+    its factor {"B", "C"}. The arrays are e's own, read-only."""
     obj = {
         "n": e.n,
         "p": e.p,
@@ -986,7 +967,6 @@ def nnp_to_dict(e: NNP) -> dict:
         # Fortran-ordered view, has L's column-major bytes in L's own buffer
         "L": e.L.T,
         "V": e.V,
-        "psd_tol": e._given_tol,
     }
     if e.factor is not None:
         B, C = e.factor
@@ -1005,13 +985,13 @@ def _block(obj, key: str) -> np.ndarray:
     return block
 
 
-def nnp_from_dict(obj: dict, psd_tol: float | None = None, *,
-                  spectrum: str | None = None) -> NNP:
+def nnp_from_dict(obj: dict, *, spectrum: str | None = None) -> NNP:
     """Rebuild through make_nnp, or through make_factored_nnp when the record
-    has a factor; psd_tol overrides the stored tolerance, and spectrum is
-    passed to make_nnp (a factored pair has its spectrum already). A
-    malformed record, or a tolerance that is not a finite number >= 0, is a
-    ValueError. obj is not modified, so one record can be reloaded again.
+    has a factor; spectrum is passed to make_nnp (a factored pair has its
+    spectrum already). A malformed record, or an n or p that is not L's
+    order or V's column count, is a ValueError; a record may omit n and p,
+    and any other member, such as the PSD tolerance that older records hold,
+    is not read. obj is not modified, so one record can be reloaded again.
 
     Blocks are arrays, as :func:`read_json` and :func:`nnp_to_dict` give
     them; a block read from a file is a read-only view of its decoded
@@ -1024,15 +1004,16 @@ def nnp_from_dict(obj: dict, psd_tol: float | None = None, *,
     1e-10 * max |L|.
     """
     L, V = _block(obj, "L"), _block(obj, "V")
-    if psd_tol is None:
-        psd_tol = obj.get("psd_tol")
-        if psd_tol is not None and type(psd_tol) not in (int, float):
-            raise ValueError(f"ensemble record: psd_tol {psd_tol!r} is not a number")
-    if "factor" not in obj:
-        return make_nnp(L, V, psd_tol=psd_tol, spectrum=spectrum)
-    factor = obj["factor"]
-    e = make_factored_nnp(_block(factor, "B"), _block(factor, "C"), V, psd_tol=psd_tol)
-    _require_match(L, e.L)
+    if "factor" in obj:
+        factor = obj["factor"]
+        e = make_factored_nnp(_block(factor, "B"), _block(factor, "C"), V)
+        _require_match(L, e.L)
+    else:
+        e = make_nnp(L, V, spectrum=spectrum)
+    for key, size in (("n", e.n), ("p", e.p)):
+        if key in obj and (type(obj[key]) is not int or obj[key] != size):
+            raise ValueError(f"ensemble record: {key} {obj[key]!r} does not match "
+                             f"the pair's {size}")
     return e
 
 

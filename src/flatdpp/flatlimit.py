@@ -141,8 +141,8 @@ def _fixed_size_dispatch(ps: PointSet, kernel: StationaryKernel, m: int) -> Flat
 def _varying_params(p: int, alpha: float):
     if p < 0 or p != int(p):
         raise ValueError("scaling exponent p must be a nonnegative integer")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a finite positive number, not {alpha!r}")
     return int(p), math.ceil(p / 2)
 
 

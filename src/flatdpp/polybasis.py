@@ -63,7 +63,7 @@ def homogeneous_indices(k: int, d: int) -> Iterator[tuple[int, ...]]:
 
 
 class MonomialBasis:
-    """Ordered multi-indices of degree <= max_degree, with per-degree blocks."""
+    """Ordered multi-indices of degree <= max_degree, degree by degree."""
 
     def __init__(self, d: int, max_degree: int):
         if d < 1 or max_degree < 0:
@@ -71,18 +71,12 @@ class MonomialBasis:
         self.d = d
         self.max_degree = max_degree
         self.indices: list[tuple[int, ...]] = []
-        self.block_offsets = [0]
         for j in range(max_degree + 1):
             self.indices.extend(homogeneous_indices(j, d))
-            self.block_offsets.append(len(self.indices))
         assert len(self.indices) == count_poly(max_degree, d)
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def block(self, degree: int) -> slice:
-        """Slice covering the degree-`degree` block of the ordering."""
-        return slice(self.block_offsets[degree], self.block_offsets[degree + 1])
 
 
 def vandermonde(ps: PointSet, k: int) -> np.ndarray:

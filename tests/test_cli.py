@@ -2,6 +2,7 @@ import base64
 import io
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,14 @@ def test_limit_varying_fixed_pair(capsys):
                          "--kernel", "gaussian", "--vary", "--p", "3", "--alpha", "1")
     assert code == 0
     assert json.loads(out)["fixed_size"] == 2
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_limit_refuses_an_alpha_that_is_not_finite(capsys, alpha):
+    code, out, err = run(capsys, "limit", "--gen", "uniform", "--n", "20", "--dim", "2",
+                         "--kernel", "gaussian", "--vary", "--p", "3", "--alpha", alpha)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: alpha must be a finite positive number, not {alpha}")
 
 
 def test_limit_points_csv(capsys, tmp_path):
@@ -318,8 +327,8 @@ UNREAD = "unrecognized arguments"
     (("cond-density", "--kernel", "exponential", "--Y", "0.2,0.6", "--seed", "3"), UNREAD),
     (("size-dist", "--kernel", "exponential", "--eps", "0.5,0.001"),
      "argument --eps: invalid float value: '0.5,0.001'"),
-    (("sample", "--kernel", "gaussian", "--m", "3", "--psd-tol", "1e-6"),
-     "argument --psd-tol: only read with argument --ensemble"),
+    # beta alone decides a pair: there is no tolerance to set
+    (("size-dist", "--ensemble", "f.json", "--psd-tol", "1e-6"), UNREAD),
     # an ensemble file leaves nothing to construct; it is never opened here
     *[((command, "--ensemble", "lim.json", *flags),
        f"argument {flags[0]}: not allowed with argument --ensemble")
@@ -421,6 +430,10 @@ MALFORMED_RECORDS = {
                      '"V": {"shape": [1, 0], "data": ""}, "factor": {"B": 1, "C": 2}}',
     "repeated-key": '{"L": {"shape": [1, 1], "data": "AAAAAAAA8D8=", "data": "AAAAAAAA8D8="}, '
                     '"V": {"shape": [1, 0], "data": ""}}',
+    "n-mismatch": '{"n": 7, "p": 0, "L": {"shape": [1, 1], "data": "AAAAAAAA8D8="}, '
+                  '"V": {"shape": [1, 0], "data": ""}}',
+    "p-string": '{"n": 1, "p": "x", "L": {"shape": [1, 1], "data": "AAAAAAAA8D8="}, '
+                '"V": {"shape": [1, 0], "data": ""}}',
 }
 
 
@@ -510,43 +523,29 @@ def test_record_without_its_factor_reloads_to_the_same_law(capsys, tmp_path, wro
     np.testing.assert_allclose(law, ref, rtol=0, atol=1e-10)
 
 
-def test_psd_tol_applies_to_the_factor_check(capsys, tmp_path):
-    # a factor whose Schur block has one eigenvalue of -1e-9, accepted when
-    # the record was written with psd_tol 1e-6
+def test_a_stored_psd_tol_is_not_read(capsys, tmp_path):
+    # a factor whose Schur block has one eigenvalue of -1e-9, in a record
+    # that holds "psd_tol": 1e-6, as records written before beta alone
+    # decided did; it was accepted then
     e = flatlimit.fixed_size_limit(uniform_points(300, 2, seed=11),
                                    builtin_kernel("gaussian"), 13).process
     B, C = e.factor
     w, Z = np.linalg.eigh(C)
     w[0] = -1e-9
-    e = ensembles.make_factored_nnp(B, (Z * w) @ Z.T, e.V, psd_tol=1e-6)
-    assert e.psd_tol == 1e-6 and e.q == 4
+    C = (Z * w) @ Z.T
+    L = B @ C @ B.T
+    L = 0.5 * (L + L.T)
     lim = tmp_path / "neg.json"
     with lim.open("wb") as fh:
-        ensembles.write_json(ensembles.nnp_to_dict(e), fh.write)
-    code, out, _ = run(capsys, "size-dist", "--ensemble", str(lim))
-    assert code == 0 and len(out.splitlines()) == 302
-    code, out, err = run(capsys, "size-dist", "--ensemble", str(lim), "--psd-tol", "1e-12")
+        ensembles.write_json({"n": 300, "p": 10, "L": L, "V": e.V, "psd_tol": 1e-6,
+                              "factor": {"B": B, "C": C}}, fh.write)
+    code, out, err = run(capsys, "size-dist", "--ensemble", str(lim))
     assert code == 2 and out == "" and "Wronskian Schur block" in err
-
-
-def test_psd_tol_override_accepted(capsys, tmp_path):
-    lim = tmp_path / "lim.json"
-    run(capsys, "limit", "--gen", "uniform", "--n", "5", "--dim", "1", "--seed", "4",
-        "--kernel", "exponential", "--m", "3", "--out", str(lim))
-    code, out, _ = run(capsys, "size-dist", "--ensemble", str(lim),
-                       "--psd-tol", "1e-6")
-    assert code == 0
-    assert len(out.splitlines()) == 7
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_psd_tol_that_is_not_finite_and_nonnegative_is_domain_error(capsys, tmp_path, tol):
-    lim = tmp_path / "lim.json"
-    run(capsys, "limit", "--gen", "uniform", "--n", "50", "--dim", "2",
-        "--kernel", "exponential", "--m", "10", "--out", str(lim))
-    code, out, err = run(capsys, "size-dist", "--ensemble", str(lim), "--psd-tol", tol)
-    assert code == 2 and out == ""
-    assert "psd_tol must be a finite number >= 0" in err
+    # refused by beta = n eps (max |L| + ||N^T L N||_F), which is below 1e-9
+    low, beta = re.search(r"min eigenvalue (\S+) < -(\S+)$", err.strip()).groups()
+    N = np.linalg.svd(e.V)[0][:, 10:]
+    ref = 300 * np.finfo(float).eps * (np.abs(L).max() + np.linalg.norm(N.T @ L @ N))
+    assert float(beta) == pytest.approx(ref, rel=1e-2) and float(low) < -float(beta)
 
 
 def test_limit_validates_only_and_size_dist_reads_eigenvalues_only(
@@ -556,8 +555,8 @@ def test_limit_validates_only_and_size_dist_reads_eigenvalues_only(
                      "--kernel", "exponential", "--m", "20", "--out", str(lim))
     # validation only: a Cholesky of each diagonal block of N^T L N (n - p = 299)
     assert code == 0 and decompositions.orders == [("cholesky", 256), ("cholesky", 43)]
-    # the default tolerance is re-derived from the identical pair on reload
-    assert json.loads(lim.read_text())["nnp"]["psd_tol"] is None
+    # the record holds no tolerance: beta is re-derived from the identical pair
+    assert "psd_tol" not in json.loads(lim.read_text())["nnp"]
     decompositions.orders.clear()
     code, out, _ = run(capsys, "size-dist", "--ensemble", str(lim))
     # the one eigvalsh that gives the size law also decides the check

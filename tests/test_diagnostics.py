@@ -548,6 +548,36 @@ def test_inclusion_varying_matches_enumeration():
                                atol=1e-8)
 
 
+def _varying_limits():
+    """One limit per varying-size regime on 12 points in the plane."""
+    ps = uniform_points(12, 2, seed=9)
+    for kernel, p in ((GAUSS, 3), (GAUSS, 2), (EXPO, 1), (EXPO, 5)):
+        yield flatlimit.varying_size_limit(ps, kernel, p).process
+
+
+@pytest.mark.parametrize("e", [
+    *_varying_limits(), random_nnp(12, 0, seed=3), make_nnp(np.zeros((12, 12)), np.ones(12)),
+    random_nnp(12, 3, seed=4)], ids=["projection", "wronskian", "critical", "full-set",
+                                     "p=0", "q=0", "p=3"])
+def test_inclusion_is_the_diagonal_of_the_marginal_kernel(e):
+    np.testing.assert_allclose(inclusion_probabilities(e), np.diag(ensembles.marginal_kernel(e)),
+                               rtol=0, atol=1e-12)
+
+
+def test_inclusion_forms_no_n_by_n_array():
+    ps = uniform_points(2000, 2, seed=1)
+    e = flatlimit.varying_size_limit(ps, GAUSS, 4).process
+    assert e.U.shape[1] < 50
+    tracemalloc.start()
+    try:
+        incl = inclusion_probabilities(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2000 * 8
+    assert incl.sum() == pytest.approx(e.p + np.sum(e.lam / (1 + e.lam)), rel=1e-12)
+
+
 def _tally_inclusion(dist) -> np.ndarray:
     out = np.zeros(dist.n)
     for mask, pr in dist.probs.items():

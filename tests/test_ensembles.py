@@ -200,43 +200,22 @@ def spectrum_bound(L, V):
 
 
 def test_cpd_violation_rejected():
-    # the default psd_tol is the bound beta
+    # the refusal test is the bound beta
     L, V = distance_power_matrix(PointSet([0.0, 0.3, 0.9, 1.4]), 1), np.ones((4, 1))
     beta = re.escape(f"{spectrum_bound(L, V):.3e}")
     with pytest.raises(CPDViolationError, match=rf"min eigenvalue -1\.733e\+00 < -{beta}$"):
         make_nnp(L, V)
 
 
-#: psd_tol values that are not a finite number >= 0, each with the sign of
-#: the distance matrix it lets through (NaN, inf) or turns away (-1) today
-BAD_TOLS = [(math.nan, 1.0), (math.inf, 1.0), (-1.0, -1.0)]
-BAD_TOL_IDS = ["nan", "inf", "-1"]
-
-
-@pytest.mark.parametrize("tol,sign", BAD_TOLS, ids=BAD_TOL_IDS)
-def test_make_nnp_rejects_a_psd_tol_that_is_not_finite_and_nonnegative(tol, sign):
-    # +D is the wrong sign (not CPD), -D the valid one
-    D = distance_power_matrix(uniform_points(50, 2, seed=0), 1)
-    with pytest.raises(ValueError, match="psd_tol must be a finite number >= 0") as err:
-        make_nnp(sign * D, np.ones((50, 1)), psd_tol=tol)
-    assert not isinstance(err.value, CPDViolationError)
-
-
-@pytest.mark.parametrize("where", ["record", "override"])
-@pytest.mark.parametrize("tol,sign", BAD_TOLS, ids=BAD_TOL_IDS)
-def test_nnp_from_dict_rejects_a_psd_tol_that_is_not_finite_and_nonnegative(
-        tmp_path, tol, sign, where):
-    D = distance_power_matrix(uniform_points(50, 2, seed=0), 1)
-    obj = {**nnp_to_dict(make_nnp(-D, np.ones((50, 1)))), "L": sign * D}
-    kwargs = {}
-    if where == "record":
-        # Python's json reads NaN and Infinity
-        obj = reread({**obj, "psd_tol": tol}, tmp_path)
-    else:
-        kwargs["psd_tol"] = tol
-    with pytest.raises(ValueError, match="psd_tol must be a finite number >= 0") as err:
-        nnp_from_dict(obj, **kwargs)
-    assert not isinstance(err.value, CPDViolationError)
+@pytest.mark.parametrize("build", [
+    lambda D: make_nnp(-D, np.ones((50, 1)), psd_tol=1e-6),
+    lambda D: ensembles.make_factored_nnp(np.eye(50), -D, np.ones((50, 1)), psd_tol=1e-6),
+    lambda D: nnp_from_dict(nnp_to_dict(make_nnp(-D, np.ones((50, 1)))), psd_tol=1e-6),
+], ids=["make_nnp", "make_factored_nnp", "nnp_from_dict"])
+def test_psd_tol_is_not_a_parameter(build):
+    # beta alone decides: no constructor takes a tolerance
+    with pytest.raises(TypeError, match="psd_tol"):
+        build(distance_power_matrix(uniform_points(50, 2, seed=0), 1))
 
 
 def test_eigenvector_projective_orthogonality():
@@ -582,11 +561,11 @@ def test_genuine_eigenvalues_above_the_bound_are_kept():
     e = fixed_size_limit(uniform_points(2000, 2, seed=11), builtin_kernel("(3+3d+d^2)exp(-d)"),
                          8).process
     assert e.p == 6 and 1967 <= e.q <= 1994
-    assert e.lam[-1] > e.psd_tol == e._bound.beta
+    assert e.lam[-1] > e._bound.beta
 
 
 def _pairs():
-    """(name, build(c, tol)): pairs whose L, or factor C, is scaled by c."""
+    """(name, build(c)): pairs whose L, or factor C, is scaled by c."""
     D, ones = _distances(), np.ones((50, 1))
     noisy, V = _noise_beside_one_eigenvalue()
     g = fixed_size_limit(uniform_points(300, 2, seed=11), builtin_kernel("gaussian"), 13).process
@@ -594,21 +573,18 @@ def _pairs():
     w, Z = np.linalg.eigh(C)
     w[0] = -1e-9
     C_negative = (Z * w) @ Z.T
-    yield "-D", lambda c, tol: make_nnp(-c * D, ones, psd_tol=tol)
-    yield "+D", lambda c, tol: make_nnp(c * D, ones, psd_tol=tol)
-    yield "noise", lambda c, tol: make_nnp(c * noisy, V, psd_tol=tol, spectrum="values")
-    yield "dense-wronskian", lambda c, tol: make_nnp(c * g.L, g.V, psd_tol=tol)
-    yield "factor", lambda c, tol: ensembles.make_factored_nnp(B, c * C, g.V, psd_tol=tol)
-    yield "factor-negative", lambda c, tol: ensembles.make_factored_nnp(
-        B, c * C_negative, g.V, psd_tol=tol)
+    yield "-D", lambda c: make_nnp(-c * D, ones)
+    yield "+D", lambda c: make_nnp(c * D, ones)
+    yield "noise", lambda c: make_nnp(c * noisy, V, spectrum="values")
+    yield "dense-wronskian", lambda c: make_nnp(c * g.L, g.V)
+    yield "factor", lambda c: ensembles.make_factored_nnp(B, c * C, g.V)
+    yield "factor-negative", lambda c: ensembles.make_factored_nnp(B, c * C_negative, g.V)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in _pairs()])
-@pytest.mark.parametrize("tol", [None, 1e-12, 1e-6])
-def test_scaling_l_changes_no_decision(name, tol):
+def test_scaling_l_changes_no_decision(name):
     build = dict(_pairs())[name]
-    decisions = {c: _decision(lambda: build(c, None if tol is None else c * tol))
-                 for c in SCALES}
+    decisions = {c: _decision(lambda: build(c)) for c in SCALES}
     assert len(set(decisions.values())) == 1, decisions
 
 
@@ -901,7 +877,7 @@ def test_deciding_path_is_logged(caplog, decompositions):
     assert decompositions == {"eigh": 1, "eigvalsh": 0, "cholesky": 0}
     assert decompositions.orders == [("eigh", 5)]
     # beta, its two terms and the unresolved count
-    assert re.search(r"psd_tol (\S+); beta \1 = n eps \(max \|L\| \S+ \+ \|\|M\|\|_F \S+\); "
+    assert re.search(r"min eigenvalue \S+; beta \S+ = n eps \(max \|L\| \S+ \+ \|\|M\|\|_F \S+\); "
                      r"q = 5, 0 unresolved \(n=300, p=10\)$", msgs[0])
     # the translated cloud: q = 5 with the centred cloud's eigenvalues
     centred = fixed_size_limit(PointSet(ps.coords - ps.coords.mean(axis=0)), kernel, 13)
@@ -928,7 +904,7 @@ def test_deciding_path_is_logged(caplog, decompositions):
         assert "q = 5" in msgs[0] and decompositions.orders == [(name, 290)]
         assert re.search(r"\(n=300, p=10, \d+\.\d ms\)$", msgs[0])
         np.testing.assert_allclose(r.lam, e.lam, rtol=1e-8)
-        assert r.psd_tol == r._bound.beta == pytest.approx(spectrum_bound(e.L, e.V), rel=1e-6)
+        assert r._bound.beta == pytest.approx(spectrum_bound(e.L, e.V), rel=1e-6)
         assert re.search(r"; q = 5, 285 unresolved \(n=300, p=10, \d+\.\d ms\)$", msgs[0])
     # the dense path on the translated L decides by the same rule as its
     # factor: the Cholesky accepts, and q = 5 with the centred eigenvalues,
@@ -939,7 +915,7 @@ def test_deciding_path_is_logged(caplog, decompositions):
     assert len(msgs) == 1 and "in 2 blocks accepted the pair" in msgs[0]
     _, msgs = logged(lambda: d.lam)
     assert d.q == 5 and d.U.shape == (300, 5)
-    np.testing.assert_allclose(d.lam, centred.process.lam, rtol=0, atol=d.psd_tol)
+    np.testing.assert_allclose(d.lam, centred.process.lam, rtol=0, atol=d._bound.beta)
     assert len(msgs) == 1 and msgs[0].startswith("NNP: eigvalsh of N^T L N read with min ")
     assert msgs[0].endswith("; q = 5, 285 unresolved (n=300, p=10)")
 
@@ -1037,18 +1013,29 @@ def test_json_round_trip(tmp_path):
         assert log_prob(e2, X) == pytest.approx(log_prob(e, X), abs=1e-12)
 
 
-def test_json_keeps_only_a_given_psd_tol(tmp_path):
+def test_json_stores_no_tolerance(tmp_path):
     e = random_nnp(5, 2, seed=43)
     obj = reread(nnp_to_dict(e), tmp_path)
-    assert obj["psd_tol"] is None
-    assert nnp_from_dict(obj).psd_tol == e.psd_tol
-    e2 = make_nnp(e.L, e.V, psd_tol=1e-6)
-    assert e2.psd_tol == 1e-6
-    obj = reread(nnp_to_dict(e2), tmp_path)
-    assert obj["psd_tol"] == 1e-6 and nnp_from_dict(obj).psd_tol == 1e-6
-    # files that store the numeric default still load, with that tolerance
-    obj["psd_tol"] = 1.5e-10
-    assert nnp_from_dict(obj).psd_tol == 1.5e-10
+    assert obj.keys() == {"n", "p", "L", "V"}
+    # older records hold a psd_tol, null or a number; it is not read
+    for tol in (None, 1e-6, 1.5e-10):
+        e2 = nnp_from_dict({**obj, "psd_tol": tol})
+        assert (e2.q, e2._bound) == (e.q, e._bound)
+
+
+@pytest.mark.parametrize("key,value", [("n", 7), ("n", 30.0), ("p", "x"), ("p", 4)])
+@pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])
+def test_record_n_and_p_must_be_the_pairs(key, value, factored):
+    kernel, m = ("gaussian", 4) if factored else ("exponential", 5)
+    e = fixed_size_limit(uniform_points(30, 2, seed=5), builtin_kernel(kernel), m).process
+    assert (e.factor is not None) == factored
+    obj = nnp_to_dict(e)
+    with pytest.raises(ValueError, match=rf"^ensemble record: {key} {re.escape(repr(value))} "
+                                         rf"does not match the pair's {getattr(e, key)}$"):
+        nnp_from_dict({**obj, key: value})
+    # a record may omit either
+    del obj[key]
+    assert nnp_from_dict(obj).q == e.q
 
 
 def test_json_text_is_json_dumps_of_the_dict(monkeypatch):
@@ -1076,11 +1063,11 @@ def test_reload_hands_make_nnp_the_decoded_bytes_without_a_copy(monkeypatch, dec
     path.write_text(json_text(e))
     seen = {}
 
-    def spy(L, V, psd_tol=None, *, spectrum=None):
+    def spy(L, V, *, spectrum=None):
         seen["peak"] = tracemalloc.get_traced_memory()[1]
         seen["writeable"] = (L.flags.writeable, V.flags.writeable)
         seen["spectrum"] = spectrum
-        return make_nnp(L, V, psd_tol, spectrum=spectrum)
+        return make_nnp(L, V, spectrum=spectrum)
 
     monkeypatch.setattr(ensembles, "make_nnp", spy)
     decompositions.orders.clear()
@@ -1160,7 +1147,7 @@ def test_read_json_decodes_each_block_as_it_parses(tmp_path):
     text = {"nnp": text_record(e), "fixed_size": 3}
     path.write_text(json.dumps(text))
     obj = read_json(path)
-    assert obj["fixed_size"] == 3 and obj["nnp"]["psd_tol"] is None
+    assert obj["fixed_size"] == 3 and "psd_tol" not in obj["nnp"]
     for parsed, raw, keys in ((obj["nnp"], text["nnp"], "LV"),
                               (obj["nnp"]["factor"], text["nnp"]["factor"], "BC")):
         for key in keys:
@@ -1379,7 +1366,7 @@ def test_zero_kind_skips_the_sweep(monkeypatch, caplog, decompositions):
         e = make_nnp(zero, V, spectrum="vectors")
     assert "L is the zero kind" in caplog.records[0].getMessage()
     # beta = n eps (max |L| + ||M||_F) is 0 for L = 0
-    assert e.L is zero and (e.p, e.q, e.psd_tol) == (4, 0, 0.0)
+    assert e.L is zero and (e.p, e.q, e._bound.beta) == (4, 0, 0.0)
     assert e.U.shape == (300, 0) and decompositions.orders == []
     assert log_unnorm_prob(e, [0, 1, 2, 3]) == log_unnorm_prob(dense, [0, 1, 2, 3])
     # -0.0 or any other constant is no zero kind: the sweep reads it

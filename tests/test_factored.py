@@ -5,8 +5,6 @@ of order h = H_{k,d}. make_factored_nnp takes its spectrum from an h x h
 eigh; make_nnp on the same (L; V) compresses and decomposes the n x n L.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -107,14 +105,6 @@ def test_non_psd_schur_block_is_named():
         make_factored_nnp(B, (Z * w) @ Z.T, e.V)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0], ids=["nan", "inf", "-1"])
-def test_psd_tol_that_is_not_finite_and_nonnegative_is_rejected(tol):
-    e, B, C = factor_of()
-    with pytest.raises(ValueError, match="psd_tol must be a finite number >= 0") as err:
-        make_factored_nnp(B, C, e.V, psd_tol=tol)
-    assert not isinstance(err.value, CPDViolationError)
-
-
 @pytest.mark.parametrize("c", [1e-9, 1e-3, 1e3, 1e9])
 def test_scaling_the_block_scales_the_spectrum(c):
     e, B, C = factor_of()
@@ -164,7 +154,7 @@ def test_dense_and_factored_pairs_agree_on_q(shift):
                          GAUSS, 13).process
     dense = make_nnp(e.L, e.V)
     assert dense.q == e.q == 5
-    np.testing.assert_allclose(dense.lam, e.lam, rtol=0, atol=max(dense.psd_tol, e.psd_tol))
+    np.testing.assert_allclose(dense.lam, e.lam, rtol=0, atol=max(dense._bound.beta, e._bound.beta))
 
 
 def test_reload_rebuilds_the_same_pair_from_the_factor(decompositions):

@@ -271,6 +271,17 @@ def test_varying_param_validation():
         varying_size_limit(ps, GAUSS, 1, alpha=0.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+@pytest.mark.parametrize("kernel, p, regime", [
+    (GAUSS, 3, VARYING_PROJECTION), (GAUSS, 2, VARYING_WRONSKIAN),
+    (EXPO, 1, VARYING_FINITE), (EXPO, 5, FULL_SET)])
+def test_alpha_that_is_not_finite_is_refused(kernel, p, regime, alpha):
+    ps = uniform_points(4, 1, seed=12)
+    assert varying_size_limit(ps, kernel, p).regime == regime
+    with pytest.raises(ValueError, match="alpha must be a finite positive number"):
+        varying_size_limit(ps, kernel, p, alpha=alpha)
+
+
 # ---------------------------------------------------------------------------
 # limiting size distributions
 # ---------------------------------------------------------------------------
