@@ -16,22 +16,13 @@ import tempfile
 
 import numpy as np
 
-from . import diagnostics, ensembles, flatlimit, sampling
+from . import diagnostics, ensembles, flatlimit, sampling, store
 from .geometry import PointSet, grid_points, uniform_points
 from .kernels import builtin_kernel, custom_kernel
 
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
-
-
-def _emit(path, text: str) -> None:
-    """Write text to stdout for path None or "-", otherwise to the file."""
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 @contextlib.contextmanager
@@ -81,7 +72,8 @@ def _write_rows(path, header, rows, fmt="csv"):
         lines += [",".join(_fmt(c) if not isinstance(c, str) else c for c in row)
                   for row in rows]
         text = "\n".join(lines) + "\n"
-    _emit(path, text)
+    with _byte_output(path) as write:
+        write(text.encode())
 
 
 def _load_points(args) -> PointSet:
@@ -122,7 +114,7 @@ def cmd_limit(args) -> int:
     print(f"regime: {res.label}" + (f" bracket: {bracket}" if bracket else ""),
           file=sys.stderr)
     with _byte_output(args.out) as write:
-        ensembles.write_json(res.to_dict(), write)
+        store.write_json(res.to_dict(), write)
         write(b"\n")
     return 0
 
@@ -137,7 +129,7 @@ def _ensemble_from_args(args, spectrum: str):
     :func:`ensembles.make_nnp`).
     """
     if args.ensemble:
-        obj = ensembles.read_json(args.ensemble)
+        obj = store.read_json(args.ensemble)
         if not (isinstance(obj, dict) and "nnp" in obj):
             return ensembles.nnp_from_dict(obj, spectrum=spectrum), None
         fixed = obj.get("fixed_size")

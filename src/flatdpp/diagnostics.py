@@ -40,7 +40,8 @@ from .ensembles import (
     log_unnorm_prob,
     mask_of,
 )
-from .flatlimit import _fixed_size_dispatch, fixed_size_limit, limit_size_distribution
+from .flatlimit import (_fixed_size_dispatch, _varying_params, fixed_size_limit,
+                        limit_size_distribution)
 from .geometry import PointSet, _sq_dists, coincidence_radius
 from .kernels import StationaryKernel, kernel_matrix
 
@@ -269,6 +270,7 @@ def eps_ensemble_distribution(ps: PointSet, kernel: StationaryKernel, eps: float
     digits at risk (see the module docstring) exceed FLOAT_DIGIT_BUDGET, read
     on the whole kernel matrix.
     """
+    _varying_params(p, alpha)
     n = ps.n
     mmax = n if m is None else m
     _check_enumerable(n, m)

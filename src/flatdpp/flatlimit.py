@@ -58,7 +58,7 @@ class FlatLimitResult:
 
     def to_dict(self) -> dict:
         """The limit's record, with the ensemble's as :func:`nnp_to_dict`
-        gives it, for :func:`flatdpp.ensembles.write_json`."""
+        gives it, for :func:`flatdpp.store.write_json`."""
         meta = {k: (None if v is None or (isinstance(v, float) and math.isinf(v))
                     else v)
                 for k, v in self.metadata.items()}
@@ -139,7 +139,7 @@ def _fixed_size_dispatch(ps: PointSet, kernel: StationaryKernel, m: int) -> Flat
 
 
 def _varying_params(p: int, alpha: float):
-    if p < 0 or p != int(p):
+    if not 0 <= p < math.inf or p != int(p):
         raise ValueError("scaling exponent p must be a nonnegative integer")
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be a finite positive number, not {alpha!r}")
@@ -186,10 +186,9 @@ def limit_size_distribution(ps: PointSet, kernel: StationaryKernel, p: int,
 def scaled_ensemble(ps: PointSet, kernel: StationaryKernel, eps: float,
                     p: int = 0, alpha: float = 1.0) -> NNP:
     """Pre-limit ensemble with L = alpha * eps^{-p} * kernel matrix, empty V."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    L = alpha * eps ** (-float(p)) * kernel_matrix(kernel, ps, eps)
-    return make_nnp(L)
+    _varying_params(p, alpha)
+    K = kernel_matrix(kernel, ps, eps)
+    return make_nnp(alpha * eps ** (-float(p)) * K)
 
 
 def default_ensemble(ps: PointSet, beta: int, gamma: float) -> NNP:

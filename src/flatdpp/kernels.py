@@ -106,8 +106,8 @@ class StationaryKernel:
 
 def kernel_matrix(kernel: StationaryKernel, ps: PointSet, eps: float) -> np.ndarray:
     """Kernel matrix [f(eps * ||x_i - x_j||)]; diagonal equals f(0)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a finite positive number, not {eps!r}")
     return np.asarray(kernel(eps * distance_matrix(ps)), dtype=float)
 
 

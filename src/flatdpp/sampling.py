@@ -23,7 +23,8 @@ import math
 
 import numpy as np
 
-from .ensembles import NNP, _log_esp_table
+from ._numerics import log_esp_table
+from .ensembles import NNP
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -103,7 +104,7 @@ def _acceptance_table(e: NNP, k: int) -> np.ndarray:
     """
     A = e._acceptance_tables.get(k)
     if A is None:
-        T = _log_esp_table(e.lam, k)
+        T = log_esp_table(e.lam, k)
         with np.errstate(invalid="ignore"):  # -inf - -inf where j < r
             A = np.exp(np.log(e.lam) + T[:-1, :-1] - T[1:, 1:])
         A[np.arange(e.q) <= np.arange(k)[:, None]] = 1.0

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flatdpp import cli, ensembles, flatlimit, sampling
+from flatdpp import cli, ensembles, flatlimit, sampling, store
 from flatdpp.cli import CONSTRUCTION_OPTIONS, main, parse_args
 from flatdpp.geometry import uniform_points
 from flatdpp.kernels import builtin_kernel
@@ -53,6 +53,19 @@ def test_limit_refuses_an_alpha_that_is_not_finite(capsys, alpha):
                          "--kernel", "gaussian", "--vary", "--p", "3", "--alpha", alpha)
     assert code == 2 and out == ""
     assert err.startswith(f"error: alpha must be a finite positive number, not {alpha}")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("alpha", "nan"), ("alpha", "inf"), ("alpha", "-1"), ("alpha", "0"),
+    ("eps", "nan"), ("eps", "inf")])
+def test_size_dist_refuses_a_bad_pre_limit_input(capsys, name, value):
+    given = {"eps": "0.5", "alpha": "1", name: value}
+    code, out, err = run(capsys, "size-dist", "--gen", "uniform", "--n", "6", "--dim", "1",
+                         "--kernel", "gaussian", "--eps", given["eps"], "--p", "2",
+                         "--alpha", given["alpha"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} must be a finite positive number, not "
+                          f"{float(value)}")
 
 
 def test_limit_points_csv(capsys, tmp_path):
@@ -118,7 +131,7 @@ def test_limit_writes_json_dumps_of_the_result(capsysbinary, tmp_path, case):
 def test_limit_output_does_not_depend_on_the_chunk_size(capsys, monkeypatch, chunk):
     argv = ["limit", "--gen", "uniform", *LIMIT_COMMANDS["NonMagicWronskian"].split()]
     _, expected, _ = run(capsys, *argv)
-    monkeypatch.setattr(ensembles, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(store, "_CHUNK_BYTES", chunk)
     assert run(capsys, *argv)[1] == expected
 
 
@@ -139,7 +152,7 @@ def test_failed_limit_write_leaves_the_old_file(monkeypatch, tmp_path):
         write(b'{"regime": ')
         raise TypeError("Object of type set is not JSON serializable")
 
-    monkeypatch.setattr(ensembles, "write_json", broken)
+    monkeypatch.setattr(store, "write_json", broken)
     with pytest.raises(TypeError):
         main(["limit", "--n", "6", "--kernel", "gaussian", "--m", "3", "--out", str(out)])
     assert out.read_text() == "old\n"
@@ -156,6 +169,27 @@ def test_limit_file_mode_and_device_output(tmp_path):
     # a device is written in place, not replaced
     assert main(argv + ["--out", os.devnull]) == 0
     assert not os.path.isfile(os.devnull)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_row_output_replaces_a_file_whole(capsys, monkeypatch, tmp_path, fmt):
+    argv = ["size-dist", "--gen", "uniform", "--n", "6", "--kernel", "exponential",
+            "--p", "1", "--format", fmt]
+    _, expected, _ = run(capsys, *argv)
+    out = tmp_path / "size.out"
+    out.write_text("old\n")
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == expected
+
+    def failed_replace(src, dst):
+        raise OSError("no space left on device")
+
+    # an output that cannot be put in place leaves the old file and no other
+    out.write_text("old\n")
+    monkeypatch.setattr(os, "replace", failed_replace)
+    assert main(argv + ["--out", str(out)]) == 1
+    assert out.read_text() == "old\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["size.out"]
 
 
 def test_limit_streams_its_output(monkeypatch, tmp_path):
@@ -236,7 +270,7 @@ def test_size_dist_round_trip(capsys, tmp_path):
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
     vec = np.array([float(v) for _, v in rows])
-    e = ensembles.nnp_from_dict(ensembles.read_json(lim)["nnp"])
+    e = ensembles.nnp_from_dict(store.read_json(lim)["nnp"])
     np.testing.assert_allclose(vec, ensembles.size_distribution(e), rtol=1e-12)
 
 
@@ -537,7 +571,7 @@ def test_a_stored_psd_tol_is_not_read(capsys, tmp_path):
     L = 0.5 * (L + L.T)
     lim = tmp_path / "neg.json"
     with lim.open("wb") as fh:
-        ensembles.write_json({"n": 300, "p": 10, "L": L, "V": e.V, "psd_tol": 1e-6,
+        store.write_json({"n": 300, "p": 10, "L": L, "V": e.V, "psd_tol": 1e-6,
                               "factor": {"B": B, "C": C}}, fh.write)
     code, out, err = run(capsys, "size-dist", "--ensemble", str(lim))
     assert code == 2 and out == "" and "Wronskian Schur block" in err
@@ -597,7 +631,7 @@ def test_reload_working_set(tmp_path):
     eigvalsh)."""
     lim = tmp_path / "lim.json"
     assert main([*MEMORY_LIMIT, "--out", str(lim)]) == 0
-    record = ensembles.read_json(lim)["nnp"]
+    record = store.read_json(lim)["nnp"]
     peak = traced_peak(lambda: ensembles.size_distribution(
         ensembles.nnp_from_dict(record, spectrum="values")))
     assert peak <= 1.5

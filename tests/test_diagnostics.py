@@ -680,6 +680,38 @@ def test_convergence_mode_validation():
         ConvergenceCurve([1.0], [0.1, 0.2], "full-law")
 
 
+NOT_FINITE_EPS = "eps must be a finite positive number, not nan"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"alpha": math.nan}, "alpha must be a finite positive number, not nan"),
+    ({"alpha": math.inf}, "alpha must be a finite positive number, not inf"),
+    ({"alpha": -1.0}, "alpha must be a finite positive number, not -1.0"),
+    ({"alpha": 0.0}, "alpha must be a finite positive number, not 0.0"),
+    ({"p": -1}, "scaling exponent p must be a nonnegative integer"),
+    ({"p": math.nan}, "scaling exponent p must be a nonnegative integer"),
+    ({"eps": math.nan}, NOT_FINITE_EPS), ({"eps": math.inf}, "not inf"), ({"eps": 0.0}, "not 0.0")])
+def test_pre_limit_ensembles_refuse_bad_inputs(kwargs, message):
+    # checked before any matrix is formed or any logarithm taken
+    given = {"eps": 0.5, "p": 2, "alpha": 1.0, **kwargs}
+    ps = uniform_points(6, 1, seed=15)
+    with pytest.raises(ValueError, match=message):
+        eps_ensemble_distribution(ps, GAUSS, **given)
+    with pytest.raises(ValueError, match=message):
+        scaled_ensemble(ps, GAUSS, **given)
+
+
+def test_conditional_density_and_curves_refuse_a_nan_eps():
+    Y, grid = np.array([0.2, 0.5, 0.8]), np.linspace(0, 1, 40)
+    with pytest.raises(ValueError, match=NOT_FINITE_EPS):
+        conditional_density(EXPO, Y, grid, eps=math.nan)
+    ps = uniform_points(4, 1, seed=12)
+    for mode, kwargs in (("full-law", {"m": 2}), ("size-law", {"p": 1}),
+                         ("conditional", {"Y": Y, "x_grid": grid}), ("inclusion", {"m": 2})):
+        with pytest.raises(ValueError, match=NOT_FINITE_EPS):
+            convergence_curve(ps, EXPO, [0.5, math.nan], mode, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # empirical checks
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flatdpp import ensembles
+from flatdpp import _numerics, ensembles, store
 from flatdpp.ensembles import (
     CPDViolationError,
     RankDeficientError,
@@ -28,13 +28,12 @@ from flatdpp.ensembles import (
     mask_of,
     nnp_from_dict,
     nnp_to_dict,
-    read_json,
     size_distribution,
-    write_json,
 )
 from flatdpp.flatlimit import fixed_size_limit, varying_size_limit
 from flatdpp.geometry import PointSet, distance_power_matrix, uniform_points
 from flatdpp.kernels import builtin_kernel
+from flatdpp.store import read_json, write_json
 
 
 def random_nnp(n, p, seed, scale=1.0):
@@ -127,7 +126,7 @@ def test_stored_L_is_the_symmetrized_input_bit_for_bit():
     assert make_nnp(np.zeros((0, 0))).L.shape == (0, 0)
 
 
-_T = ensembles._TILE
+_T = _numerics._TILE
 SWEEP_SIZES = (1, _T - 1, _T, _T + 1, 2 * _T + 3)
 
 
@@ -151,7 +150,7 @@ def test_sweep_matches_the_whole_matrix_passes(n):
     expected = (0.5 * (L + L.T)).tobytes()
     for name, arr in layouts(L).items():
         before = arr.copy()
-        S, scale, asymmetry = ensembles._symmetrized(arr)
+        S, scale, asymmetry = _numerics._symmetrized(arr)
         assert S.flags.c_contiguous and S.tobytes() == expected, name
         assert scale == np.max(np.abs(L)) and asymmetry == np.max(np.abs(L - L.T))
         e = make_nnp(arr, np.ones((n, 1)))
@@ -798,7 +797,7 @@ def test_in_place_cholesky_decides_as_lapack(spectrum, smallest, passes, layout,
         lapack = False
     decompositions.orders.clear()
     A = np.array(M, order=layout)
-    assert ensembles._cholesky_in_place(A) is lapack is passes
+    assert _numerics._cholesky_in_place(A) is lapack is passes
     # only diagonal blocks reach LAPACK; a success factors every block
     blocks = [min(256, order - k) for k in range(0, order, 256)]
     orders = [o for _, o in decompositions.orders]
@@ -811,7 +810,7 @@ def test_lower_inverse_inverts_the_factor(order, log_spaced):
     # eigenvalues in [1, 2], or log-spaced over 1e-9..1 (cond F = 3e4 at order 32)
     spectrum, smallest = (np.logspace(-9.0, 0.0, order), 1e-9) if log_spaced else (order, 1.0)
     F = np.linalg.cholesky(_spectrum_with_smallest(spectrum, lambda t: smallest))
-    G = ensembles._lower_inverse(F)
+    G = _numerics._lower_inverse(F)
     bound = order * np.finfo(float).eps * np.linalg.cond(F)
     assert np.abs(G @ F - np.eye(order)).max() <= bound
 
@@ -841,7 +840,7 @@ def test_failed_cholesky_falls_back_to_a_fresh_compression(monkeypatch, decompos
         make_nnp(L, V)
     assert decompositions["cholesky"] >= 2 and len(seen) == 1
     Q = ensembles._projective_part(V, n)[1]
-    np.testing.assert_array_equal(seen[0], ensembles._compress(L, Q)[0])
+    np.testing.assert_array_equal(seen[0], _numerics._compress(L, Q)[0])
 
 
 def test_requested_spectrum_matches_the_lazy_one():
@@ -1043,7 +1042,7 @@ def test_json_text_is_json_dumps_of_the_dict(monkeypatch):
     text = json.dumps(text_record(e))
     # any chunk size that is a multiple of 3 writes the same text
     for chunk in (3, 24, 8 * 30 * 30 + 3, 3 << 16):
-        monkeypatch.setattr(ensembles, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(store, "_CHUNK_BYTES", chunk)
         assert json_text(e) == text
 
 
@@ -1337,7 +1336,7 @@ def test_zero_block_reads_as_the_zero_kind(tmp_path, caplog):
     V = np.ones((50, 1))
     path = tmp_path / "z.json"
     path.write_text(json.dumps(text_record(make_nnp(np.zeros((50, 50)), V))))
-    with caplog.at_level(logging.DEBUG, logger="flatdpp.ensembles"):
+    with caplog.at_level(logging.DEBUG, logger="flatdpp.store"):
         record = read_json(path)
     assert any("read as the zero kind" in r.getMessage() for r in caplog.records)
     L = record["L"]
@@ -1385,7 +1384,7 @@ def test_projection_limits_hold_the_zero_kind():
 
 @pytest.mark.parametrize("chunk", [3, 24, 8 * 7 * 7 + 3, 3 << 16])
 def test_zero_kind_writes_the_bytes_of_a_dense_zero(monkeypatch, chunk):
-    monkeypatch.setattr(ensembles, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(store, "_CHUNK_BYTES", chunk)
     for n in (1, 7, 40):
         V = np.ones((n, 1))
         dense = json_text(make_nnp(np.zeros((n, n)), V))

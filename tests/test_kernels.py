@@ -110,6 +110,12 @@ def test_kernel_matrix_requires_positive_eps():
         kernel_matrix(builtin_kernel("gaussian"), PointSet([0.0, 1.0]), 0.0)
 
 
+@pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+def test_kernel_matrix_requires_a_finite_positive_eps(eps):
+    with pytest.raises(ValueError, match=f"eps must be a finite positive number, not {eps}"):
+        kernel_matrix(builtin_kernel("gaussian"), PointSet([0.0, 1.0]), eps)
+
+
 def test_matrix_expansion_in_distance_powers():
     # L(eps) = sum_j eps^j f_j D^(j) up to the truncation, within C*(eps*diam)^(J+1)
     rng = np.random.default_rng(4)
