@@ -10,7 +10,6 @@ from .kernels import (
     smoothness_order,
 )
 from .polybasis import (
-    MonomialBasis,
     count_homogeneous,
     count_poly,
     magic_numbers,
@@ -18,7 +17,7 @@ from .polybasis import (
     vandermonde,
     vandermonde_block,
 )
-from .wronskian import WronskianMatrix, schur_block, wronskian_matrix
+from .wronskian import schur_block, wronskian_matrix
 from .ensembles import (
     CPDViolationError,
     NNP,

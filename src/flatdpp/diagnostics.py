@@ -437,13 +437,23 @@ def convergence_curve(ps: PointSet, kernel: StationaryKernel, eps_list,
     Modes: "full-law" (TV of the size-m subset law), "size-law" (TV of the
     size distribution under alpha * eps^{-p} scaling), "conditional" (TV of
     conditional densities over a grid), "inclusion" (max-abs gap of inclusion
-    probabilities at fixed size m).
+    probabilities at fixed size m). Every input is checked before the first
+    enumeration.
     """
+    missing = {"full-law": m is None and "the fixed size m",
+               "size-law": p is None and "the scaling exponent p",
+               "conditional": (Y is None or x_grid is None) and "Y and x_grid",
+               "inclusion": m is None and "the fixed size m"}
+    if mode not in missing:
+        raise ValueError(f"unknown mode {mode!r}")
+    if missing[mode]:
+        raise ValueError(f"{mode} mode needs {missing[mode]}")
     eps_list = sorted((float(x) for x in eps_list), reverse=True)
+    for eps in eps_list:
+        if not 0 < eps < math.inf:
+            raise ValueError(f"eps must be a finite positive number, not {eps!r}")
     values = []
     if mode == "full-law":
-        if m is None:
-            raise ValueError("full-law mode needs the fixed size m")
         lim = fixed_size_limit(ps, kernel, m)
         target = brute_force_distribution(lim.process, m)
         for eps in eps_list:
@@ -451,32 +461,24 @@ def convergence_curve(ps: PointSet, kernel: StationaryKernel, eps_list,
                 eps_ensemble_distribution(ps, kernel, eps, m=m), target))
         desc = lim.label
     elif mode == "size-law":
-        if p is None:
-            raise ValueError("size-law mode needs the scaling exponent p")
         target_vec = limit_size_distribution(ps, kernel, p, alpha)
         for eps in eps_list:
             dist = eps_ensemble_distribution(ps, kernel, eps, p=p, alpha=alpha)
             values.append(tv_distance(dist.size_marginal(), target_vec))
         desc = f"size law, p={p}, alpha={alpha}"
     elif mode == "conditional":
-        if Y is None or x_grid is None:
-            raise ValueError("conditional mode needs Y and x_grid")
         target_vec = conditional_density(kernel, Y, x_grid, eps=None)
         for eps in eps_list:
             values.append(tv_distance(
                 conditional_density(kernel, Y, x_grid, eps=eps), target_vec))
         desc = "conditional density"
-    elif mode == "inclusion":
-        if m is None:
-            raise ValueError("inclusion mode needs the fixed size m")
+    else:
         lim = fixed_size_limit(ps, kernel, m)
         target_vec = inclusion_probabilities(lim.process, m)
         for eps in eps_list:
             incl = eps_ensemble_distribution(ps, kernel, eps, m=m).inclusion_vector()
             values.append(float(np.max(np.abs(incl - target_vec))))
         desc = lim.label
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return ConvergenceCurve(eps_list, values, mode, desc)
 
 

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._numerics import (_CHOLESKY_BLOCK, _TILE, _Bound, _compress, _is_zero_kind, _lift,
-                        _symmetric_scale, _symmetrized, log_esp_table)
+                        _reflectors, _symmetric_scale, _symmetrized, log_esp_table)
 from .polybasis import orthonormal_basis
 
 logger = logging.getLogger(__name__)
@@ -275,11 +275,12 @@ def make_factored_nnp(B, C, V=None) -> NNP:
     in :func:`make_nnp`, and kept; make_nnp's Q, rank check and
     log det(V^T V) are taken too, and B, C and V are kept or copied by its
     rule for V.
-    With R = (I - QQ^T) B (projected twice) and its thin QR R = Q_r R_r, the
-    nonzero spectrum of N^T L N is that of the small K = R_r C R_r^T; one
-    eigh of K gives the CPD check, lam and U = Q_r Z, so q <= h, by
-    make_nnp's rule with K for M (:class:`_Bound`): a dense pair with the
-    same L and V decides alike.
+    B is projected off span(V) by the Householder reflectors of Q that
+    make_nnp compresses L with: N^T B is the last n - p rows of H^T B. With
+    its thin QR N^T B = Q_r R_r, the nonzero spectrum of N^T L N is that of
+    the small K = R_r C R_r^T; one eigh of K gives the CPD check, lam and
+    U = N Q_r Z, so q <= h, by make_nnp's rule with K for M
+    (:class:`_Bound`): a dense pair with the same L and V decides alike.
     """
     B, C = _kept(np.asarray(B, dtype=float)), _kept(np.asarray(C, dtype=float))
     if B.ndim != 2 or C.shape != (B.shape[1], B.shape[1]):
@@ -290,18 +291,18 @@ def make_factored_nnp(B, C, V=None) -> NNP:
     n = B.shape[0]
     L, scale = _checked_square(B @ C @ B.T, owned=True)
     V, Q, logdet_vtv = _projective_part(V, n)
-    R = B - Q @ (Q.T @ B)
-    R -= Q @ (Q.T @ R)
-    Qr, Rr = np.linalg.qr(R)
+    Y, T = _reflectors(Q)
+    p = Q.shape[1]
+    Qr, Rr = np.linalg.qr(B[p:] - Y[p:] @ (T.T @ (Y.T @ B)))
     K = Rr @ C @ Rr.T
     K = 0.5 * (K + K.T)
     w, Z = np.linalg.eigh(K)
     bound = _Bound(n, scale, float(np.linalg.norm(K)))
     lam = _decided(
         bound, w, f"make_factored_nnp: eigh of the {w.size}x{w.size} factor decided",
-        f"n={n}, p={V.shape[1]}", "L = B C B^T is not CPD with respect to V: the Wronskian "
+        f"n={n}, p={p}", "L = B C B^T is not CPD with respect to V: the Wronskian "
         "Schur block C, compressed to the complement of span(V), has")
-    U = np.asfortranarray(Qr @ Z[:, ::-1][:, :lam.size])
+    U = _lift(Qr @ Z[:, ::-1][:, :lam.size], Y, T)
     return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, bound=bound, lam=lam, U=U, factor=(B, C))
 
 
@@ -364,17 +365,29 @@ def _decided(bound: _Bound, w: np.ndarray, what: str, where: str,
     return lam
 
 
-def bordered_matrix(e: NNP, idx: np.ndarray) -> np.ndarray:
-    """[[L_X, V_X], [V_X^T, 0]] for the indices X; for a (count, m) array of
-    index rows, the stack of one bordered matrix per row."""
+def bordered_matrix(e: NNP, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, 2 log det S) for B = [[L_X, V_X S], [S V_X^T, 0]] and the indices
+    X; for a (count, m) array of index rows, a stack of one B per row.
+
+    S is diagonal: s_j is the power of 2 nearest max |L_X| / max |V_X,j| (1
+    where either is 0), so det B = det(S)^2 times the bordered determinant.
+    LU's backward error is relative to the whole of B, so a border far off
+    L_X's scale would be swamped by it or swamp it, and a fixed-size law
+    would change when L is scaled.
+    """
     idx = np.asarray(idx)
     m = idx.shape[-1]
     B = np.zeros(idx.shape[:-1] + (m + e.p, m + e.p))
     B[..., :m, :m] = e.L[idx[..., :, None], idx[..., None, :]]
     VX = e.V[idx, :]
+    top = np.abs(B[..., :m, :m]).max(axis=(-2, -1), initial=0.0)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.round(np.log2(top / np.abs(VX).max(axis=-2, initial=0.0)))
+    k[~np.isfinite(k)] = 0.0
+    VX *= np.exp2(k)[..., None, :]
     B[..., :m, m:] = VX
     B[..., m:, :m] = np.swapaxes(VX, -1, -2)
-    return B
+    return B, 2.0 * math.log(2.0) * k.sum(axis=-1)
 
 
 def log_unnorm_prob(e: NNP, X: Iterable[int] | np.ndarray) -> tuple:
@@ -383,14 +396,16 @@ def log_unnorm_prob(e: NNP, X: Iterable[int] | np.ndarray) -> tuple:
     The folded sign is +1 for every subset of positive mass, 0 when the mass
     vanishes (including |X| < p, where the bordered matrix is singular). For
     a (count, m) array of index rows (distinct, in range), both are arrays
-    with one entry per row, from one batched slogdet.
+    with one entry per row, from one batched slogdet of
+    :func:`bordered_matrix`'s B, less its 2 log det S.
     """
     stacked = isinstance(X, np.ndarray) and X.ndim == 2
     idx = X if stacked else _as_indices(X, e.n)[None]
     sign, logabs = np.zeros(len(idx)), np.full(len(idx), -math.inf)
     if idx.shape[1] >= e.p:
-        sign, logabs = np.linalg.slogdet(bordered_matrix(e, idx))
-        sign = (-1) ** e.p * sign
+        B, logdet_s = bordered_matrix(e, idx)
+        sign, logabs = np.linalg.slogdet(B)
+        sign, logabs = (-1) ** e.p * sign, logabs - logdet_s
     if stacked:
         return logabs, sign
     return (float(logabs[0]), float(sign[0])) if sign[0] else (-math.inf, 0.0)

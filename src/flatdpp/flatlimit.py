@@ -51,10 +51,7 @@ class FlatLimitResult:
         }.get(self.regime)
         if param is None or param not in self.metadata:
             return self.regime
-        val = self.metadata[param]
-        if param == "r" and isinstance(val, float):
-            val = int(val)
-        return f"{self.regime}({param}={val})"
+        return f"{self.regime}({param}={self.metadata[param]})"
 
     def to_dict(self) -> dict:
         """The limit's record, with the ensemble's as :func:`nnp_to_dict`
@@ -103,7 +100,7 @@ def _wronskian_process(ps: PointSet, kernel: StationaryKernel, k: int,
                        scale: float = 1.0) -> NNP:
     """(V_k (scale W_bar) V_k^T; V_{<k}) from its factor: V_k is the degree-k
     block of the Vandermonde matrix and W_bar the Wronskian Schur block."""
-    Wbar = schur_block(wronskian_matrix(kernel, k, ps.d))
+    Wbar = schur_block(wronskian_matrix(kernel, k, ps.d), count_poly(k - 1, ps.d))
     V = vandermonde(ps, k - 1) if k >= 1 else None
     return make_factored_nnp(vandermonde_block(ps, k), scale * Wbar, V)
 

@@ -21,14 +21,16 @@ from .geometry import PointSet, distance_matrix
 #: Default truncation order for builtin Taylor expansions.
 DEFAULT_TRUNCATION = 16
 
-#: Odd coefficients below this are treated as exact zeros.
+#: Odd coefficients below this times the largest |f_j| are treated as exact
+#: zeros, so the smoothness order does not change when the series is scaled.
 ODD_COEFF_TOL = 1e-14
 
 INFINITE = math.inf
 
 
 def smoothness_order(taylor: Sequence[float]) -> float:
-    """Smallest r >= 1 with |f_{2r-1}| > tol, or math.inf if none represented.
+    """Smallest r >= 1 with |f_{2r-1}| > ODD_COEFF_TOL * max_j |f_j|, or
+    math.inf if none represented.
 
     A kernel whose represented odd coefficients all vanish is completely
     smooth as far as its truncation can tell.
@@ -36,9 +38,11 @@ def smoothness_order(taylor: Sequence[float]) -> float:
     taylor = np.asarray(taylor, dtype=float)
     if taylor.size == 0:
         raise ValueError("empty coefficient vector")
-    for r in range(1, (taylor.size + 1) // 2 + 1):
-        j = 2 * r - 1
-        if j < taylor.size and abs(taylor[j]) > ODD_COEFF_TOL:
+    if not np.all(np.isfinite(taylor)):
+        raise ValueError(f"Taylor coefficients must be finite, not {taylor.tolist()}")
+    tol = ODD_COEFF_TOL * np.abs(taylor).max()
+    for r in range(1, taylor.size // 2 + 1):
+        if abs(taylor[2 * r - 1]) > tol:
             return r
     return INFINITE
 
@@ -59,11 +63,6 @@ class StationaryKernel:
         self.taylor = taylor.copy()
         self.taylor.setflags(write=False)
         self.smoothness = smoothness_order(taylor)
-        if math.isfinite(self.smoothness):
-            r = int(self.smoothness)
-            for j in range(1, 2 * r - 1, 2):
-                if abs(taylor[j]) > ODD_COEFF_TOL:
-                    raise ValueError("odd coefficients below the smoothness order must vanish")
         self.name = name
         self._evaluator = evaluator
         self.mp_evaluator = mp_evaluator

@@ -62,21 +62,12 @@ def homogeneous_indices(k: int, d: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-class MonomialBasis:
-    """Ordered multi-indices of degree <= max_degree, degree by degree."""
-
-    def __init__(self, d: int, max_degree: int):
-        if d < 1 or max_degree < 0:
-            raise ValueError("need d >= 1 and max_degree >= 0")
-        self.d = d
-        self.max_degree = max_degree
-        self.indices: list[tuple[int, ...]] = []
-        for j in range(max_degree + 1):
-            self.indices.extend(homogeneous_indices(j, d))
-        assert len(self.indices) == count_poly(max_degree, d)
-
-    def __len__(self) -> int:
-        return len(self.indices)
+def monomial_indices(k: int, d: int) -> list[tuple[int, ...]]:
+    """Exponents of the monomials of degree <= k in d variables, in basis
+    order: by degree, then as :func:`homogeneous_indices` lists them."""
+    if k < 0 or d < 1:
+        raise ValueError("need k >= 0 and d >= 1")
+    return [alpha for j in range(k + 1) for alpha in homogeneous_indices(j, d)]
 
 
 def vandermonde(ps: PointSet, k: int) -> np.ndarray:
@@ -85,9 +76,7 @@ def vandermonde(ps: PointSet, k: int) -> np.ndarray:
     Column j evaluates the j-th basis monomial; the leading count_poly(k-1, d)
     columns coincide with vandermonde(ps, k-1).
     """
-    if k < 0:
-        raise ValueError("need k >= 0")
-    return _monomial_columns(ps, MonomialBasis(ps.d, k).indices)
+    return _monomial_columns(ps, monomial_indices(k, ps.d))
 
 
 def vandermonde_block(ps: PointSet, degree: int) -> np.ndarray:

@@ -13,22 +13,7 @@ import math
 import numpy as np
 
 from .kernels import StationaryKernel
-from .polybasis import MonomialBasis, count_homogeneous, count_poly
-
-
-class WronskianMatrix:
-    """Symmetric matrix of scaled kernel derivatives, indexed by monomials."""
-
-    def __init__(self, k: int, d: int, entries: np.ndarray, basis: MonomialBasis):
-        self.k = k
-        self.d = d
-        self.entries = entries
-        self.basis = basis
-
-    def leading(self) -> np.ndarray:
-        """The block of degrees <= k-1 (upper-left count_poly(k-1, d) square)."""
-        p = count_poly(self.k - 1, self.d)
-        return self.entries[:p, :p]
+from .polybasis import monomial_indices
 
 
 def _multinomial(m: int, parts: tuple[int, ...]) -> int:
@@ -55,8 +40,10 @@ def _entry(alpha, beta, taylor) -> float:
     return sign * coeff * taylor[2 * m]
 
 
-def wronskian_matrix(kernel: StationaryKernel, degree: int, d: int) -> WronskianMatrix:
-    """Wronskian of the kernel over monomials of degree <= `degree` in d variables.
+def wronskian_matrix(kernel: StationaryKernel, degree: int, d: int) -> np.ndarray:
+    """Wronskian of the kernel over monomials of degree <= `degree` in d
+    variables, rows and columns in :func:`flatdpp.polybasis.monomial_indices`
+    order.
 
     Requires degree <= r - 1: beyond that, the first odd radial term starts to
     contribute and the entries stop being polynomial coefficients.
@@ -73,41 +60,32 @@ def wronskian_matrix(kernel: StationaryKernel, degree: int, d: int) -> Wronskian
             f"Wronskian of degree {degree} needs Taylor coefficients up to "
             f"order {2 * degree}; kernel '{kernel.name}' stops at {kernel.taylor.size - 1}"
         )
-    basis = MonomialBasis(d, degree)
-    size = len(basis)
-    W = np.zeros((size, size))
-    for i, alpha in enumerate(basis.indices):
-        for j in range(i, size):
-            beta = basis.indices[j]
-            W[i, j] = _entry(alpha, beta, kernel.taylor)
-            W[j, i] = W[i, j]
-    return WronskianMatrix(degree, d, W, basis)
+    indices = monomial_indices(degree, d)
+    W = np.zeros((len(indices), len(indices)))
+    for i, alpha in enumerate(indices):
+        for j, beta in enumerate(indices[i:], start=i):
+            W[i, j] = W[j, i] = _entry(alpha, beta, kernel.taylor)
+    return W
 
 
 #: Condition numbers beyond this mark the leading block as numerically singular.
 MAX_LEADING_COND = 1e14
 
 
-def schur_block(W: WronskianMatrix) -> np.ndarray:
-    """Schur complement of the degree-<k block inside the degree-<=k Wronskian.
+def schur_block(W: np.ndarray, p: int) -> np.ndarray:
+    """D - C A^{-1} B for W = [[A, B], [C, D]], A being W's leading p x p block.
 
-    Partitioning W_{<=k} with upper-left W_{<k} (degrees <= k-1) and lower-right
-    indexed by the degree-k monomials, returns
-    W_bar = W_lr - W_ll @ inv(W_{<k}) @ W_ur, an H_{k,d} x H_{k,d} matrix.
+    For the degree-<=k Wronskian and p = count_poly(k-1, d), A holds the
+    degrees <= k-1, D the degree-k monomials, and the result W_bar is
+    H_{k,d} x H_{k,d}.
     """
-    p_prev = count_poly(W.k - 1, W.d)
-    h = count_homogeneous(W.k, W.d)
-    A = W.leading()
-    B = W.entries[:p_prev, p_prev:]
-    C = W.entries[p_prev:, :p_prev]
-    D = W.entries[p_prev:, p_prev:]
-    assert D.shape == (h, h)
-    if p_prev == 0:
+    A, B, C, D = W[:p, :p], W[:p, p:], W[p:, :p], W[p:, p:]
+    if p == 0:
         return D.copy()
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > MAX_LEADING_COND:
         raise ValueError(
-            f"leading Wronskian block of degree < {W.k} is numerically singular "
+            f"leading {p}x{p} Wronskian block is numerically singular "
             f"(condition number {cond:.3e}): kernel not admissible at this degree"
         )
     return D - C @ np.linalg.solve(A, B)

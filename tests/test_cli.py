@@ -8,9 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flatdpp import cli, ensembles, flatlimit, sampling, store
+from flatdpp import cli, diagnostics, ensembles, flatlimit, sampling, store
 from flatdpp.cli import CONSTRUCTION_OPTIONS, main, parse_args
-from flatdpp.geometry import uniform_points
+from flatdpp.geometry import grid_points, uniform_points
 from flatdpp.kernels import builtin_kernel
 
 
@@ -321,6 +321,83 @@ def test_converge_command(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     tvs = [float(tv) for _, tv in rows]
     assert tvs[-1] <= tvs[0]
+
+
+def curve_of(out) -> tuple[list[float], list[float]]:
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    return [float(e) for e, _ in rows], [float(tv) for _, tv in rows]
+
+
+def test_converge_size_law_mode(capsys):
+    code, out, err = run(capsys, "converge", "--gen", "uniform", "--n", "6", "--dim", "1",
+                         "--seed", "9", "--kernel", "exponential", "--mode", "size-law",
+                         "--p", "1", "--eps", "0.01,1,0.1")
+    assert code == 0 and err == "target: size law, p=1, alpha=1.0\n"
+    curve = diagnostics.convergence_curve(uniform_points(6, 1, 9), builtin_kernel("exponential"),
+                                          [1, 0.1, 0.01], "size-law", p=1)
+    assert curve_of(out) == (curve.epsilons, curve.values)
+    assert curve.values[-1] < curve.values[0]
+
+
+def test_converge_conditional_mode(capsys):
+    code, out, err = run(capsys, "converge", "--kernel", "gaussian", "--mode", "conditional",
+                         "--Y", "0.2,0.5,0.8", "--grid", "30", "--grid-range", "0,2",
+                         "--eps", "1,0.1")
+    assert code == 0 and err == "target: conditional density\n"
+    curve = diagnostics.convergence_curve(
+        uniform_points(8, 1, 0), builtin_kernel("gaussian"), [1, 0.1], "conditional",
+        Y=np.array([0.2, 0.5, 0.8]), x_grid=np.linspace(0, 2, 30))
+    assert curve_of(out) == (curve.epsilons, curve.values)
+    code, out, err = run(capsys, "converge", "--kernel", "gaussian", "--mode", "conditional",
+                         "--eps", "1,0.1")
+    assert code == 2 and out == "" and err == "error: conditional mode needs --Y\n"
+
+
+def series(name, factor=1.0) -> str:
+    """--coeffs for the builtin kernel's Taylor series times factor."""
+    return ",".join(repr(float(factor * c)) for c in builtin_kernel(name).taylor)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e-15, 1e15])
+def test_limit_of_a_grid_from_coefficients(capsys, tmp_path, factor):
+    # the exponential kernel's series, at any scale, gives the exponential limit
+    grid = ["limit", "--gen", "grid", "--n", "9", "--dim", "2", "--m", "5"]
+    lim = tmp_path / "lim.json"
+    code, _, err = run(capsys, *grid, "--coeffs", series("exponential", factor),
+                       "--out", str(lim))
+    assert code == 0 and err == "regime: FiniteSmoothness(r=1) bracket: (1, None)\n"
+    assert lim.read_text() == run(capsys, *grid, "--kernel", "exponential")[1]
+    L = store.read_json(lim)["nnp"]["L"]
+    np.testing.assert_array_equal(L, flatlimit.default_ensemble(grid_points(9, 2), 1, 1.0).L)
+
+
+@pytest.mark.parametrize("command, limit, built, reloaded", [
+    ("sample", ["--m", "5"], ["--m", "5", "--samples", "20"], ["--seed", "3", "--samples", "20"]),
+    ("size-dist", ["--vary", "--p", "1"], ["--p", "1"], [])])
+def test_built_and_reloaded_commands_give_the_same_bytes(capsys, tmp_path, command, limit,
+                                                         built, reloaded):
+    # sample and size-dist built from --gen and --kernel, without --ensemble;
+    # a reloaded sample reads its fixed size from the record and seeds its draws
+    cloud = ["--gen", "uniform", "--n", "8", "--dim", "2", "--seed", "3",
+             "--kernel", "exponential"]
+    lim = str(tmp_path / "lim.json")
+    assert run(capsys, "limit", *cloud, *limit, "--out", lim)[0] == 0
+    code, out, _ = run(capsys, command, *cloud, *built)
+    assert code == 0 and run(capsys, command, "--ensemble", lim, *reloaded) == (0, out, "")
+
+
+@pytest.mark.parametrize("fixed", [5.0, "5", True])
+@pytest.mark.parametrize("command", ["sample", "size-dist"])
+def test_a_fixed_size_that_is_not_an_integer_is_refused(capsys, tmp_path, command, fixed):
+    lim = tmp_path / "lim.json"
+    run(capsys, "limit", "--gen", "uniform", "--n", "8", "--kernel", "exponential",
+        "--m", "5", "--out", str(lim))
+    obj = json.loads(lim.read_text())
+    obj["fixed_size"] = fixed
+    lim.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, "--ensemble", str(lim))
+    assert code == 2 and out == ""
+    assert err == f"error: ensemble record: fixed_size {fixed!r} is not an integer\n"
 
 
 def test_oracle_command(capsys, tmp_path):

@@ -175,7 +175,8 @@ def test_batched_slogdets_equal_per_subset_calls():
             ref = np.linalg.slogdet(L[np.ix_(X, X)])
             assert (k, s, la) == (len(X), ref.sign, ref.logabsdet)
     # log_unnorm_prob on a stack of index rows, against one subset at a time
-    # and against the bordered matrix with the (-1)^p fold made here
+    # and against the bordered matrix with the (-1)^p fold and the border's
+    # 2 log det S taken out here
     for p in (1, 2):
         e = random_nnp(7, p, seed=18 + p)
         masks, _, sign, logabs = _slogdets_by_size(
@@ -184,8 +185,9 @@ def test_batched_slogdets_equal_per_subset_calls():
             X = indices_of(k)
             assert log_unnorm_prob(e, X) == (la, s)
             if len(X) >= p:
-                ref = np.linalg.slogdet(bordered_matrix(e, np.array(X)))
-                assert (la, s) == (ref.logabsdet, (-1) ** p * ref.sign)
+                B, logdet_s = bordered_matrix(e, np.array(X))
+                ref = np.linalg.slogdet(B)
+                assert (la, s) == (ref.logabsdet - logdet_s, (-1) ** p * ref.sign)
             else:
                 assert (la, s) == (-math.inf, 0.0)
 
@@ -710,6 +712,43 @@ def test_conditional_density_and_curves_refuse_a_nan_eps():
                          ("conditional", {"Y": Y, "x_grid": grid}), ("inclusion", {"m": 2})):
         with pytest.raises(ValueError, match=NOT_FINITE_EPS):
             convergence_curve(ps, EXPO, [0.5, math.nan], mode, **kwargs)
+
+
+#: Every step of convergence_curve that enumerates or builds a limit.
+CURVE_WORK = ["fixed_size_limit", "limit_size_distribution", "brute_force_distribution",
+              "eps_ensemble_distribution", "conditional_density", "inclusion_probabilities"]
+CURVE_MODES = {"full-law": {"m": 4}, "size-law": {"p": 1}, "inclusion": {"m": 4},
+               "conditional": {"Y": np.array([0.2, 0.5]), "x_grid": np.linspace(0, 1, 9)}}
+
+
+@pytest.fixture
+def curve_work(monkeypatch):
+    """The names of the curve's work steps as they are called; none runs."""
+    calls = []
+    for name in CURVE_WORK:
+        monkeypatch.setattr(diagnostics, name, lambda *a, _name=name, **k: calls.append(_name))
+    return calls
+
+
+@pytest.mark.parametrize("mode", CURVE_MODES)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-3])
+def test_convergence_curve_refuses_a_bad_eps_before_any_work(curve_work, mode, bad):
+    ps = uniform_points(10, 2, seed=17)
+    with pytest.raises(ValueError, match=f"eps must be a finite positive number, not {bad}"):
+        convergence_curve(ps, GAUSS, [0.5, 0.1, 1e-3, bad], mode, **CURVE_MODES[mode])
+    assert curve_work == []
+
+
+@pytest.mark.parametrize("mode, needs", [
+    ("full-law", "the fixed size m"), ("size-law", "the scaling exponent p"),
+    ("inclusion", "the fixed size m"), ("conditional", "Y and x_grid")])
+def test_convergence_curve_refuses_a_missing_input_before_any_work(curve_work, mode, needs):
+    ps = uniform_points(10, 2, seed=17)
+    # conditional is given Y alone; the other modes nothing
+    given = {"Y": CURVE_MODES[mode]["Y"]} if mode == "conditional" else {}
+    with pytest.raises(ValueError, match=f"^{mode} mode needs {needs}$"):
+        convergence_curve(ps, GAUSS, [0.5, math.nan], mode, **given)
+    assert curve_work == []
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from flatdpp.flatlimit import (
 )
 from flatdpp.geometry import PointSet, distance_power_matrix, uniform_points
 from flatdpp.kernels import builtin_kernel, custom_kernel, kernel_matrix
-from flatdpp.polybasis import orthonormal_basis, vandermonde, vandermonde_block
+from flatdpp.polybasis import count_poly, orthonormal_basis, vandermonde, vandermonde_block
 from flatdpp.wronskian import schur_block, wronskian_matrix
 
 GAUSS = builtin_kernel("gaussian")
@@ -111,7 +111,7 @@ def test_bivariate_nonmagic_uses_wronskian_block():
     res = fixed_size_limit(ps, GAUSS, 4)
     assert res.regime == NONMAGIC_WRONSKIAN
     assert res.metadata["bracket"] == (3, 6)
-    Wbar = schur_block(wronskian_matrix(GAUSS, 2, 2))
+    Wbar = schur_block(wronskian_matrix(GAUSS, 2, 2), 3)
     V2 = np.column_stack([ps.coords[:, 0] ** 2,
                           ps.coords[:, 0] * ps.coords[:, 1],
                           ps.coords[:, 1] ** 2])
@@ -301,7 +301,8 @@ def _projected_size_law(ps, kern, p, alpha):
     l = (p + 1) // 2
     if kern.smoothness > (p + 1) / 2:
         Vl = vandermonde_block(ps, l)
-        L = alpha * (Vl @ schur_block(wronskian_matrix(kern, l, ps.d)) @ Vl.T)
+        W = wronskian_matrix(kern, l, ps.d)
+        L = alpha * (Vl @ schur_block(W, count_poly(l - 1, ps.d)) @ Vl.T)
     else:
         L = alpha * kern.coeff(p) * distance_power_matrix(ps, p)
     Q = orthonormal_basis(vandermonde(ps, l - 1))

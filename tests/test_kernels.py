@@ -151,6 +151,13 @@ def test_custom_kernel_series_evaluation():
     np.testing.assert_allclose(k(np.array([0.0, 0.2])), [1.0, 1.02], rtol=1e-15)
 
 
+@pytest.mark.parametrize("coeffs", [[1.0, -1.0, math.nan], [math.inf, -1.0, 0.5]])
+def test_custom_kernel_refuses_a_coefficient_that_is_not_finite(coeffs):
+    # the smoothness order is judged relative to the largest |f_j|
+    with pytest.raises(ValueError, match="Taylor coefficients must be finite"):
+        custom_kernel(coeffs)
+
+
 def test_coefficient_truncation_error():
     k = custom_kernel([1.0, -1.0])
     assert k.coeff(1) == -1.0

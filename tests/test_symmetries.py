@@ -7,8 +7,12 @@ the isotropic kernels see only distances, and a linear map of the plane maps
 each space of polynomials of degree < k onto itself, so permuting, rotating
 and reflecting the points changes no law. Scaling the cloud leaves the
 fixed-size laws alone: it scales L by a constant and V by an invertible
-diagonal map, and a fixed-size law does not see either.
-Translation and scales past 10^4 in the polynomial regimes need a centred,
+diagonal map, and a fixed-size law does not see either. Bordered minors
+bring each column of V to L's scale, so up to 10^6 their floats do not see
+it either. Scaling the kernel's Taylor series scales L (or the Wronskian
+factor) by a constant too, and leaves the regime alone because the
+smoothness order is judged relative to the series.
+Translation and scales past 10^6 in the polynomial regimes need a centred,
 scaled monomial frame, which the library does not build yet.
 """
 
@@ -22,7 +26,7 @@ from flatdpp.diagnostics import brute_force_distribution, tv_distance
 from flatdpp.ensembles import SubsetDistribution
 from flatdpp.flatlimit import fixed_size_limit, varying_size_limit
 from flatdpp.geometry import PointSet
-from flatdpp.kernels import builtin_kernel
+from flatdpp.kernels import BUILTIN_NAMES, builtin_kernel, custom_kernel
 
 #: (kernel, fixed size m) and (kernel, varying exponent p)
 FIXED = [("gaussian", 3), ("gaussian", 4), ("gaussian", 5), ("gaussian", 6),
@@ -36,8 +40,11 @@ COORDS = np.random.default_rng(4).uniform(size=(9, 2))
 TV = 1e-10
 
 
-def law(coords, kernel, kind, value) -> SubsetDistribution:
+def law(coords, kernel, kind, value, factor=1.0) -> SubsetDistribution:
+    """The limit's law for the builtin kernel with its series times factor."""
     ps, kern = PointSet(coords), builtin_kernel(kernel)
+    if factor != 1.0:
+        kern = custom_kernel(factor * kern.taylor)
     if kind == "m":
         return brute_force_distribution(fixed_size_limit(ps, kern, value).process, value)
     return brute_force_distribution(varying_size_limit(ps, kern, value).process)
@@ -69,9 +76,24 @@ def test_rotating_and_reflecting_the_points(kernel, kind, value, linear):
 
 @pytest.mark.parametrize("kernel,kind,value", [c for c in LIMITS if c[1] == "m"],
                          ids=[i for i, c in zip(IDS, LIMITS) if c[1] == "m"])
-@pytest.mark.parametrize("scale", [1e-2, 1e2])
+@pytest.mark.parametrize("scale", [1e-2, 1e2, 1e6])
 def test_scaling_the_points_leaves_fixed_size_laws(kernel, kind, value, scale):
     before, after = law(COORDS, kernel, kind, value), law(scale * COORDS, kernel, kind, value)
+    assert tv_distance(before, after) <= TV
+
+
+@pytest.mark.parametrize("factor", [1e-15, 1e15])
+@pytest.mark.parametrize("kernel", BUILTIN_NAMES)
+def test_scaling_the_kernel_keeps_its_smoothness(kernel, factor):
+    expected = builtin_kernel(kernel).smoothness
+    assert custom_kernel(factor * builtin_kernel(kernel).taylor).smoothness == expected
+
+
+@pytest.mark.parametrize("kernel,kind,value", [c for c in LIMITS if c[1] == "m"],
+                         ids=[i for i, c in zip(IDS, LIMITS) if c[1] == "m"])
+@pytest.mark.parametrize("factor", [1e-15, 1e15])
+def test_scaling_the_kernel_leaves_fixed_size_laws(kernel, kind, value, factor):
+    before, after = law(COORDS, kernel, kind, value), law(COORDS, kernel, kind, value, factor)
     assert tv_distance(before, after) <= TV
 
 
