@@ -78,6 +78,18 @@ def _lift(W: np.ndarray, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
     return U
 
 
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F of the finite M. np.linalg.norm squares M's entries, so past
+    about 1e154 its sum overflows; only then is the norm taken again of M
+    times 2^-k, k the exponent of max |M|, which is exact, and scaled back."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(M))
+    if math.isfinite(norm):
+        return norm
+    k = math.frexp(max(float(M.max()), -float(M.min())))[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(M, -k))), k)
+
+
 class _Bound(NamedTuple):
     """beta = n eps (max |L| + ||M||_F), M = N^T L N (for a factor, K): the
     one bound that decides PSD and rank. It sums the backward errors of the

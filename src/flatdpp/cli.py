@@ -209,7 +209,8 @@ def cmd_inclusion(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    ps = _load_points(args)
+    # the conditional density is of the kernel alone: no ground set is read
+    ps = None if args.mode == "conditional" else _load_points(args)
     kernel = _load_kernel(args)
     kwargs = {}
     if args.mode in ("full-law", "inclusion"):
@@ -375,12 +376,24 @@ def _check_limit_choice(args) -> None:
             args.parser.error(f"argument --{dest}: only read with argument --vary")
 
 
+def _check_conditional_mode(args) -> None:
+    """Usage error for a ground-set option given to converge --mode
+    conditional, which reads no ground set."""
+    if args.command != "converge" or args.mode != "conditional":
+        return
+    for dest in ("points", "gen", "n", "dim", "seed"):
+        if getattr(args, dest) is not None:
+            args.parser.error(f"argument --{dest}: not read with --mode conditional")
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse a command line; the construction defaults are filled in after
-    the checks that none was given beside --ensemble or outside its limit."""
+    the checks that none was given beside --ensemble, outside its limit or
+    to a mode that reads no ground set."""
     args = build_parser().parse_args(argv)
     _check_ensemble_options(args)
     _check_limit_choice(args)
+    _check_conditional_mode(args)
     for dest, default in CONSTRUCTION_OPTIONS.items():
         if default is not None and getattr(args, dest, default) is None:
             setattr(args, dest, default)

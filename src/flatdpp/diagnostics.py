@@ -429,7 +429,7 @@ class ConvergenceCurve:
             raise ValueError("distances must be nonnegative")
 
 
-def convergence_curve(ps: PointSet, kernel: StationaryKernel, eps_list,
+def convergence_curve(ps: PointSet | None, kernel: StationaryKernel, eps_list,
                       mode: str, m: int | None = None, p: int | None = None,
                       alpha: float = 1.0, Y=None, x_grid=None) -> ConvergenceCurve:
     """Measure the approach of pre-limit ensembles to their flat limit.
@@ -437,7 +437,8 @@ def convergence_curve(ps: PointSet, kernel: StationaryKernel, eps_list,
     Modes: "full-law" (TV of the size-m subset law), "size-law" (TV of the
     size distribution under alpha * eps^{-p} scaling), "conditional" (TV of
     conditional densities over a grid), "inclusion" (max-abs gap of inclusion
-    probabilities at fixed size m). Every input is checked before the first
+    probabilities at fixed size m). The conditional mode does not read ps,
+    which may be None there. Every input is checked before the first
     enumeration.
     """
     missing = {"full-law": m is None and "the fixed size m",

@@ -38,8 +38,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._numerics import (_CHOLESKY_BLOCK, _TILE, _Bound, _compress, _is_zero_kind, _lift,
-                        _reflectors, _symmetric_scale, _symmetrized, log_esp_table)
+from ._numerics import (_CHOLESKY_BLOCK, _TILE, _Bound, _compress, _frobenius,
+                        _is_zero_kind, _lift, _reflectors, _symmetric_scale, _symmetrized,
+                        log_esp_table)
 from .polybasis import orthonormal_basis
 
 logger = logging.getLogger(__name__)
@@ -85,7 +86,8 @@ class NNP:
     with make_nnp(..., spectrum=...) has lam (and U) from its validation, and
     a factored pair has both from construction and never decomposes L. Immutable
     after construction; build through :func:`make_nnp` or
-    :func:`make_factored_nnp`. The fixed-size sampler caches its read-only
+    :func:`make_factored_nnp`, or scale a validated dense pair by
+    :func:`_scaled_nnp`. The fixed-size sampler caches its read-only
     acceptance tables here, keyed by the number of eigenvectors drawn, on
     first use.
     """
@@ -297,13 +299,36 @@ def make_factored_nnp(B, C, V=None) -> NNP:
     K = Rr @ C @ Rr.T
     K = 0.5 * (K + K.T)
     w, Z = np.linalg.eigh(K)
-    bound = _Bound(n, scale, float(np.linalg.norm(K)))
+    bound = _Bound(n, scale, _frobenius(K))
     lam = _decided(
         bound, w, f"make_factored_nnp: eigh of the {w.size}x{w.size} factor decided",
         f"n={n}, p={p}", "L = B C B^T is not CPD with respect to V: the Wronskian "
         "Schur block C, compressed to the complement of span(V), has")
     U = _lift(Qr @ Z[:, ::-1][:, :lam.size], Y, T)
     return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, bound=bound, lam=lam, U=U, factor=(B, C))
+
+
+def _scaled_nnp(unit: NNP, gamma: float) -> NNP:
+    """(gamma L; V) for a dense pair unit = (L; V) that :func:`make_nnp`
+    validated and a finite gamma >= 0, with no sweep, compression or
+    Cholesky: the decision and the bound are homogeneous in gamma.
+
+    gamma L is a new frozen array; V, Q and log det(V^T V) are unit's. The
+    bound is (n, gamma max |L|, gamma ||M||_F): rounding is monotone, so
+    max |fl(gamma L)| = fl(gamma max |L|). lam and U are decomposed from
+    gamma L on first read, as for a pair that make_nnp accepted, so they are
+    those of make_nnp(gamma L, V) with that pair's bound; at gamma = 0 there
+    is no spectrum, as make_nnp finds for L = 0. A gamma that takes max |L|
+    or ||M||_F past float64 is a ValueError: beta would be infinite, and the
+    compression on first read would overflow.
+    """
+    unit_bound = unit._bound
+    bound = _Bound(unit.n, gamma * unit_bound.max_l, gamma * unit_bound.norm_m)
+    if not math.isfinite(bound.max_l + bound.norm_m):
+        raise ValueError(f"L times gamma = {gamma!r} is past the float64 range: "
+                         f"max |L| {bound.max_l:.3e}, ||N^T L N||_F {bound.norm_m:.3e}")
+    return NNP(np.multiply(unit.L, gamma), unit.V, Q=unit.Q, logdet_vtv=unit.logdet_vtv,
+               bound=bound, lam=np.zeros(0) if gamma == 0 else None)
 
 
 def _validate(L: np.ndarray, Q: np.ndarray, scale: float, spectrum: str | None
@@ -320,7 +345,7 @@ def _validate(L: np.ndarray, Q: np.ndarray, scale: float, spectrum: str | None
         return _decomposed(L, Q, scale, spectrum == "vectors", f"make_nnp: {decider} decided",
                            refusal, start)
     M = _compress(L, Q)[0]
-    bound = _Bound(n, scale, float(np.linalg.norm(M)))
+    bound = _Bound(n, scale, _frobenius(M))
     what = (f"make_nnp: blocked Cholesky of N^T L N + beta I in "
             f"{-(-M.shape[0] // _CHOLESKY_BLOCK)} blocks")
     if bound.accepts(M):
@@ -342,7 +367,7 @@ def _decomposed(L: np.ndarray, Q: np.ndarray, bound: _Bound | float, vectors: bo
     n, p = Q.shape
     M, Y, T = _compress(L, Q)
     if not isinstance(bound, _Bound):
-        bound = _Bound(n, bound, float(np.linalg.norm(M)))
+        bound = _Bound(n, bound, _frobenius(M))
     w, W = np.linalg.eigh(M) if vectors else (np.linalg.eigvalsh(M), None)
     del M
     if lam is None:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import (CPDViolationError, NNP, make_factored_nnp, make_nnp, nnp_to_dict,
-                        size_distribution)
+from .ensembles import (CPDViolationError, NNP, _scaled_nnp, make_factored_nnp, make_nnp,
+                        nnp_to_dict, size_distribution)
 from .geometry import PointSet, distance_power_matrix
 from .kernels import StationaryKernel, kernel_matrix
 from .polybasis import count_poly, vandermonde, vandermonde_block
@@ -194,15 +194,25 @@ def default_ensemble(ps: PointSet, beta: int, gamma: float) -> NNP:
     beta must be a positive odd integer (the conditionally positive definite
     range); the projective part spans polynomials of degree < ceil(beta/2).
     These are exactly the critical-scaling limits of finitely smooth kernels.
+
+    The unit pair, gamma = 1, is built and validated by :func:`make_nnp`
+    once per PointSet and beta, and every gamma is derived from it: gamma = 1
+    returns it, and any other gamma shares its V, Q and bound, scaled, with
+    L = gamma L_1 (the bytes of D^(beta) times gamma (-1)^ceil(beta/2)). The
+    PointSet keeps the unit pair only while a caller holds it, so limits on
+    one PointSet that differ only by gamma share one D^(beta) and one
+    validation while one of them holds the unit pair.
     """
     if beta < 1 or beta % 2 == 0:
         raise ValueError("beta must be a positive odd integer")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    half_up = (beta + 1) // 2
-    L = distance_power_matrix(ps, beta)
-    L *= gamma * (-1.0) ** half_up
-    # bit-symmetric by construction: frozen, make_nnp keeps it without a copy
-    L.setflags(write=False)
-    V = vandermonde(ps, half_up - 1)
-    return make_nnp(L, V)
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be a finite nonnegative number, not {gamma!r}")
+    unit = ps._unit_pairs.get(beta)
+    if unit is None:
+        half_up = (beta + 1) // 2
+        L = distance_power_matrix(ps, beta)
+        L *= (-1.0) ** half_up
+        # bit-symmetric by construction: frozen, make_nnp keeps it without a copy
+        L.setflags(write=False)
+        unit = ps._unit_pairs[beta] = make_nnp(L, vandermonde(ps, half_up - 1))
+    return unit if gamma == 1 else _scaled_nnp(unit, gamma)

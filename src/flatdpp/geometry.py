@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 def coincidence_radius(*clouds: np.ndarray) -> float:
@@ -16,7 +18,10 @@ class PointSet:
 
     Coordinates are stored as an immutable (n, d) float64 array. Every
     determinant formula downstream assumes distinct points, so coincident
-    points are rejected at construction time.
+    points are rejected at construction time. ``_unit_pairs`` holds, by the
+    power beta, the validated distance pairs that
+    :func:`flatdpp.flatlimit.default_ensemble` builds on these points, each
+    only while something else holds it.
     """
 
     def __init__(self, coords):
@@ -34,6 +39,7 @@ class PointSet:
         self.coords.setflags(write=False)
         self.n = n
         self.d = d
+        self._unit_pairs = weakref.WeakValueDictionary()
         if n > 1:
             dmin = float(np.sqrt(_min_sq_dist(self.coords)))
             if dmin <= coincidence_radius(self.coords):

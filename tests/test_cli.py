@@ -353,6 +353,16 @@ def test_converge_conditional_mode(capsys):
     assert code == 2 and out == "" and err == "error: conditional mode needs --Y\n"
 
 
+def test_converge_conditional_mode_loads_no_ground_set(capsys, monkeypatch):
+    def no_load(args):
+        raise AssertionError("conditional mode loaded a ground set")
+
+    monkeypatch.setattr(cli, "_load_points", no_load)
+    code, out, _ = run(capsys, "converge", "--kernel", "gaussian", "--mode", "conditional",
+                       "--Y", "0.2,0.5", "--grid", "10", "--eps", "1,0.1")
+    assert code == 0 and out.startswith("epsilon,tv\n")
+
+
 def series(name, factor=1.0) -> str:
     """--coeffs for the builtin kernel's Taylor series times factor."""
     return ",".join(repr(float(factor * c)) for c in builtin_kernel(name).taylor)
@@ -373,7 +383,10 @@ def test_limit_of_a_grid_from_coefficients(capsys, tmp_path, factor):
 
 @pytest.mark.parametrize("command, limit, built, reloaded", [
     ("sample", ["--m", "5"], ["--m", "5", "--samples", "20"], ["--seed", "3", "--samples", "20"]),
-    ("size-dist", ["--vary", "--p", "1"], ["--p", "1"], [])])
+    ("size-dist", ["--vary", "--p", "1"], ["--p", "1"], []),
+    # at alpha != 1 the limit is the unit pair scaled, not the unit pair itself
+    ("size-dist", ["--vary", "--p", "1", "--alpha", "0.1"], ["--p", "1", "--alpha", "0.1"],
+     [])])
 def test_built_and_reloaded_commands_give_the_same_bytes(capsys, tmp_path, command, limit,
                                                          built, reloaded):
     # sample and size-dist built from --gen and --kernel, without --ensemble;
@@ -462,6 +475,12 @@ UNREAD = "unrecognized arguments"
        f"argument {flags[0]}: only read with argument --vary")
       for command in ("limit", "sample")
       for flags in (("--p", "3"), ("--alpha", "7"))],
+    # a conditional curve reads no ground set: a missing file is never opened
+    *[(("converge", "--kernel", "gaussian", "--mode", "conditional", "--Y", "0.2,0.5",
+        "--grid", "10", "--eps", "1,0.1", *flags),
+       f"argument {flags[0]}: not read with --mode conditional")
+      for flags in (("--points", "missing.csv"), ("--gen", "grid"), ("--n", "3"),
+                    ("--dim", "2"), ("--seed", "3"))],
 ])
 def test_unread_options_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as info:

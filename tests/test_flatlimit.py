@@ -1,11 +1,13 @@
+import gc
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from flatdpp import _numerics, flatlimit
 from flatdpp.diagnostics import brute_force_distribution, tv_distance
-from flatdpp.ensembles import CPDViolationError, log_unnorm_prob, size_distribution
+from flatdpp.ensembles import CPDViolationError, log_unnorm_prob, make_nnp, size_distribution
 from flatdpp.flatlimit import (
     FINITE_SMOOTHNESS,
     FULL_SET,
@@ -379,6 +381,102 @@ def test_default_ensemble_validation():
         default_ensemble(ps, beta=2, gamma=1.0)
     with pytest.raises(ValueError):
         default_ensemble(ps, beta=3, gamma=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# one validated unit pair per PointSet and beta
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-5, 0.1, 1.0, 7.0])
+@pytest.mark.parametrize("beta", [1, 3, 5])
+def test_default_ensemble_is_make_nnp_of_the_same_matrix(beta, gamma):
+    ps = uniform_points(10, 2, seed=21)
+    e = default_ensemble(ps, beta, gamma)
+    L = distance_power_matrix(ps, beta)
+    L *= gamma * (-1.0) ** ((beta + 1) // 2)
+    direct = make_nnp(L, vandermonde(ps, (beta + 1) // 2 - 1))
+    assert e.L.tobytes() == direct.L.tobytes()
+    # (q, unresolved): every eigenvalue of N^T L N not above beta is unresolved
+    assert (e.q, e.n - e.p - e.q) == (direct.q, direct.n - direct.p - direct.q)
+    assert tv_distance(brute_force_distribution(e), brute_force_distribution(direct)) <= 1e-12
+
+
+def counted(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_limits_that_differ_only_by_gamma_share_one_validation(monkeypatch):
+    distances = counted(monkeypatch, flatlimit, "distance_power_matrix")
+    choleskys = counted(monkeypatch, _numerics, "_cholesky_in_place")
+    ps = uniform_points(12, 2, seed=22)
+    fixed = fixed_size_limit(ps, EXPO, 10)
+    vary = varying_size_limit(ps, EXPO, 1, 0.1)
+    assert (len(distances), len(choleskys)) == (1, 1)
+    assert vary.process.L is not fixed.process.L
+    assert vary.process.V is fixed.process.V and vary.process.Q is fixed.process.Q
+    # gamma = alpha |f_1| = 1 is the unit pair itself
+    assert varying_size_limit(ps, EXPO, 1, 1.0).process is fixed.process
+    assert (len(distances), len(choleskys)) == (1, 1)
+
+
+def test_limits_built_in_either_order_have_the_same_laws():
+    first, second = uniform_points(12, 2, seed=22), uniform_points(12, 2, seed=22)
+    fixed = fixed_size_limit(first, EXPO, 10).process
+    vary = varying_size_limit(first, EXPO, 1, 0.1).process
+    vary_first = varying_size_limit(second, EXPO, 1, 0.1).process
+    fixed_second = fixed_size_limit(second, EXPO, 10).process
+    for a, b, m in ((fixed, fixed_second, 10), (vary, vary_first, None)):
+        assert a.L.tobytes() == b.L.tobytes()
+        np.testing.assert_array_equal(a.lam, b.lam)
+        assert tv_distance(brute_force_distribution(a, m), brute_force_distribution(b, m)) == 0.0
+
+
+def test_the_unit_pair_lives_only_while_a_limit_holds_it():
+    ps = uniform_points(12, 2, seed=23)
+    fixed = fixed_size_limit(ps, EXPO, 10)
+    vary = varying_size_limit(ps, EXPO, 1, 0.1)
+    assert list(ps._unit_pairs.values()) == [fixed.process]
+    del fixed, vary
+    gc.collect()
+    assert len(ps._unit_pairs) == 0
+
+
+def test_point_sets_with_equal_coordinates_share_nothing(monkeypatch):
+    distances = counted(monkeypatch, flatlimit, "distance_power_matrix")
+    coords = uniform_points(12, 2, seed=24).coords
+    a = fixed_size_limit(PointSet(coords), EXPO, 10).process
+    b = fixed_size_limit(PointSet(coords), EXPO, 10).process
+    assert len(distances) == 2 and a is not b
+    for x, y in ((a.L, b.L), (a.V, b.V), (a.Q, b.Q)):
+        assert not np.shares_memory(x, y)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_default_ensemble_refuses_a_gamma_that_is_not_finite_and_nonnegative(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        default_ensemble(uniform_points(4, 1, seed=19), beta=1, gamma=gamma)
+
+
+@pytest.mark.parametrize("points, gamma", [
+    # max |L| = 3e308 is past float64
+    ([0.0, 3.0], 1e308),
+    # max |L| = 1.3e307 is not, but ||N^T L N||_F = 6.4e308 is: beta would be
+    # infinite, and compressing L on the first read of lam overflows
+    (uniform_points(300, 2, seed=1).coords, 1e307)])
+def test_default_ensemble_refuses_a_gamma_past_the_float64_range(points, gamma):
+    ps = PointSet(points)
+    default_ensemble(ps, beta=1, gamma=1e300)
+    with pytest.raises(ValueError, match="past the float64 range"):
+        default_ensemble(ps, beta=1, gamma=gamma)
 
 
 def test_result_serialization():

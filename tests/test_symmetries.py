@@ -14,18 +14,21 @@ factor) by a constant too, and leaves the regime alone because the
 smoothness order is judged relative to the series.
 Translation and scales past 10^6 in the polynomial regimes need a centred,
 scaled monomial frame, which the library does not build yet.
+Scaling L itself, by a large alpha or by hand, decides as at scale 1 up to
+1e300, where the squares in ||N^T L N||_F overflow float64.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from flatdpp.cli import main
 from flatdpp.diagnostics import brute_force_distribution, tv_distance
-from flatdpp.ensembles import SubsetDistribution
+from flatdpp.ensembles import SubsetDistribution, make_nnp, size_distribution
 from flatdpp.flatlimit import fixed_size_limit, varying_size_limit
-from flatdpp.geometry import PointSet
+from flatdpp.geometry import PointSet, distance_power_matrix, uniform_points
 from flatdpp.kernels import BUILTIN_NAMES, builtin_kernel, custom_kernel
 
 #: (kernel, fixed size m) and (kernel, varying exponent p)
@@ -103,6 +106,32 @@ def test_distinct_points_stay_distinct_at_any_scale(scale):
     # (V = ones, no monomial to lose digits) holds from 1e-30 to 1e30
     before = law(COORDS, "exponential", "m", 5)
     assert tv_distance(before, law(scale * COORDS, "exponential", "m", 5)) <= TV
+
+
+#: 300 uniform points in [0, 1]^2 (seed 1): past alpha of about 1e154 the
+#: squares in ||N^T L N||_F overflow, which once made beta infinite and q = 0
+CLOUD_300 = uniform_points(300, 2, seed=1)
+
+
+@pytest.mark.parametrize("kernel,p", [("exponential", 1), ("gaussian", 2)])
+def test_varying_limits_keep_their_spectrum_up_to_alpha_1e300(kernel, p):
+    kern = builtin_kernel(kernel)
+    q = varying_size_limit(CLOUD_300, kern, p).process.q
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1e150, 1e160, 1e200, 1e300):
+            e = varying_size_limit(CLOUD_300, kern, p, alpha).process
+            # every eigenvalue is huge: the size law's mode is p + q
+            assert e.q == q and np.argmax(size_distribution(e)) == e.p + q
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_a_dense_pair_scaled_past_1e154_decides_as_at_scale_1(scale):
+    D = distance_power_matrix(CLOUD_300, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = make_nnp(-scale * D, np.ones(300))
+    assert e.q == make_nnp(-D, np.ones(300)).q == 299
 
 
 def test_limit_of_a_permuted_csv_has_the_same_size_law(tmp_path):
