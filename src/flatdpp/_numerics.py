@@ -105,6 +105,16 @@ class _Bound(NamedTuple):
     max_l: float
     norm_m: float
 
+    @classmethod
+    def of(cls, n: int, max_l: float, M: np.ndarray) -> "_Bound":
+        """The bound of max |L| = max_l and M, or ValueError when ||M||_F is
+        past the float64 range, as when M's entries overflowed."""
+        norm_m = _frobenius(M)
+        if not math.isfinite(norm_m):
+            raise ValueError(f"N^T L N is past the float64 range: max |L| {max_l:.3e}, "
+                             f"||N^T L N||_F {norm_m}")
+        return cls(n, max_l, norm_m)
+
     @property
     def beta(self) -> float:
         return self.n * np.finfo(float).eps * (self.max_l + self.norm_m)

@@ -174,11 +174,21 @@ def cmd_size_dist(args) -> int:
     return 0
 
 
+def _grid(args) -> np.ndarray:
+    """--grid points evenly spaced over --grid-range, or ValueError."""
+    bounds = _parse_floats(args.grid_range)
+    if len(bounds) != 2 or not np.all(np.isfinite(bounds)):
+        raise ValueError(f"--grid-range must be two finite numbers lo,hi, "
+                         f"not {args.grid_range!r}")
+    if args.grid < 1:
+        raise ValueError(f"--grid must be a positive number of points, not {args.grid}")
+    return np.linspace(*bounds, args.grid)
+
+
 def cmd_cond_density(args) -> int:
     kernel = _load_kernel(args)
     Y = np.array(_parse_floats(args.Y))
-    lo, hi = _parse_floats(args.grid_range)
-    grid = np.linspace(lo, hi, args.grid)
+    grid = _grid(args)
     header = ["x"]
     cols = [grid]
     for eps in _parse_floats(args.eps) if args.eps else []:
@@ -221,8 +231,7 @@ def cmd_converge(args) -> int:
         if not args.Y:
             raise ValueError("conditional mode needs --Y")
         kwargs["Y"] = np.array(_parse_floats(args.Y))
-        lo, hi = _parse_floats(args.grid_range)
-        kwargs["x_grid"] = np.linspace(lo, hi, args.grid)
+        kwargs["x_grid"] = _grid(args)
     curve = diagnostics.convergence_curve(
         ps, kernel, _parse_floats(args.eps), args.mode, **kwargs)
     print(f"target: {curve.target}", file=sys.stderr)

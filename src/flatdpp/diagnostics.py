@@ -3,7 +3,8 @@
 Everything here evaluates probability laws by exhaustive enumeration so the
 constructors and samplers can be verified against them. The float64 oracles
 take one batched ``slogdet`` per subset size; a float conditional density
-takes one per block of ``CONDITIONAL_BLOCK`` grid points, stacked after Y.
+takes one per chunk of ``CONDITIONAL_BLOCK`` grid points, each row the
+minor of Y + x built from those points' coordinates alone.
 
 Subset determinants of near-flat kernel matrices are badly conditioned
 (relative accuracy degrades like eps^(-2(m-1)) at size m), so the pre-limit
@@ -32,7 +33,6 @@ from mpmath import mp
 
 from .ensembles import (
     NNP,
-    RankDeficientError,
     SubsetDistribution,
     indices_of,
     log_fixed_size_normalizer,
@@ -40,9 +40,9 @@ from .ensembles import (
     log_unnorm_prob,
     mask_of,
 )
-from .flatlimit import (_fixed_size_dispatch, _varying_params, fixed_size_limit,
+from .flatlimit import (_fixed_size_minors, _varying_params, fixed_size_limit,
                         limit_size_distribution)
-from .geometry import PointSet, _sq_dists, coincidence_radius
+from .geometry import PointSet, coincidence_radius
 from .kernels import StationaryKernel, kernel_matrix
 
 logger = logging.getLogger(__name__)
@@ -54,9 +54,9 @@ MAX_COMBINATIONS = 10**6
 #: Estimated decimal digits float64 may lose before the mp backend kicks in.
 FLOAT_DIGIT_BUDGET = 10
 
-#: Grid points per ground set of a float conditional density; bounds each
-#: block's matrices, and the flat limit's decomposition, to (m + 128)^2 entries.
-CONDITIONAL_BLOCK = 128
+#: Grid points per batched determinant stack of a float conditional density;
+#: bounds each chunk's matrices to 256 (m + p)^2 entries for minors of order m + p.
+CONDITIONAL_BLOCK = 256
 
 
 def _check_enumerable(n: int, m: int | None) -> None:
@@ -319,34 +319,22 @@ def tv_distance(P, Q) -> float:
     return float(np.sum(np.abs(P - Q)))
 
 
-def _block_slogdets(kernel: StationaryKernel, Z: PointSet, idx: np.ndarray,
-                    eps: float | None):
-    """(sign, log|det|) per index row of the ground set Z, from one batched slogdet:
-    kernel-matrix minors at inverse scale eps, or (eps=None) bordered minors of
-    the flat limit of size idx.shape[1] built on Z."""
-    if eps is not None:
-        return np.linalg.slogdet(kernel_matrix(kernel, Z, eps)[idx[:, :, None], idx[:, None, :]])
+def _conditional_points(Y, x_grid) -> tuple[PointSet, np.ndarray]:
+    """(the PointSet of Y, x_grid as a (G, d) array), or ValueError unless Y
+    is a PointSet's coordinates (finite and distinct) and x_grid is
+    non-empty and finite, with Y's d columns."""
     try:
-        e = _fixed_size_dispatch(Z, kernel, idx.shape[1]).process
-    except RankDeficientError:
-        # V has rank < p on Z, hence on every subset of Z: no mass
-        return np.zeros(idx.shape[0]), np.full(idx.shape[0], -math.inf)
-    return log_unnorm_prob(e, idx)[::-1]
-
-
-def _near_duplicate_representatives(xs: np.ndarray, radius: float) -> np.ndarray:
-    """rep[j]: the earliest row kept that lies within radius of row j, or j.
-
-    Rows are taken in order and a row is kept unless an earlier kept row lies
-    within radius of it, so the kept rows are distinct in any PointSet whose
-    coincidence radius is at most radius.
-    """
-    rep = np.arange(xs.shape[0])
-    close = np.triu(np.sqrt(_sq_dists(xs, xs)) <= radius, 1)
-    for i, j in zip(*np.nonzero(close)):
-        if rep[i] == i and rep[j] == j:
-            rep[j] = i
-    return rep
+        ys = PointSet(Y)
+    except ValueError as err:
+        raise ValueError(f"conditioning points Y: {err}") from None
+    grid = np.asarray(x_grid, dtype=float)
+    grid = grid[:, None] if grid.ndim == 1 else grid
+    if grid.ndim != 2 or grid.shape[0] == 0 or grid.shape[1] != ys.d:
+        raise ValueError(f"x_grid must hold one or more points of dimension {ys.d}, "
+                         f"as Y does, not an array of shape {np.shape(x_grid)}")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("x_grid has a coordinate that is not finite")
+    return ys, grid
 
 
 def conditional_density(kernel: StationaryKernel, Y, x_grid,
@@ -359,35 +347,30 @@ def conditional_density(kernel: StationaryKernel, Y, x_grid,
     size-(len(Y) + 1) flat limit, whose bordered minor over Y + x is the same
     on any ground set that contains it. Values are normalized to sum to one
     over the grid and vanish at grid points coinciding with an element of Y
-    (and, in the limit, where V is singular on Y + x). A grid point within
-    the coincidence radius of Y and the grid of another grid point of its
-    block takes that point's value.
+    (and, in the limit, where V is singular on Y + x). Y must be finite and
+    distinct, and x_grid non-empty and finite, with Y's dimension; any other
+    input is a ValueError before any work.
     precision is as in eps_ensemble_distribution, with the digits at risk
     read on K_Y.
     """
-    Y = np.asarray(Y, dtype=float).reshape(len(Y), -1)
-    x_grid = np.asarray(x_grid, dtype=float).reshape(len(x_grid), -1)
-    k = Y.shape[0]
+    ys, x_grid = _conditional_points(Y, x_grid)
+    Y, k, d = ys.coords, ys.n, ys.d
+    wanted = None if eps is None else _backend(
+        "conditional_density", kernel_matrix(kernel, ys, eps), k + 1, eps, precision)
     radius = coincidence_radius(Y, x_grid)
     free = np.min(np.linalg.norm(x_grid[:, None, :] - Y, axis=2), axis=1) > radius
     xs, where = np.unique(x_grid[free], axis=0, return_inverse=True)
-    wanted = None if eps is None else _backend(
-        "conditional_density", kernel_matrix(kernel, PointSet(Y), eps), k + 1, eps, precision)
     if wanted is not None:
         with mp.workdps(wanted):
             vals = np.array(_mp_conditional_logdets(kernel, Y, xs, eps))
     else:
+        minors = _fixed_size_minors(kernel, k + 1, d, eps)
         vals = np.full(xs.shape[0], -math.inf)
         for lo in range(0, xs.shape[0], CONDITIONAL_BLOCK):
-            block = xs[lo:lo + CONDITIONAL_BLOCK]
-            rep = _near_duplicate_representatives(block, radius)
-            own = np.flatnonzero(rep == np.arange(rep.size))
-            Z = PointSet(np.vstack([Y, block[own]]))
-            idx = np.column_stack([np.tile(np.arange(k), (own.size, 1)), np.arange(k, Z.n)])
-            sign, logabs = _block_slogdets(kernel, Z, idx, eps)
-            block_vals = np.empty(rep.size)
-            block_vals[own] = np.where(sign > 0, logabs, -math.inf)
-            vals[lo:lo + rep.size] = block_vals[rep]
+            chunk = xs[lo:lo + CONDITIONAL_BLOCK, None]
+            logabs, sign = minors(np.concatenate(
+                [np.broadcast_to(Y, (chunk.shape[0], k, d)), chunk], axis=1))
+            vals[lo:lo + chunk.shape[0]] = np.where(sign > 0, logabs, -math.inf)
     logvals = np.full(x_grid.shape[0], -math.inf)
     logvals[free] = vals[where.reshape(-1)]
     ref = np.max(logvals)

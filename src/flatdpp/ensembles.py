@@ -38,9 +38,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._numerics import (_CHOLESKY_BLOCK, _TILE, _Bound, _compress, _frobenius,
-                        _is_zero_kind, _lift, _reflectors, _symmetric_scale, _symmetrized,
-                        log_esp_table)
+from ._numerics import (_CHOLESKY_BLOCK, _TILE, _Bound, _compress, _is_zero_kind, _lift,
+                        _reflectors, _symmetric_scale, _symmetrized, log_esp_table)
 from .polybasis import orthonormal_basis
 
 logger = logging.getLogger(__name__)
@@ -299,7 +298,7 @@ def make_factored_nnp(B, C, V=None) -> NNP:
     K = Rr @ C @ Rr.T
     K = 0.5 * (K + K.T)
     w, Z = np.linalg.eigh(K)
-    bound = _Bound(n, scale, _frobenius(K))
+    bound = _Bound.of(n, scale, K)
     lam = _decided(
         bound, w, f"make_factored_nnp: eigh of the {w.size}x{w.size} factor decided",
         f"n={n}, p={p}", "L = B C B^T is not CPD with respect to V: the Wronskian "
@@ -345,7 +344,7 @@ def _validate(L: np.ndarray, Q: np.ndarray, scale: float, spectrum: str | None
         return _decomposed(L, Q, scale, spectrum == "vectors", f"make_nnp: {decider} decided",
                            refusal, start)
     M = _compress(L, Q)[0]
-    bound = _Bound(n, scale, _frobenius(M))
+    bound = _Bound.of(n, scale, M)
     what = (f"make_nnp: blocked Cholesky of N^T L N + beta I in "
             f"{-(-M.shape[0] // _CHOLESKY_BLOCK)} blocks")
     if bound.accepts(M):
@@ -367,7 +366,7 @@ def _decomposed(L: np.ndarray, Q: np.ndarray, bound: _Bound | float, vectors: bo
     n, p = Q.shape
     M, Y, T = _compress(L, Q)
     if not isinstance(bound, _Bound):
-        bound = _Bound(n, bound, _frobenius(M))
+        bound = _Bound.of(n, bound, M)
     w, W = np.linalg.eigh(M) if vectors else (np.linalg.eigvalsh(M), None)
     del M
     if lam is None:
@@ -391,8 +390,15 @@ def _decided(bound: _Bound, w: np.ndarray, what: str, where: str,
 
 
 def bordered_matrix(e: NNP, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B, 2 log det S) for B = [[L_X, V_X S], [S V_X^T, 0]] and the indices
-    X; for a (count, m) array of index rows, a stack of one B per row.
+    """(B, 2 log det S) of :func:`_bordered` for e's L_X and V_X at the
+    indices X; for a (count, m) array of index rows, a stack of one B per row."""
+    idx = np.asarray(idx)
+    return _bordered(e.L[idx[..., :, None], idx[..., None, :]], e.V[idx, :])
+
+
+def _bordered(LX: np.ndarray, VX: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, 2 log det S) for B = [[L_X, V_X S], [S V_X^T, 0]], L_X of shape
+    (..., m, m) and V_X of shape (..., m, p): one B per leading index.
 
     S is diagonal: s_j is the power of 2 nearest max |L_X| / max |V_X,j| (1
     where either is 0), so det B = det(S)^2 times the bordered determinant.
@@ -400,19 +406,25 @@ def bordered_matrix(e: NNP, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     L_X's scale would be swamped by it or swamp it, and a fixed-size law
     would change when L is scaled.
     """
-    idx = np.asarray(idx)
-    m = idx.shape[-1]
-    B = np.zeros(idx.shape[:-1] + (m + e.p, m + e.p))
-    B[..., :m, :m] = e.L[idx[..., :, None], idx[..., None, :]]
-    VX = e.V[idx, :]
-    top = np.abs(B[..., :m, :m]).max(axis=(-2, -1), initial=0.0)[..., None]
+    m, p = VX.shape[-2:]
+    B = np.zeros(LX.shape[:-2] + (m + p, m + p))
+    B[..., :m, :m] = LX
+    top = np.abs(LX).max(axis=(-2, -1), initial=0.0)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.round(np.log2(top / np.abs(VX).max(axis=-2, initial=0.0)))
     k[~np.isfinite(k)] = 0.0
-    VX *= np.exp2(k)[..., None, :]
-    B[..., :m, m:] = VX
-    B[..., m:, :m] = np.swapaxes(VX, -1, -2)
+    B[..., :m, m:] = VX * np.exp2(k)[..., None, :]
+    B[..., m:, :m] = np.swapaxes(B[..., :m, m:], -1, -2)
     return B, 2.0 * math.log(2.0) * k.sum(axis=-1)
+
+
+def _bordered_slogdets(LX: np.ndarray, VX: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log |bordered determinant|, sign) per leading index of L_X and V_X,
+    as in :func:`_bordered`, with the (-1)^p convention folded in: one
+    batched slogdet of B, less its 2 log det S."""
+    B, logdet_s = _bordered(LX, VX)
+    sign, logabs = np.linalg.slogdet(B)
+    return logabs - logdet_s, (-1) ** VX.shape[-1] * sign
 
 
 def log_unnorm_prob(e: NNP, X: Iterable[int] | np.ndarray) -> tuple:
@@ -421,16 +433,14 @@ def log_unnorm_prob(e: NNP, X: Iterable[int] | np.ndarray) -> tuple:
     The folded sign is +1 for every subset of positive mass, 0 when the mass
     vanishes (including |X| < p, where the bordered matrix is singular). For
     a (count, m) array of index rows (distinct, in range), both are arrays
-    with one entry per row, from one batched slogdet of
-    :func:`bordered_matrix`'s B, less its 2 log det S.
+    with one entry per row, from :func:`_bordered_slogdets` of e's L_X and
+    V_X.
     """
     stacked = isinstance(X, np.ndarray) and X.ndim == 2
     idx = X if stacked else _as_indices(X, e.n)[None]
-    sign, logabs = np.zeros(len(idx)), np.full(len(idx), -math.inf)
+    logabs, sign = np.full(len(idx), -math.inf), np.zeros(len(idx))
     if idx.shape[1] >= e.p:
-        B, logdet_s = bordered_matrix(e, idx)
-        sign, logabs = np.linalg.slogdet(B)
-        sign, logabs = (-1) ** e.p * sign, logabs - logdet_s
+        logabs, sign = _bordered_slogdets(e.L[idx[:, :, None], idx[:, None, :]], e.V[idx])
     if stacked:
         return logabs, sign
     return (float(logabs[0]), float(sign[0])) if sign[0] else (-math.inf, 0.0)

@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import (CPDViolationError, NNP, _scaled_nnp, make_factored_nnp, make_nnp,
-                        nnp_to_dict, size_distribution)
-from .geometry import PointSet, distance_power_matrix
+from ._numerics import _Bound
+from .ensembles import (CPDViolationError, NNP, _bordered_slogdets, _decided, _scaled_nnp,
+                        make_factored_nnp, make_nnp, nnp_to_dict, size_distribution)
+from .geometry import PointSet, _sq_dists, distance_power_matrix
 from .kernels import StationaryKernel, kernel_matrix
-from .polybasis import count_poly, vandermonde, vandermonde_block
+from .polybasis import (_monomial_columns, count_poly, homogeneous_indices, monomial_indices,
+                        vandermonde, vandermonde_block)
 from .wronskian import schur_block, wronskian_matrix
 
 PROJECTION_SMOOTH = "ProjectionSmooth"
@@ -133,6 +135,47 @@ def _fixed_size_dispatch(ps: PointSet, kernel: StationaryKernel, m: int) -> Flat
     r = int(r)
     meta.update(k=r, bracket=(count_poly(r - 1, d), None))
     return FlatLimitResult(regime, default_ensemble(ps, 2 * r - 1, 1.0), m, meta)
+
+
+def _fixed_size_minors(kernel: StationaryKernel, m: int, d: int, eps: float | None = None):
+    """The function X -> (log |det|, sign) of the size-m minor at each row of
+    X, an array of shape (G, m, d): det K_X at inverse scale eps, or
+    (eps=None) the fixed-size limit's bordered minor as :func:`log_unnorm_prob`
+    gives it on any ground set that holds the row. L_X and V_X come from the
+    row's coordinates as :func:`_fixed_size_dispatch` builds L and V, the
+    Wronskian Schur block is decided once per call by make_factored_nnp's
+    rule, and a row whose V_X has rank below p by orthonormal_basis's cut
+    has no mass (-inf, 0)."""
+    if eps is not None:
+        def kernel_minors(X):
+            sign, logabs = np.linalg.slogdet(kernel(eps * np.sqrt(_sq_dists(X, X))))
+            return logabs, sign
+        return kernel_minors
+    regime, k = classify_fixed(d, kernel.smoothness, m)
+    basis = monomial_indices(k if regime == PROJECTION_SMOOTH else k - 1, d)
+    if regime == NONMAGIC_WRONSKIAN:
+        block = list(homogeneous_indices(k, d))
+        C = schur_block(wronskian_matrix(kernel, k, d), count_poly(k - 1, d))
+        _decided(_Bound.of(C.shape[0], float(np.abs(C).max()), C), np.linalg.eigvalsh(C),
+                 "fixed-size minors: eigvalsh of the Wronskian Schur block decided",
+                 f"k={k}, d={d}", f"kernel '{kernel.name}' is not CPD at degree {k} in "
+                 f"d = {d}: its Wronskian Schur block has")
+
+    def minors(X):
+        if regime == PROJECTION_SMOOTH:
+            L = np.zeros(X.shape[:-1] + (m,))
+        elif regime == NONMAGIC_WRONSKIAN:
+            B = _monomial_columns(X, block)
+            L = B @ C @ np.swapaxes(B, -1, -2)
+            L = 0.5 * (L + np.swapaxes(L, -1, -2))
+        else:
+            L = np.sqrt(_sq_dists(X, X)) ** (2 * k - 1) * (-1.0) ** k
+        VX = _monomial_columns(X, basis)
+        logabs, sign = _bordered_slogdets(L, VX)
+        s = np.linalg.svd(VX, compute_uv=False)
+        full = np.all(s > max(VX.shape[-2:]) * np.finfo(float).eps * s[..., :1], axis=-1)
+        return np.where(full, logabs, -math.inf), np.where(full, sign, 0.0)
+    return minors
 
 
 def _varying_params(p: int, alpha: float):

@@ -84,7 +84,8 @@ _BLOCK_COLS = 1024
 
 def _sq_dists(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Squared distances from each of rows to each of cols, accumulated one
-    coordinate at a time.
+    coordinate at a time: rows of shape (..., a, d) and cols of shape
+    (..., b, d), with one leading shape, give an array of shape (..., a, b).
 
     Each term (x_ik - x_jk)^2 is symmetric in (i, j) and the terms are added
     in the same order for both, so _sq_dists(x, x) is exactly symmetric with
@@ -93,15 +94,16 @@ def _sq_dists(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     straight into the result, with one scratch array of a block's size for
     the next coordinate's terms, so the result is the only large array.
     """
-    out = np.empty((rows.shape[0], cols.shape[0]))
-    scratch = np.empty((min(_BLOCK_ROWS, rows.shape[0]), cols.shape[0]))
-    for lo in range(0, rows.shape[0], _BLOCK_ROWS):
-        block = rows[lo:lo + _BLOCK_ROWS]
-        sq, diff = out[lo:lo + block.shape[0]], scratch[:block.shape[0]]
-        np.subtract.outer(block[:, 0], cols[:, 0], out=sq)
+    a = rows.shape[-2]
+    out = np.empty(rows.shape[:-1] + cols.shape[-2:-1])
+    scratch = np.empty(rows.shape[:-2] + (min(_BLOCK_ROWS, a), cols.shape[-2]))
+    for lo in range(0, a, _BLOCK_ROWS):
+        block = rows[..., lo:lo + _BLOCK_ROWS, :]
+        sq, diff = out[..., lo:lo + block.shape[-2], :], scratch[..., :block.shape[-2], :]
+        np.subtract(block[..., :, None, 0], cols[..., None, :, 0], out=sq)
         sq *= sq
-        for k in range(1, rows.shape[1]):
-            np.subtract.outer(block[:, k], cols[:, k], out=diff)
+        for k in range(1, rows.shape[-1]):
+            np.subtract(block[..., :, None, k], cols[..., None, :, k], out=diff)
             diff *= diff
             sq += diff
     return out

@@ -76,20 +76,21 @@ def vandermonde(ps: PointSet, k: int) -> np.ndarray:
     Column j evaluates the j-th basis monomial; the leading count_poly(k-1, d)
     columns coincide with vandermonde(ps, k-1).
     """
-    return _monomial_columns(ps, monomial_indices(k, ps.d))
+    return _monomial_columns(ps.coords, monomial_indices(k, ps.d))
 
 
 def vandermonde_block(ps: PointSet, degree: int) -> np.ndarray:
     """The degree-`degree` homogeneous block of the Vandermonde matrix."""
     if degree < 0:
         raise ValueError("need degree >= 0")
-    return _monomial_columns(ps, homogeneous_indices(degree, ps.d))
+    return _monomial_columns(ps.coords, homogeneous_indices(degree, ps.d))
 
 
-def _monomial_columns(ps: PointSet, indices) -> np.ndarray:
-    """One column per multi-index: the monomial evaluated at every point."""
-    return np.column_stack([np.prod(ps.coords ** np.asarray(alpha, dtype=float), axis=1)
-                            for alpha in indices])
+def _monomial_columns(coords: np.ndarray, indices) -> np.ndarray:
+    """One column per multi-index: the monomial evaluated at every point of
+    coords, an array of shape (..., n, d); the result has shape (..., n, count)."""
+    return np.stack([np.prod(coords ** np.asarray(alpha, dtype=float), axis=-1)
+                     for alpha in indices], axis=-1)
 
 
 def orthonormal_basis(M: np.ndarray) -> np.ndarray:

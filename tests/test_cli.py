@@ -339,6 +339,26 @@ def test_converge_size_law_mode(capsys):
     assert curve.values[-1] < curve.values[0]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid-range", "nan,1", "--grid-range must be two finite numbers lo,hi, not 'nan,1'"),
+    ("--grid-range", "0,inf", "--grid-range must be two finite numbers lo,hi, not '0,inf'"),
+    ("--grid-range", "0", "--grid-range must be two finite numbers lo,hi, not '0'"),
+    ("--grid", "0", "--grid must be a positive number of points, not 0"),
+    ("--grid", "-3", "--grid must be a positive number of points, not -3"),
+    ("--Y", "0.2,nan", "conditioning points Y: coordinates must be finite"),
+    ("--Y", "0.2,0.2", "conditioning points Y: points are not pairwise distinct"),
+    ("--Y", ",", "conditioning points Y: need n >= 1 points"),
+])
+@pytest.mark.parametrize("command", ["cond-density", "converge"])
+def test_conditional_inputs_are_refused_by_name(capsys, command, flag, value, message):
+    extra = ["--limit"] if command == "cond-density" else ["--mode", "conditional",
+                                                           "--eps", "1,0.1"]
+    code, out, err = run(capsys, command, "--kernel", "gaussian", "--Y", "0.2,0.6",
+                         *extra, flag, value)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+
 def test_converge_conditional_mode(capsys):
     code, out, err = run(capsys, "converge", "--kernel", "gaussian", "--mode", "conditional",
                          "--Y", "0.2,0.5,0.8", "--grid", "30", "--grid-range", "0,2",

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -48,6 +49,7 @@ from flatdpp.geometry import PointSet, uniform_points
 from flatdpp.kernels import builtin_kernel, custom_kernel, kernel_matrix
 from flatdpp.polybasis import vandermonde
 from flatdpp.sampling import sample_projection
+from flatdpp.wronskian import schur_block, wronskian_matrix
 
 GAUSS = builtin_kernel("gaussian")
 EXPO = builtin_kernel("exponential")
@@ -418,7 +420,7 @@ def _grid_2d(k):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_conditional_density_matches_per_point_reference(d):
-    # every limit regime the dimension has; the grids span three blocks,
+    # every limit regime the dimension has; the grids span two chunks,
     # repeat points and hit a point of Y
     rng = np.random.default_rng(40 + d)
     if d == 1:
@@ -444,30 +446,44 @@ def test_conditional_density_matches_per_point_reference(d):
             np.testing.assert_array_equal(dens[grid.shape[0]:-1], dens[:grid.shape[0]:7])
 
 
-def test_conditional_density_builds_one_limit_per_block(monkeypatch, decompositions):
-    # one limit per block, and no n x n spectrum: the bordered minors need
-    # only L and V. The Gaussian m = 5 limit in the plane is a Wronskian one,
-    # which decomposes only its 3 x 3 factor; the exponential one is checked
-    # by one Cholesky per block
-    calls = []
-    for name in ("make_nnp", "make_factored_nnp"):
-        monkeypatch.setattr(flatlimit, name, lambda *a, _f=getattr(ensembles, name), **kw:
-                            calls.append(1) or _f(*a, **kw))
+def test_conditional_density_builds_no_limit(monkeypatch, decompositions):
+    # the minors come from the rows' coordinates: no flat limit, no PointSet
+    # of grid points, no n x n spectrum. The Gaussian m = 5 limit in the plane
+    # is a Wronskian one: its 3 x 3 Schur block is decided once per call
+    calls, sizes = [], []
+    for module in (ensembles, flatlimit):
+        for name in ("make_nnp", "make_factored_nnp"):
+            monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(1))
+    monkeypatch.setattr(diagnostics, "PointSet",
+                        lambda coords, _f=PointSet: sizes.append(len(coords)) or _f(coords))
     Y = np.array([[0.2, 0.3], [0.7, 0.4], [0.5, 0.9], [0.1, 0.8]])
     dens = conditional_density(GAUSS, Y, _grid_2d(50), eps=None)
-    blocks = math.ceil(2500 / 128)
-    assert len(calls) == blocks
     assert dens.sum() == pytest.approx(1.0, abs=1e-12)
-    assert decompositions.orders == [("eigh", 3)] * blocks
+    assert decompositions.orders == [("eigvalsh", 3)]
+    conditional_density(GAUSS, Y, _grid_2d(50), eps=0.5, precision="float")
     conditional_density(EXPO, [0.1, 0.3, 0.5, 0.9], np.linspace(0.0, 1.0, 300), eps=None)
-    assert decompositions == {"eigh": blocks, "eigvalsh": 0, "cholesky": math.ceil(300 / 128)}
+    assert calls == [] and sizes == [4, 4, 4]
+    assert decompositions == {"eigh": 0, "eigvalsh": 1, "cholesky": 0}
+
+
+def test_conditional_density_refuses_a_wronskian_schur_block_that_is_not_psd():
+    # the Gaussian series with f_2 -> -3 f_2: its degree-2 Schur block in the
+    # plane has eigenvalues -14, 2 and 4
+    taylor = np.array(GAUSS.taylor)
+    taylor[2] *= -3
+    kernel = custom_kernel(taylor)
+    C = schur_block(wronskian_matrix(kernel, 2, 2), 3)
+    np.testing.assert_allclose(np.linalg.eigvalsh(C), [-14, 2, 4], rtol=1e-12)
+    Y = np.array([[0.2, 0.3], [0.7, 0.4], [0.5, 0.9], [0.1, 0.8]])
+    with pytest.raises(ensembles.CPDViolationError, match="Wronskian Schur block"):
+        conditional_density(kernel, Y, _grid_2d(10), eps=None)
 
 
 @pytest.mark.parametrize("eps", [None, 0.5])
 def test_conditional_near_duplicate_grid_points_share_a_value(eps):
-    # 0.4 and 0.4 + 1e-13 are closer than their coincidence radius (7.3e-13):
-    # one block must not reject them, and both take the value the grid point
-    # 0.4 has on its own
+    # 0.4 and 0.4 + 1e-13 are closer than their coincidence radius (7.3e-13),
+    # yet each is a grid point of its own: both take the value the grid point
+    # 0.4 has on its own, within rounding
     dens = conditional_density(GAUSS, [0.2, 0.6], [0.4, 0.4 + 1e-13, 0.8], eps=eps)
     a, b = conditional_density(GAUSS, [0.2, 0.6], [0.4, 0.8], eps=eps)
     np.testing.assert_allclose(dens, np.array([a, a, b]) / (2 * a + b), rtol=1e-12)
@@ -475,10 +491,11 @@ def test_conditional_near_duplicate_grid_points_share_a_value(eps):
         np.testing.assert_allclose(dens, [1 / 11, 1 / 11, 9 / 11], rtol=1e-10)
 
 
-def test_conditional_density_memory_is_bounded_by_blocks():
+@pytest.mark.parametrize("side, megabytes", [(50, 4), (200, 8)])
+def test_conditional_density_memory_is_bounded_by_chunks(side, megabytes):
     # one ground set of 2504 points would hold a 2504 x 2504 L (50 MB) and more
     Y = np.array([[0.2, 0.3], [0.7, 0.4], [0.5, 0.9], [0.1, 0.8]])
-    grid = _grid_2d(50)
+    grid = _grid_2d(side)
     conditional_density(GAUSS, Y, grid, eps=None)
     tracemalloc.start()
     try:
@@ -486,7 +503,7 @@ def test_conditional_density_memory_is_bounded_by_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    assert peak <= megabytes * 2**20
 
 
 def test_conditional_singular_grid_points_get_no_mass():
@@ -499,9 +516,8 @@ def test_conditional_singular_grid_points_get_no_mass():
     assert dens.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(dens[~diag], _reference_density(GAUSS, Y, grid)[~diag],
                                rtol=1e-12)
-    # blocks follow lexicographic order: the 12 points on the line x = 0.9
-    # through Y fill the second block alone, whose V is singular: no mass,
-    # no error
+    # the 12 points on the line x = 0.9 through Y each have a singular V_X:
+    # no mass, no error
     Y = np.array([[0.9, 0.1], [0.9, 0.5]])
     left = np.stack(np.meshgrid(np.linspace(0.0, 0.8, 8), np.linspace(0.0, 1.0, 16),
                                 indexing="ij"), axis=-1).reshape(-1, 2)
@@ -701,6 +717,25 @@ def test_pre_limit_ensembles_refuse_bad_inputs(kwargs, message):
         eps_ensemble_distribution(ps, GAUSS, **given)
     with pytest.raises(ValueError, match=message):
         scaled_ensemble(ps, GAUSS, **given)
+
+
+@pytest.mark.parametrize("eps", [None, 0.5])
+@pytest.mark.parametrize("Y, grid, message", [
+    ([0.2, 0.6], [0.1, math.nan, 0.9], "x_grid has a coordinate that is not finite"),
+    ([0.2, 0.6], [0.1, math.inf], "x_grid has a coordinate that is not finite"),
+    ([0.2, math.nan], [0.1, 0.9], "conditioning points Y: coordinates must be finite"),
+    ([0.2, 0.2], [0.1, 0.9], "conditioning points Y: points are not pairwise distinct"),
+    ([], [0.1, 0.9], "conditioning points Y: need n >= 1 points"),
+    ([0.2, 0.6], [], "x_grid must hold one or more points of dimension 1"),
+    ([[0.2, 0.3], [0.6, 0.1]], [0.1, 0.9],
+     "x_grid must hold one or more points of dimension 2, as Y does, not an array of shape (2,)"),
+])
+def test_conditional_density_refuses_bad_points_before_any_work(monkeypatch, Y, grid, message,
+                                                                  eps):
+    for name in ("kernel_matrix", "_fixed_size_minors"):
+        monkeypatch.setattr(diagnostics, name, lambda *a, **kw: pytest.fail("work began"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        conditional_density(GAUSS, Y, grid, eps=eps)
 
 
 def test_conditional_density_and_curves_refuse_a_nan_eps():

@@ -134,6 +134,17 @@ def test_a_dense_pair_scaled_past_1e154_decides_as_at_scale_1(scale):
     assert e.q == make_nnp(-D, np.ones(300)).q == 299
 
 
+@pytest.mark.parametrize("spectrum", [None, "values"])
+def test_a_dense_pair_past_the_float64_range_is_refused_by_name(spectrum):
+    # max |L| is 1.3e307 at 1e307, and N^T L N overflows; at 1e306 it does not
+    D = distance_power_matrix(CLOUD_300, 1)
+    assert make_nnp(-1e306 * D, np.ones(300), spectrum=spectrum).q == 299
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="past the float64 range"):
+            make_nnp(-1e307 * D, np.ones(300), spectrum=spectrum)
+
+
 def test_limit_of_a_permuted_csv_has_the_same_size_law(tmp_path):
     perm = np.random.default_rng(41).permutation(9)
     laws = []
