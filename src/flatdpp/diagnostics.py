@@ -16,7 +16,15 @@ bound on every cond(K_{Y+x}): the enumeration reads the whole kernel matrix,
 the conditional density reads K_Y. The mp backend evaluates builtin kernels'
 closed forms at working-precision distances and walks the subsets depth-first:
 a subset's determinant is its prefix's times one Schur-complement pivot, and
-each prefix's Schur complement is formed once for all its descendants. The
+each prefix's Schur complement is formed once for all its descendants.
+
+One kernel needs neither in the enumeration: on the line the builtin
+exponential kernel e^(-eps|x-y|) is Markov, so det K_X is the product of
+1 - exp(-2 eps h) over the gaps h of sorted X. For that kernel in d = 1
+"auto" takes this closed form in eps_ensemble_distribution, in float64 at
+every eps > 0 and with no kernel matrix; "float" and "mp" keep their own
+backends, and mp is the referee the tests hold the closed form to. The
+conditional density keeps the float and mp backends for every kernel. The
 choice is logged at DEBUG level on the ``flatdpp.diagnostics`` logger.
 """
 
@@ -42,8 +50,8 @@ from .ensembles import (
 )
 from .flatlimit import (_fixed_size_minors, _varying_params, fixed_size_limit,
                         limit_size_distribution)
-from .geometry import PointSet, coincidence_radius
-from .kernels import StationaryKernel, kernel_matrix
+from .geometry import PointSet, _sq_dists, coincidence_radius
+from .kernels import StationaryKernel, _check_eps, _is_builtin_exponential, kernel_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -140,6 +148,34 @@ def _backend(caller: str, L: np.ndarray, m: int, eps: float, precision: str) -> 
                  "condition number of a %d-point kernel matrix)", caller,
                  "mp" if use_mp else "float", wanted, risk, m, eps, L.shape[0])
     return wanted
+
+
+def _closed_form(kernel: StationaryKernel, d: int, m: int, eps: float, precision: str) -> bool:
+    """Whether "auto" takes the enumeration's closed form, logged at DEBUG:
+    only for the builtin exponential kernel on the line."""
+    closed = precision == "auto" and d == 1 and _is_builtin_exponential(kernel)
+    if closed:
+        logger.debug("eps_ensemble_distribution: closed-form backend, det K_X = "
+                     "prod(1 - exp(-2 eps h)) over the gaps h of sorted X (exponential "
+                     "kernel on the line, m=%d, eps=%g)", m, eps)
+    return closed
+
+
+def _line_slogdets(x: np.ndarray, eps: float):
+    """The function idx -> (sign, log det K_X) of the exponential kernel on
+    the line at inverse scale eps, for (count, k) index rows into the points
+    x: e^(-eps|x-y|) is Markov, so det K_X is the product of 1 - exp(-2 eps h)
+    over the gaps h of the sorted row, with no kernel matrix. Where 2 eps h
+    underflows, its log is taken as log 2 + log eps + log h, so every eps > 0
+    gives a finite log det."""
+    def slogdets(idx):
+        h = np.diff(np.sort(x[idx], axis=-1), axis=-1)
+        t = 2.0 * eps * h
+        with np.errstate(divide="ignore"):
+            logs = np.where(t < np.finfo(float).tiny,
+                            math.log(2.0) + math.log(eps) + np.log(h), np.log(-np.expm1(-t)))
+        return np.ones(idx.shape[0]), logs.sum(axis=-1)
+    return slogdets
 
 
 def _mp_digits(m: int, eps: float) -> int:
@@ -266,16 +302,21 @@ def eps_ensemble_distribution(ps: PointSet, kernel: StationaryKernel, eps: float
     """Exact subset law of DPP(alpha * eps^{-p} L(eps)), by enumeration.
 
     With m given, the law is conditioned on |X| = m (the scaling then cancels).
-    precision is one of "auto", "float", "mp"; "auto" takes mp when the
-    digits at risk (see the module docstring) exceed FLOAT_DIGIT_BUDGET, read
-    on the whole kernel matrix.
+    precision is one of "auto", "float", "mp". For the builtin exponential
+    kernel on the line "auto" takes the closed form: each subset's log det is
+    the sum of log(1 - exp(-2 eps h)) over its sorted gaps h, in float64 at
+    any eps. Otherwise "auto" takes mp when the digits at risk (see the module
+    docstring) exceed FLOAT_DIGIT_BUDGET, read on the whole kernel matrix, and
+    float64 below that. "mp" is the referee of both float64 backends.
     """
     _varying_params(p, alpha)
     n = ps.n
     mmax = n if m is None else m
     _check_enumerable(n, m)
-    L = kernel_matrix(kernel, ps, eps)
-    wanted = _backend("eps_ensemble_distribution", L, mmax, eps, precision)
+    _check_eps(eps)
+    closed = _closed_form(kernel, ps.d, mmax, eps, precision)
+    L = None if closed else kernel_matrix(kernel, ps, eps)
+    wanted = None if closed else _backend("eps_ensemble_distribution", L, mmax, eps, precision)
 
     if wanted is not None:
         with mp.workdps(wanted):
@@ -289,8 +330,9 @@ def eps_ensemble_distribution(ps: PointSet, kernel: StationaryKernel, eps: float
             values = [float(w / total) for w in weights]
         return SubsetDistribution(n, masks, values)
 
-    masks, sizes, sign, logabs = _slogdets_by_size(
-        n, m, lambda idx: np.linalg.slogdet(L[idx[:, :, None], idx[:, None, :]]))
+    slogdets = _line_slogdets(ps.coords[:, 0], eps) if closed else (
+        lambda idx: np.linalg.slogdet(L[idx[:, :, None], idx[:, None, :]]))
+    masks, sizes, sign, logabs = _slogdets_by_size(n, m, slogdets)
     positive = sign > 0
     if not positive.any():
         raise ValueError("no subset has positive mass; kernel matrix indefinite")
@@ -351,14 +393,17 @@ def conditional_density(kernel: StationaryKernel, Y, x_grid,
     distinct, and x_grid non-empty and finite, with Y's dimension; any other
     input is a ValueError before any work.
     precision is as in eps_ensemble_distribution, with the digits at risk
-    read on K_Y.
+    read on K_Y; there is no closed-form backend here.
     """
     ys, x_grid = _conditional_points(Y, x_grid)
     Y, k, d = ys.coords, ys.n, ys.d
     wanted = None if eps is None else _backend(
         "conditional_density", kernel_matrix(kernel, ys, eps), k + 1, eps, precision)
+    # one chunk of grid points at a time, so no (G, k, d) difference is formed
     radius = coincidence_radius(Y, x_grid)
-    free = np.min(np.linalg.norm(x_grid[:, None, :] - Y, axis=2), axis=1) > radius
+    free = np.concatenate([
+        np.sqrt(np.min(_sq_dists(x_grid[lo:lo + CONDITIONAL_BLOCK], Y), axis=1)) > radius
+        for lo in range(0, x_grid.shape[0], CONDITIONAL_BLOCK)])
     xs, where = np.unique(x_grid[free], axis=0, return_inverse=True)
     if wanted is not None:
         with mp.workdps(wanted):
@@ -434,8 +479,7 @@ def convergence_curve(ps: PointSet | None, kernel: StationaryKernel, eps_list,
         raise ValueError(f"{mode} mode needs {missing[mode]}")
     eps_list = sorted((float(x) for x in eps_list), reverse=True)
     for eps in eps_list:
-        if not 0 < eps < math.inf:
-            raise ValueError(f"eps must be a finite positive number, not {eps!r}")
+        _check_eps(eps)
     values = []
     if mode == "full-law":
         lim = fixed_size_limit(ps, kernel, m)

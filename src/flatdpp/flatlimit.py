@@ -145,7 +145,7 @@ def _fixed_size_minors(kernel: StationaryKernel, m: int, d: int, eps: float | No
     row's coordinates as :func:`_fixed_size_dispatch` builds L and V, the
     Wronskian Schur block is decided once per call by make_factored_nnp's
     rule, and a row whose V_X has rank below p by orthonormal_basis's cut
-    has no mass (-inf, 0)."""
+    has no mass (-inf, 0); for p <= 1 the cut cannot fire and is skipped."""
     if eps is not None:
         def kernel_minors(X):
             sign, logabs = np.linalg.slogdet(kernel(eps * np.sqrt(_sq_dists(X, X))))
@@ -172,6 +172,9 @@ def _fixed_size_minors(kernel: StationaryKernel, m: int, d: int, eps: float | No
             L = np.sqrt(_sq_dists(X, X)) ** (2 * k - 1) * (-1.0) ** k
         VX = _monomial_columns(X, basis)
         logabs, sign = _bordered_slogdets(L, VX)
+        if VX.shape[-1] <= 1:
+            # a column of ones never falls short of rank 1
+            return logabs, sign
         s = np.linalg.svd(VX, compute_uv=False)
         full = np.all(s > max(VX.shape[-2:]) * np.finfo(float).eps * s[..., :1], axis=-1)
         return np.where(full, logabs, -math.inf), np.where(full, sign, 0.0)

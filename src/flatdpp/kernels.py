@@ -103,10 +103,14 @@ class StationaryKernel:
         return f"StationaryKernel({self.name!r}, r={self.smoothness})"
 
 
-def kernel_matrix(kernel: StationaryKernel, ps: PointSet, eps: float) -> np.ndarray:
-    """Kernel matrix [f(eps * ||x_i - x_j||)]; diagonal equals f(0)."""
+def _check_eps(eps: float) -> None:
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be a finite positive number, not {eps!r}")
+
+
+def kernel_matrix(kernel: StationaryKernel, ps: PointSet, eps: float) -> np.ndarray:
+    """Kernel matrix [f(eps * ||x_i - x_j||)]; diagonal equals f(0)."""
+    _check_eps(eps)
     return np.asarray(kernel(eps * distance_matrix(ps)), dtype=float)
 
 
@@ -210,6 +214,13 @@ def _normalize_name(name: str) -> str:
     ):
         s = s.replace(src, dst)
     return s
+
+
+def _is_builtin_exponential(kernel: StationaryKernel) -> bool:
+    """Whether kernel evaluates through the catalog's exp(-delta) profile,
+    as every :func:`builtin_kernel` exponential does and no kernel a caller
+    builds (whatever its name) can."""
+    return kernel._evaluator is _CATALOG["exponential"][1]
 
 
 def builtin_kernel(name: str, truncation: int = DEFAULT_TRUNCATION) -> StationaryKernel:

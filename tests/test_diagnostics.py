@@ -46,7 +46,7 @@ from flatdpp.flatlimit import (
     scaled_ensemble,
 )
 from flatdpp.geometry import PointSet, uniform_points
-from flatdpp.kernels import builtin_kernel, custom_kernel, kernel_matrix
+from flatdpp.kernels import _is_builtin_exponential, builtin_kernel, custom_kernel, kernel_matrix
 from flatdpp.polybasis import vandermonde
 from flatdpp.sampling import sample_projection
 from flatdpp.wronskian import schur_block, wronskian_matrix
@@ -285,16 +285,75 @@ def test_auto_backend_reads_clustered_cloud():
 
 def test_backend_choice_is_logged(caplog):
     ps = uniform_points(5, 1, seed=3)
+    # the exponential kernel's enumeration takes the float backend off the line
     with caplog.at_level(logging.DEBUG, logger="flatdpp.diagnostics"):
-        eps_ensemble_distribution(ps, EXPO, 0.9, m=2)
+        eps_ensemble_distribution(uniform_points(5, 2, seed=3), EXPO, 0.9, m=2)
         eps_ensemble_distribution(ps, GAUSS, 1e-3, m=4)
         conditional_density(EXPO, [0.2, 0.6], np.linspace(0, 1, 5), eps=1e-3)
+        eps_ensemble_distribution(ps, EXPO, 1e-3, m=4)
     msgs = [r.getMessage() for r in caplog.records if r.name == "flatdpp.diagnostics"]
-    assert len(msgs) == 3 and all("digits at risk" in msg for msg in msgs)
+    assert len(msgs) == 4 and all("digits at risk" in msg for msg in msgs[:3])
     assert msgs[0].startswith("eps_ensemble_distribution: float backend, dps=None")
     assert msgs[1].startswith(
         f"eps_ensemble_distribution: mp backend, dps={_mp_digits(4, 1e-3)}")
     assert msgs[2].startswith(f"conditional_density: mp backend, dps={_mp_digits(3, 1e-3)}")
+    assert msgs[3].startswith("eps_ensemble_distribution: closed-form backend")
+    assert "exponential kernel on the line" in msgs[3]
+
+
+#: Inverse scales of the closed-form checks, from the float range of the
+#: kernel matrix down to where only mp held the law before.
+CLOSED_EPS = [4.0, 1.5, 0.5, 0.1, 1e-2, 1e-3, 1e-6]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_closed_form_matches_mp_on_the_line(seed):
+    # full laws at m = 2..6, and varying laws at p = 0, 1, 2 with alpha = 0.1, 1, 10
+    ps = uniform_points(8, 1, seed=seed)
+    for eps in CLOSED_EPS:
+        for kw in [{"m": m} for m in range(2, 7)] + [
+                {"p": p, "alpha": alpha} for p in (0, 1, 2) for alpha in (0.1, 1.0, 10.0)]:
+            closed = eps_ensemble_distribution(ps, EXPO, eps, **kw)
+            assert tv_distance(closed, eps_ensemble_distribution(
+                ps, EXPO, eps, precision="mp", **kw)) <= 1e-12, (eps, kw)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 5e-324])
+def test_closed_form_at_the_smallest_eps_is_the_limit_law(eps):
+    # 2 eps h underflows here, and the law is the flat limit's gap product
+    ps = uniform_points(8, 1, seed=3)
+    for m in range(2, 8):
+        limit = brute_force_distribution(fixed_size_limit(ps, EXPO, m).process, m)
+        closed = eps_ensemble_distribution(ps, EXPO, eps, m=m)
+        assert np.all(np.isfinite(closed.values)) and tv_distance(closed, limit) <= 1e-12
+    limit = brute_force_distribution(flatlimit.varying_size_limit(ps, EXPO, 1).process)
+    assert tv_distance(eps_ensemble_distribution(ps, EXPO, eps, p=1), limit) <= 1e-12
+
+
+def test_closed_form_builds_no_kernel_matrix(monkeypatch):
+    monkeypatch.setattr(diagnostics, "kernel_matrix", lambda *a, **kw: pytest.fail("a matrix"))
+    ps = uniform_points(6, 1, seed=8)
+    eps_ensemble_distribution(ps, EXPO, 1e-3, m=3)
+    eps_ensemble_distribution(ps, EXPO, 1e-3, p=1)
+
+
+def test_only_the_builtin_exponential_on_the_line_takes_the_closed_form(caplog):
+    # a kernel named "exponential" by its caller, with the same series and
+    # profile, keeps the float and mp backends; so do the plane, an explicit
+    # precision and the conditional density
+    named = custom_kernel(EXPO.taylor, evaluator=lambda x: np.exp(-x), name="exponential")
+    ps = uniform_points(5, 1, seed=3)
+    with caplog.at_level(logging.DEBUG, logger="flatdpp.diagnostics"):
+        eps_ensemble_distribution(ps, named, 0.9, m=2)
+        eps_ensemble_distribution(uniform_points(5, 2, seed=3), EXPO, 0.9, m=2)
+        eps_ensemble_distribution(ps, EXPO, 0.9, m=2, precision="float")
+        conditional_density(EXPO, [0.2, 0.6], np.linspace(0, 1, 5), eps=1e-3)
+    msgs = [r.getMessage() for r in caplog.records if r.name == "flatdpp.diagnostics"]
+    assert len(msgs) == 4 and not any("closed-form" in msg for msg in msgs)
+    assert _is_builtin_exponential(EXPO) and not _is_builtin_exponential(named)
+    assert _is_builtin_exponential(builtin_kernel("exponential", truncation=5))
+    assert not any(_is_builtin_exponential(builtin_kernel(name)) for name in
+                   ("gaussian", "(1+d)exp(-d)", "sin(d+pi/4)exp(-d)", "(3+3d+d^2)exp(-d)"))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +550,7 @@ def test_conditional_near_duplicate_grid_points_share_a_value(eps):
         np.testing.assert_allclose(dens, [1 / 11, 1 / 11, 9 / 11], rtol=1e-10)
 
 
-@pytest.mark.parametrize("side, megabytes", [(50, 4), (200, 8)])
+@pytest.mark.parametrize("side, megabytes", [(50, 4), (200, 8), (200, 5)])
 def test_conditional_density_memory_is_bounded_by_chunks(side, megabytes):
     # one ground set of 2504 points would hold a 2504 x 2504 L (50 MB) and more
     Y = np.array([[0.2, 0.3], [0.7, 0.4], [0.5, 0.9], [0.1, 0.8]])

@@ -16,6 +16,10 @@ Translation and scales past 10^6 in the polynomial regimes need a centred,
 scaled monomial frame, which the library does not build yet.
 Scaling L itself, by a large alpha or by hand, decides as at scale 1 up to
 1e300, where the squares in ||N^T L N||_F overflow float64.
+On the line, the pre-limit laws of the exponential kernel, which "auto" reads
+in closed form from the sorted gaps, see only those gaps: translating and
+reflecting the line leave them alone, and so does scaling the points with eps
+scaled inversely, which leaves every eps h as it was.
 """
 
 import math
@@ -25,7 +29,7 @@ import numpy as np
 import pytest
 
 from flatdpp.cli import main
-from flatdpp.diagnostics import brute_force_distribution, tv_distance
+from flatdpp.diagnostics import brute_force_distribution, eps_ensemble_distribution, tv_distance
 from flatdpp.ensembles import SubsetDistribution, make_nnp, size_distribution
 from flatdpp.flatlimit import fixed_size_limit, varying_size_limit
 from flatdpp.geometry import PointSet, distance_power_matrix, uniform_points
@@ -98,6 +102,38 @@ def test_scaling_the_kernel_keeps_its_smoothness(kernel, factor):
 def test_scaling_the_kernel_leaves_fixed_size_laws(kernel, kind, value, factor):
     before, after = law(COORDS, kernel, kind, value), law(COORDS, kernel, kind, value, factor)
     assert tv_distance(before, after) <= TV
+
+
+#: The exponential kernel's pre-limit laws on 8 points of the line: inverse
+#: scales, and a fixed size m or a varying exponent p.
+LINE = np.random.default_rng(4).uniform(size=8)
+LINE_EPS = [1.5, 0.1, 1e-3]
+LINE_LAWS = [("m", 3), ("m", 5), ("p", 0), ("p", 1)]
+
+
+def line_law(x, eps, kind, value) -> SubsetDistribution:
+    return eps_ensemble_distribution(PointSet(x), builtin_kernel("exponential"), eps,
+                                     **{kind: value})
+
+
+@pytest.mark.parametrize("kind,value", LINE_LAWS, ids=[f"{k}{v}" for k, v in LINE_LAWS])
+@pytest.mark.parametrize("eps", LINE_EPS)
+@pytest.mark.parametrize("sign,shift", [(1, 1.0), (1, 10.0), (1, 1e3), (-1, 0.0)],
+                         ids=["translation-1", "translation-10", "translation-1e3",
+                              "reflection"])
+def test_translating_and_reflecting_the_line_leave_exponential_laws(kind, value, eps, sign,
+                                                                    shift):
+    moved = sign * LINE + shift
+    assert tv_distance(line_law(LINE, eps, kind, value), line_law(moved, eps, kind, value)) <= TV
+
+
+@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("eps", LINE_EPS)
+@pytest.mark.parametrize("power", [-20, 20])
+def test_scaling_the_line_and_eps_inversely_leaves_exponential_fixed_size_laws(m, eps, power):
+    scale = 2.0 ** power
+    before, after = line_law(LINE, eps, "m", m), line_law(scale * LINE, eps / scale, "m", m)
+    assert tv_distance(before, after) <= 1e-12
 
 
 @pytest.mark.parametrize("scale", [1e-30, 1e-12, 1e12, 1e30])
