@@ -1,10 +1,10 @@
 """Brute-force oracles, total-variation distances and convergence sweeps.
 
 Everything here evaluates probability laws by exhaustive enumeration so the
-constructors and samplers can be verified against them. The float64 oracles
-take one batched ``slogdet`` per subset size; a float conditional density
-takes one per chunk of ``CONDITIONAL_BLOCK`` grid points, each row the
-minor of Y + x built from those points' coordinates alone.
+constructors and samplers can be verified against them. Both pre-limit
+oracles take their minors from _backend: a float function of coordinate
+stacks, one per subset size or per chunk of ``CONDITIONAL_BLOCK`` grid
+points (each row the minor of Y + x), or the mp working precision.
 
 Subset determinants of near-flat kernel matrices are badly conditioned
 (relative accuracy degrades like eps^(-2(m-1)) at size m), so the pre-limit
@@ -18,14 +18,14 @@ closed forms at working-precision distances and walks the subsets depth-first:
 a subset's determinant is its prefix's times one Schur-complement pivot, and
 each prefix's Schur complement is formed once for all its descendants.
 
-One kernel needs neither in the enumeration: on the line the builtin
-exponential kernel e^(-eps|x-y|) is Markov, so det K_X is the product of
-1 - exp(-2 eps h) over the gaps h of sorted X. For that kernel in d = 1
-"auto" takes this closed form in eps_ensemble_distribution, in float64 at
-every eps > 0 and with no kernel matrix; "float" and "mp" keep their own
-backends, and mp is the referee the tests hold the closed form to. The
-conditional density keeps the float and mp backends for every kernel. The
-choice is logged at DEBUG level on the ``flatdpp.diagnostics`` logger.
+On the line the builtin exponential kernel e^(-eps|x-y|) is Markov, so
+det K_X is the product of 1 - exp(-2 eps h) over the gaps h of sorted X.
+For that kernel in d = 1 "auto" takes this closed form, in float64 at every
+eps > 0 and with no kernel matrix; "float" and "mp" keep their own backends,
+and mp is the referee the tests hold it to. The conditional density's
+"auto" withholds it: verify-small's only mpmath.det call is that density's
+det K_Y, whose span the bench self-test needs (ROADMAP item 20). The choice
+is logged at DEBUG level on the ``flatdpp.diagnostics`` logger, once per call.
 """
 
 from __future__ import annotations
@@ -75,11 +75,11 @@ def _check_enumerable(n: int, m: int | None) -> None:
 
 
 def _slogdets_by_size(n: int, m: int | None, slogdets):
-    """(masks, sizes, sign, log|det|) over every enumerated subset.
+    """(masks, sizes, log|det|, sign) over every enumerated subset.
 
     The subsets are every subset of range(n) in increasing mask order when m
     is None, else the m-subsets in lexicographic order. slogdets maps a
-    (count, k) array of index rows to (sign, log|det|) of the wanted
+    (count, k) array of index rows to (log|det|, sign) of the wanted
     determinants, one per row; it is called once per subset size, so each
     size costs one batched slogdet.
     """
@@ -95,10 +95,10 @@ def _slogdets_by_size(n: int, m: int | None, slogdets):
         sizes = bits.sum(axis=1)
         rows = [np.flatnonzero(sizes == k) for k in range(n + 1)]
         stacks = [(r, np.nonzero(bits[r])[1].reshape(r.size, k)) for k, r in enumerate(rows)]
-    sign, logabs = np.zeros(masks.size), np.full(masks.size, -math.inf)
+    logabs, sign = np.full(masks.size, -math.inf), np.zeros(masks.size)
     for rows, idx in stacks:
-        sign[rows], logabs[rows] = slogdets(idx)
-    return masks, sizes, sign, logabs
+        logabs[rows], sign[rows] = slogdets(idx)
+    return masks, sizes, logabs, sign
 
 
 def brute_force_distribution(e: NNP, m: int | None = None) -> SubsetDistribution:
@@ -111,8 +111,7 @@ def brute_force_distribution(e: NNP, m: int | None = None) -> SubsetDistribution
     """
     _check_enumerable(e.n, m)
     logZ = log_normalizer(e) if m is None else log_fixed_size_normalizer(e, m)
-    masks, _, sign, logabs = _slogdets_by_size(
-        e.n, m, lambda idx: log_unnorm_prob(e, idx)[::-1])
+    masks, _, logabs, sign = _slogdets_by_size(e.n, m, lambda idx: log_unnorm_prob(e, idx))
     vals = sign * np.exp(logabs - logZ)
     total = float(np.sum(vals))
     logger.debug("brute_force_distribution: enumerated mass - 1 = %.3e "
@@ -129,53 +128,63 @@ def brute_force_distribution(e: NNP, m: int | None = None) -> SubsetDistribution
 # ---------------------------------------------------------------------------
 
 
-def _backend(caller: str, L: np.ndarray, m: int, eps: float, precision: str) -> int | None:
-    """mp working precision, or None for float64; logged at DEBUG.
+def _backend(caller: str, kernel: StationaryKernel, ps: PointSet, m: int,
+             eps: float | None, precision: str):
+    """caller's size-m minors, logged at DEBUG: a float function of coordinate
+    stacks (..., k, d) -> (log|det|, sign), or the mp working precision (dps).
 
-    The digits at risk are the larger of the eps rule, about 2(m-1) log10(1/eps)
-    for a size-m minor of a smooth kernel matrix at unit spacing (singular
-    values 1, eps^2, ..., eps^(2(m-1))), and log10 of the condition number of
-    the float64 kernel matrix L. "auto" takes mp, at the working precision
-    of _mp_digits, when they exceed FLOAT_DIGIT_BUDGET.
+    ps holds the points whose conditioning is read (the cloud, or Y). eps=None
+    gives the fixed-size flat limit's bordered minors; otherwise the choice is
+    the module docstring's, where the eps rule reads about 2(m-1) log10(1/eps)
+    digits lost by a size-m minor of a smooth kernel matrix at unit spacing
+    (singular values 1, eps^2, ..., eps^(2(m-1))).
     """
+    if precision not in ("auto", "float", "mp"):
+        raise ValueError(f"precision must be 'auto', 'float' or 'mp', not {precision!r}")
+    if eps is None:
+        logger.debug("%s: flat-limit backend, dps=None (m=%d)", caller, m)
+        return _fixed_size_minors(kernel, m, ps.d)
+    _check_eps(eps)
+    line = precision == "auto" and ps.d == 1 and _is_builtin_exponential(kernel)
+    if line and caller == "eps_ensemble_distribution":
+        logger.debug("%s: closed-form backend, dps=None, det K_X = prod(1 - exp(-2 eps h)) "
+                     "over the gaps h of sorted X (exponential kernel on the line, m=%d, "
+                     "eps=%g)", caller, m, eps)
+        return _line_minors(eps)
     with np.errstate(all="ignore"):
-        cond = float(np.linalg.cond(L))
+        cond = float(np.linalg.cond(kernel_matrix(kernel, ps, eps)))
     lost = 2 * (m - 1) * math.log10(1.0 / eps) + 1.0 if eps < 1.0 else 0.0
     risk = max(lost, math.log10(cond) if cond < math.inf else math.inf)
     use_mp = precision == "mp" or (precision == "auto" and risk > FLOAT_DIGIT_BUDGET)
     wanted = _mp_digits(m, eps) if use_mp else None
-    logger.debug("%s: %s backend, dps=%s, %.1f digits at risk (m=%d, eps=%g, "
-                 "condition number of a %d-point kernel matrix)", caller,
-                 "mp" if use_mp else "float", wanted, risk, m, eps, L.shape[0])
-    return wanted
+    logger.debug("%s: %s backend, dps=%s, %.1f digits at risk (m=%d, eps=%g, condition "
+                 "number of a %d-point kernel matrix)%s", caller, "mp" if use_mp else "float",
+                 wanted, risk, m, eps, ps.n, "; closed form withheld for the exponential "
+                 "kernel on the line: the bench self-test needs this density's mpmath.det "
+                 "span (ROADMAP item 20)" if line else "")
+    if use_mp:
+        return wanted
+
+    def kernel_minors(X):
+        sign, logabs = np.linalg.slogdet(kernel(eps * np.sqrt(_sq_dists(X, X))))
+        return logabs, sign
+    return kernel_minors
 
 
-def _closed_form(kernel: StationaryKernel, d: int, m: int, eps: float, precision: str) -> bool:
-    """Whether "auto" takes the enumeration's closed form, logged at DEBUG:
-    only for the builtin exponential kernel on the line."""
-    closed = precision == "auto" and d == 1 and _is_builtin_exponential(kernel)
-    if closed:
-        logger.debug("eps_ensemble_distribution: closed-form backend, det K_X = "
-                     "prod(1 - exp(-2 eps h)) over the gaps h of sorted X (exponential "
-                     "kernel on the line, m=%d, eps=%g)", m, eps)
-    return closed
-
-
-def _line_slogdets(x: np.ndarray, eps: float):
-    """The function idx -> (sign, log det K_X) of the exponential kernel on
-    the line at inverse scale eps, for (count, k) index rows into the points
-    x: e^(-eps|x-y|) is Markov, so det K_X is the product of 1 - exp(-2 eps h)
-    over the gaps h of the sorted row, with no kernel matrix. Where 2 eps h
-    underflows, its log is taken as log 2 + log eps + log h, so every eps > 0
-    gives a finite log det."""
-    def slogdets(idx):
-        h = np.diff(np.sort(x[idx], axis=-1), axis=-1)
+def _line_minors(eps: float):
+    """X -> (log det K_X, 1) of the exponential kernel on the line at inverse
+    scale eps, for stacks X of shape (..., k, 1): the sum of log(1 - exp(-2 eps
+    h)) over the gaps h of the sorted row, with no kernel matrix. Where 2 eps h
+    underflows, log 2 + log eps + log h is taken, so every eps > 0 gives a
+    finite log det."""
+    def minors(X):
+        h = np.diff(np.sort(X[..., 0], axis=-1), axis=-1)
         t = 2.0 * eps * h
         with np.errstate(divide="ignore"):
             logs = np.where(t < np.finfo(float).tiny,
                             math.log(2.0) + math.log(eps) + np.log(h), np.log(-np.expm1(-t)))
-        return np.ones(idx.shape[0]), logs.sum(axis=-1)
-    return slogdets
+        return logs.sum(axis=-1), np.ones(X.shape[:-2])
+    return minors
 
 
 def _mp_digits(m: int, eps: float) -> int:
@@ -302,24 +311,21 @@ def eps_ensemble_distribution(ps: PointSet, kernel: StationaryKernel, eps: float
     """Exact subset law of DPP(alpha * eps^{-p} L(eps)), by enumeration.
 
     With m given, the law is conditioned on |X| = m (the scaling then cancels).
-    precision is one of "auto", "float", "mp". For the builtin exponential
-    kernel on the line "auto" takes the closed form: each subset's log det is
-    the sum of log(1 - exp(-2 eps h)) over its sorted gaps h, in float64 at
-    any eps. Otherwise "auto" takes mp when the digits at risk (see the module
-    docstring) exceed FLOAT_DIGIT_BUDGET, read on the whole kernel matrix, and
-    float64 below that. "mp" is the referee of both float64 backends.
+    precision is "auto", "float" or "mp" (else a ValueError before any work)
+    and picks the minors of each subset size's gathered coordinates: for the
+    builtin exponential kernel on the line "auto" takes the closed form, in
+    float64 at any eps; otherwise mp when the digits at risk (see the module
+    docstring), read on the whole kernel matrix, exceed FLOAT_DIGIT_BUDGET,
+    and the kernel's float64 minors below that. "mp" is the referee of both.
     """
     _varying_params(p, alpha)
     n = ps.n
     mmax = n if m is None else m
     _check_enumerable(n, m)
-    _check_eps(eps)
-    closed = _closed_form(kernel, ps.d, mmax, eps, precision)
-    L = None if closed else kernel_matrix(kernel, ps, eps)
-    wanted = None if closed else _backend("eps_ensemble_distribution", L, mmax, eps, precision)
+    backend = _backend("eps_ensemble_distribution", kernel, ps, mmax, eps, precision)
 
-    if wanted is not None:
-        with mp.workdps(wanted):
+    if not callable(backend):
+        with mp.workdps(backend):
             eps_mp = mp.mpf(eps)
             dets = _mp_subset_dets(_mp_kernel_matrix(kernel, _mp_points(ps.coords), eps_mp), m)
             scale = mp.mpf(alpha) * eps_mp ** (-p)
@@ -330,9 +336,7 @@ def eps_ensemble_distribution(ps: PointSet, kernel: StationaryKernel, eps: float
             values = [float(w / total) for w in weights]
         return SubsetDistribution(n, masks, values)
 
-    slogdets = _line_slogdets(ps.coords[:, 0], eps) if closed else (
-        lambda idx: np.linalg.slogdet(L[idx[:, :, None], idx[:, None, :]]))
-    masks, sizes, sign, logabs = _slogdets_by_size(n, m, slogdets)
+    masks, sizes, logabs, sign = _slogdets_by_size(n, m, lambda idx: backend(ps.coords[idx]))
     positive = sign > 0
     if not positive.any():
         raise ValueError("no subset has positive mass; kernel matrix indefinite")
@@ -393,27 +397,25 @@ def conditional_density(kernel: StationaryKernel, Y, x_grid,
     distinct, and x_grid non-empty and finite, with Y's dimension; any other
     input is a ValueError before any work.
     precision is as in eps_ensemble_distribution, with the digits at risk
-    read on K_Y; there is no closed-form backend here.
+    read on K_Y; "auto" withholds the closed form (see the module docstring).
     """
     ys, x_grid = _conditional_points(Y, x_grid)
     Y, k, d = ys.coords, ys.n, ys.d
-    wanted = None if eps is None else _backend(
-        "conditional_density", kernel_matrix(kernel, ys, eps), k + 1, eps, precision)
+    backend = _backend("conditional_density", kernel, ys, k + 1, eps, precision)
     # one chunk of grid points at a time, so no (G, k, d) difference is formed
     radius = coincidence_radius(Y, x_grid)
     free = np.concatenate([
         np.sqrt(np.min(_sq_dists(x_grid[lo:lo + CONDITIONAL_BLOCK], Y), axis=1)) > radius
         for lo in range(0, x_grid.shape[0], CONDITIONAL_BLOCK)])
     xs, where = np.unique(x_grid[free], axis=0, return_inverse=True)
-    if wanted is not None:
-        with mp.workdps(wanted):
+    if not callable(backend):
+        with mp.workdps(backend):
             vals = np.array(_mp_conditional_logdets(kernel, Y, xs, eps))
     else:
-        minors = _fixed_size_minors(kernel, k + 1, d, eps)
         vals = np.full(xs.shape[0], -math.inf)
         for lo in range(0, xs.shape[0], CONDITIONAL_BLOCK):
             chunk = xs[lo:lo + CONDITIONAL_BLOCK, None]
-            logabs, sign = minors(np.concatenate(
+            logabs, sign = backend(np.concatenate(
                 [np.broadcast_to(Y, (chunk.shape[0], k, d)), chunk], axis=1))
             vals[lo:lo + chunk.shape[0]] = np.where(sign > 0, logabs, -math.inf)
     logvals = np.full(x_grid.shape[0], -math.inf)

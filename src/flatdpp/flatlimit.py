@@ -137,20 +137,15 @@ def _fixed_size_dispatch(ps: PointSet, kernel: StationaryKernel, m: int) -> Flat
     return FlatLimitResult(regime, default_ensemble(ps, 2 * r - 1, 1.0), m, meta)
 
 
-def _fixed_size_minors(kernel: StationaryKernel, m: int, d: int, eps: float | None = None):
-    """The function X -> (log |det|, sign) of the size-m minor at each row of
-    X, an array of shape (G, m, d): det K_X at inverse scale eps, or
-    (eps=None) the fixed-size limit's bordered minor as :func:`log_unnorm_prob`
-    gives it on any ground set that holds the row. L_X and V_X come from the
-    row's coordinates as :func:`_fixed_size_dispatch` builds L and V, the
-    Wronskian Schur block is decided once per call by make_factored_nnp's
-    rule, and a row whose V_X has rank below p by orthonormal_basis's cut
-    has no mass (-inf, 0); for p <= 1 the cut cannot fire and is skipped."""
-    if eps is not None:
-        def kernel_minors(X):
-            sign, logabs = np.linalg.slogdet(kernel(eps * np.sqrt(_sq_dists(X, X))))
-            return logabs, sign
-        return kernel_minors
+def _fixed_size_minors(kernel: StationaryKernel, m: int, d: int):
+    """The function X -> (log |det|, sign) of the size-m fixed-size limit's
+    bordered minor at each row of X, an array of shape (G, m, d), as
+    :func:`log_unnorm_prob` gives it on any ground set that holds the row.
+    L_X and V_X come from the row's coordinates as :func:`_fixed_size_dispatch`
+    builds L and V, the Wronskian Schur block is decided once per call by
+    make_factored_nnp's rule, and a row whose V_X has rank below p by
+    orthonormal_basis's cut has no mass (-inf, 0); for p <= 1 the cut cannot
+    fire and is skipped."""
     regime, k = classify_fixed(d, kernel.smoothness, m)
     basis = monomial_indices(k if regime == PROJECTION_SMOOTH else k - 1, d)
     if regime == NONMAGIC_WRONSKIAN:

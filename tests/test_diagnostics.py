@@ -53,6 +53,8 @@ from flatdpp.wronskian import schur_block, wronskian_matrix
 
 GAUSS = builtin_kernel("gaussian")
 EXPO = builtin_kernel("exponential")
+BUILTIN_NAMES = ("gaussian", "exponential", "(1+d)exp(-d)", "sin(d+pi/4)exp(-d)",
+                 "(3+3d+d^2)exp(-d)")
 
 
 def random_nnp(n, p, seed):
@@ -168,8 +170,9 @@ def test_batched_slogdets_equal_per_subset_calls():
     ps = uniform_points(7, 2, seed=17)
     L = kernel_matrix(EXPO, ps, 0.7)
     for m in (None, 3):
-        masks, sizes, sign, logabs = _slogdets_by_size(
-            7, m, lambda idx: np.linalg.slogdet(L[idx[:, :, None], idx[:, None, :]]))
+        size = 7 if m is None else m
+        minors = diagnostics._backend("eps_ensemble_distribution", EXPO, ps, size, 0.7, "float")
+        masks, sizes, logabs, sign = _slogdets_by_size(7, m, lambda idx: minors(ps.coords[idx]))
         subsets = ([indices_of(k) for k in range(1 << 7)] if m is None
                    else list(itertools.combinations(range(7), m)))
         assert masks.tolist() == [mask_of(X) for X in subsets]
@@ -181,8 +184,7 @@ def test_batched_slogdets_equal_per_subset_calls():
     # 2 log det S taken out here
     for p in (1, 2):
         e = random_nnp(7, p, seed=18 + p)
-        masks, _, sign, logabs = _slogdets_by_size(
-            7, None, lambda idx: log_unnorm_prob(e, idx)[::-1])
+        masks, _, logabs, sign = _slogdets_by_size(7, None, lambda idx: log_unnorm_prob(e, idx))
         for k, s, la in zip(masks.tolist(), sign, logabs):
             X = indices_of(k)
             assert log_unnorm_prob(e, X) == (la, s)
@@ -213,9 +215,7 @@ def _enumerated_masks(n, m):
 @pytest.mark.parametrize("d", [1, 2])
 def test_mp_schur_enumeration_matches_per_subset_det(d):
     ps = uniform_points(6, d, seed=30 + d)
-    names = ("gaussian", "exponential", "(1+d)exp(-d)", "sin(d+pi/4)exp(-d)",
-             "(3+3d+d^2)exp(-d)")
-    for name in names:
+    for name in BUILTIN_NAMES:
         for eps in (0.5, 1e-2, 1e-3):
             for m in (None, 3):
                 with mp.workdps(_mp_digits(6 if m is None else m, eps)):
@@ -297,8 +297,14 @@ def test_backend_choice_is_logged(caplog):
     assert msgs[1].startswith(
         f"eps_ensemble_distribution: mp backend, dps={_mp_digits(4, 1e-3)}")
     assert msgs[2].startswith(f"conditional_density: mp backend, dps={_mp_digits(3, 1e-3)}")
-    assert msgs[3].startswith("eps_ensemble_distribution: closed-form backend")
+    assert msgs[3].startswith("eps_ensemble_distribution: closed-form backend, dps=None")
     assert "exponential kernel on the line" in msgs[3]
+    # one line per call, the flat limit's included
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="flatdpp.diagnostics"):
+        conditional_density(GAUSS, [0.2, 0.6], np.linspace(0, 1, 5))
+    assert [r.getMessage() for r in caplog.records] == [
+        "conditional_density: flat-limit backend, dps=None (m=3)"]
 
 
 #: Inverse scales of the closed-form checks, from the float range of the
@@ -350,10 +356,79 @@ def test_only_the_builtin_exponential_on_the_line_takes_the_closed_form(caplog):
         conditional_density(EXPO, [0.2, 0.6], np.linspace(0, 1, 5), eps=1e-3)
     msgs = [r.getMessage() for r in caplog.records if r.name == "flatdpp.diagnostics"]
     assert len(msgs) == 4 and not any("closed-form" in msg for msg in msgs)
+    # the conditional density's exception is named, with its reason
+    assert msgs[3].startswith("conditional_density: mp backend")
+    assert msgs[3].endswith("; closed form withheld for the exponential kernel on the line: "
+                            "the bench self-test needs this density's mpmath.det span "
+                            "(ROADMAP item 20)")
+    assert not any("withheld" in msg for msg in msgs[:3])
     assert _is_builtin_exponential(EXPO) and not _is_builtin_exponential(named)
     assert _is_builtin_exponential(builtin_kernel("exponential", truncation=5))
     assert not any(_is_builtin_exponential(builtin_kernel(name)) for name in
                    ("gaussian", "(1+d)exp(-d)", "sin(d+pi/4)exp(-d)", "(3+3d+d^2)exp(-d)"))
+
+
+def _gathered_slogdets(kernel, ps, eps, idx):
+    """Reference: np.linalg.slogdet of the gathered blocks of the kernel matrix."""
+    L = kernel_matrix(kernel, ps, eps)
+    ref = np.linalg.slogdet(L[idx[:, :, None], idx[:, None, :]])
+    return ref.logabsdet, ref.sign
+
+
+def _gap_sums(x, eps, idx):
+    """Reference: log of the gap product of the exponential kernel on the line,
+    one subset at a time."""
+    return (np.array([np.sum(np.log(-np.expm1(-2.0 * eps * np.diff(np.sort(x[X])))))
+                      for X in idx]), np.ones(len(idx)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_coordinate_minors_equal_gathered_kernel_blocks(name, d):
+    # the kernel at eps on gathered coordinates, bit for bit, at every size
+    # from 0 to n (varying) and at a fixed size; and the closed form on the line
+    kernel = builtin_kernel(name)
+    ps = uniform_points(7, d, seed=40 + d)
+    for eps in (1.5, 0.5, 0.1):
+        for m in (None, 3):
+            size = ps.n if m is None else m
+            minors = diagnostics._backend("eps_ensemble_distribution", kernel, ps, size, eps,
+                                          "float")
+            closed = (diagnostics._backend("eps_ensemble_distribution", kernel, ps, size, eps,
+                                           "auto") if d == 1 and name == "exponential" else None)
+            got = _slogdets_by_size(ps.n, m, lambda idx: minors(ps.coords[idx]))
+            ref = _slogdets_by_size(ps.n, m, lambda idx: _gathered_slogdets(kernel, ps, eps, idx))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref)), (eps, m)
+            if closed is not None:
+                got = _slogdets_by_size(ps.n, m, lambda idx: closed(ps.coords[idx]))
+                ref = _slogdets_by_size(ps.n, m,
+                                        lambda idx: _gap_sums(ps.coords[:, 0], eps, idx))
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref)), (eps, m)
+        # rows of size 0 and 1 on their own: the empty minor is 1, and det [f(0)]
+        for k in (0, 1):
+            idx = np.arange(3 * k).reshape(3, k)
+            logabs, sign = minors(ps.coords[idx])
+            ref = _gathered_slogdets(kernel, ps, eps, idx)
+            assert (logabs.tolist(), sign.tolist()) == (ref[0].tolist(), ref[1].tolist())
+            assert k == 1 or (logabs.tolist(), sign.tolist()) == ([0.0] * 3, [1.0] * 3)
+            if closed is not None:
+                assert [a.tolist() for a in closed(ps.coords[idx])] == [[0.0] * 3, [1.0] * 3]
+
+
+@pytest.mark.parametrize("precision", ["MP", "exact", "Float", ""])
+def test_an_unknown_precision_is_refused_before_any_work(monkeypatch, precision):
+    # "MP" ran the float path, off by TV 1.9e-3 against "mp" on this cloud
+    ps = uniform_points(6, 1, seed=1)
+    for name in ("kernel_matrix", "_fixed_size_minors", "_mp_subset_dets",
+                 "_mp_conditional_logdets", "_line_minors"):
+        monkeypatch.setattr(diagnostics, name, lambda *a, **kw: pytest.fail("work began"))
+    message = f"precision must be 'auto', 'float' or 'mp', not {precision!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        eps_ensemble_distribution(ps, GAUSS, 1e-3, m=3, precision=precision)
+    for eps in (1e-3, None):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            conditional_density(GAUSS, [0.2, 0.6], np.linspace(0, 1, 5), eps=eps,
+                                precision=precision)
 
 
 # ---------------------------------------------------------------------------

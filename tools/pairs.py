@@ -40,7 +40,8 @@ SIDES = ("parent", "change")
 FLATDPP_FREE = {
     ("construct-large", "setup_s"):
         "times two np.savetxt calls in ConstructLarge.setup and runs no flatdpp code; "
-        "its readings are bimodal (about 10 and 18 ms) with the file system",
+        "its mode follows the CPU load before the run: about 9 ms right after sustained "
+        "load, 14-16 ms after idling (ROADMAP item 1)",
 }
 
 
