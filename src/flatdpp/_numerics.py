@@ -1,6 +1,7 @@
 """Validation numerics of :mod:`flatdpp.ensembles`: the Householder compression
-and lift, the bound beta, the tiled symmetry sweeps, the blocked Cholesky, the
-zero kind and the log-space ESP table. Nothing here logs or knows a pair."""
+and lift, the bound beta, the tiled symmetry sweeps, the row blocks of a factor
+B C B^T, the blocked Cholesky, the zero kind and the log-space ESP table.
+Nothing here logs or knows a pair."""
 
 from __future__ import annotations
 
@@ -193,6 +194,38 @@ def _symmetric_scale(L: np.ndarray) -> float | None:
                 return None
             scale = max(scale, top)
     return scale
+
+
+#: Entries of a row block of :func:`_factor_rows` (2 MiB of float64), so that
+#: a sweep over B C B^T holds at most this much of it at any n.
+_ROW_BLOCK_ENTRIES = 1 << 18
+
+
+def _factor_rows(B: np.ndarray, C: np.ndarray, upper: bool = False):
+    """(lo, the rows lo:lo + r of B C B^T) for consecutive blocks of r rows,
+    as many as fit in _ROW_BLOCK_ENTRIES entries of a full row (at least
+    one); with upper, only their columns from lo on. Each block is a new
+    array; B C is formed once, and the n x n product never is."""
+    n = B.shape[0]
+    G = B @ C
+    r = max(1, _ROW_BLOCK_ENTRIES // max(n, 1))
+    for lo in range(0, n, r):
+        yield lo, G[lo:lo + r] @ B[lo if upper else 0:].T
+
+
+def _factor_max(B: np.ndarray, C: np.ndarray) -> float:
+    """max |B C B^T| for a C that is symmetric or antisymmetric, from the
+    upper blocks of :func:`_factor_rows`, which hold every |entry|; inf once
+    a block has a non-finite entry."""
+    top = 0.0
+    # an entry past float64 is reported by the caller, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, rows in _factor_rows(B, C, upper=True):
+            block = float(np.abs(rows, out=rows).max())
+            if not math.isfinite(block):
+                return math.inf
+            top = max(top, block)
+    return top
 
 
 def _is_zero_kind(arr: np.ndarray) -> bool:

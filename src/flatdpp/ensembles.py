@@ -12,17 +12,30 @@ unnormalized mass is nonnegative for a valid ensemble, as is the normalizer
 Z = det(I + N^T L N) det(V^T V), where the columns of N are an orthonormal
 basis of the orthogonal complement of span(V).
 
-A pair is stored as a record (:func:`nnp_to_dict`, :func:`nnp_from_dict`):
-a dict of n, p, and L and V as float64 arrays.
-A pair built from a factor L = B C B^T (:func:`make_factored_nnp`) also
-holds ``"factor": {"B": B, "C": C}``; a reload rebuilds it from the factor
-and requires the stored L to match. :mod:`flatdpp.store` writes a record to
-a file and reads it back.
+A pair holds L as one of four kinds, and every reader goes through the kind:
 
-An L that is exactly zero, as in every projection limit, may be held as the
-zero kind: the read-only zero-stride view ``np.broadcast_to(0.0, (n, n))``,
-which takes no memory. :func:`make_nnp` recognises it in O(1), and a record
-writes and reads it with no dense array. The numerics of validation live in
+- zero: the read-only zero-stride view ``np.broadcast_to(0.0, (n, n))``,
+  which takes no memory, as in every projection limit. :func:`make_nnp`
+  recognises it in O(1);
+- dense: one n x n array, as :func:`make_nnp` keeps it;
+- factor (B, C): L = B C B^T with B of shape (n, h), from
+  :func:`make_factored_nnp`, as in every Wronskian limit;
+- scaled (gamma, unit): L = gamma L_1 for a dense pair unit = (L_1; V),
+  which it holds, from :func:`_scaled_nnp`, as in a critical-scaling limit.
+
+A subset's L_X is read from the kind: zeros, B_X C B_X^T symmetrised, a
+slice, or gamma times a slice. No kind but dense holds an n x n array: the
+scaled kind forms gamma L_1 only as a transient of its decomposition, and
+``NNP.L`` forms the dense L of a factor or scaled pair only when it is read,
+and does not keep it. Each such formation is logged at DEBUG on the
+``flatdpp.ensembles`` logger.
+
+A pair is stored as a record (:func:`nnp_to_dict`, :func:`nnp_from_dict`):
+a dict of n, p, and L and V as float64 arrays. A factored pair's record also
+holds ``"factor": {"B": B, "C": C}``; a reload rebuilds it from the factor
+and requires the stored L to match, by row blocks of B C B^T. The zero kind
+is written and read with no dense array. :mod:`flatdpp.store` writes a record
+to a file and reads it back. The numerics of validation live in
 :mod:`flatdpp._numerics`.
 """
 
@@ -38,8 +51,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._numerics import (_CHOLESKY_BLOCK, _TILE, _Bound, _compress, _is_zero_kind, _lift,
-                        _reflectors, _symmetric_scale, _symmetrized, log_esp_table)
+from ._numerics import (_CHOLESKY_BLOCK, _Bound, _compress, _factor_max, _factor_rows,
+                        _is_zero_kind, _lift, _reflectors, _symmetric_scale, _symmetrized,
+                        log_esp_table)
 from .polybasis import orthonormal_basis
 
 logger = logging.getLogger(__name__)
@@ -60,15 +74,87 @@ def _as_indices(X: Iterable[int], n: int) -> np.ndarray:
     return idx
 
 
+class _Held:
+    """The zero or dense kind: L itself, read-only; the zero kind is the
+    zero-stride view np.broadcast_to(0.0, (n, n))."""
+
+    def __init__(self, L: np.ndarray):
+        L.setflags(write=False)
+        self.L = L
+        self.name = "zero" if _is_zero_kind(L) else "dense"
+
+    def dense(self, reader: str) -> np.ndarray:
+        return self.L
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        return self.L[idx[..., :, None], idx[..., None, :]]
+
+
+class _Factor:
+    """The factor kind, L = B C B^T: B (n x h) and C (h x h), read-only."""
+
+    name = "factor"
+
+    def __init__(self, B: np.ndarray, C: np.ndarray):
+        for arr in (B, C):
+            arr.setflags(write=False)
+        self.B, self.C = B, C
+
+    def dense(self, reader: str) -> np.ndarray:
+        """B C B^T, symmetrised in its own buffer: the L that make_nnp would
+        keep for that product, bit for bit."""
+        start = time.perf_counter()
+        L = self.B @ self.C @ self.B.T
+        _symmetrized(L, out=L)
+        return _formed(self, L, reader, start)
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        return _factor_block(self.B[idx], self.C)
+
+
+class _Scaled:
+    """The scaled kind, L = gamma L_1: gamma and the dense pair unit =
+    (L_1; V) itself, which it keeps alive."""
+
+    name = "scaled"
+
+    def __init__(self, gamma: float, unit: "NNP"):
+        self.gamma, self.unit = gamma, unit
+
+    def dense(self, reader: str) -> np.ndarray:
+        start = time.perf_counter()
+        return _formed(self, np.multiply(self.unit.L, self.gamma), reader, start)
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        return np.multiply(self.unit._L.block(idx), self.gamma)
+
+
+def _formed(kind, L: np.ndarray, reader: str, start: float) -> np.ndarray:
+    """L, read-only, with the DEBUG line of its formation from kind."""
+    L.setflags(write=False)
+    logger.debug("%s L formed as a dense %dx%d array for %s (%.1f ms)", kind.name,
+                 L.shape[0], L.shape[0], reader, 1e3 * (time.perf_counter() - start))
+    return L
+
+
+def _factor_block(BX: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """B_X C B_X^T symmetrised, for a stack B_X of shape (..., m, h)."""
+    L = BX @ C @ np.swapaxes(BX, -1, -2)
+    return 0.5 * (L + np.swapaxes(L, -1, -2))
+
+
 class NNP:
     """Validated extended L-ensemble whose spectrum is computed on first use.
 
     Attributes
     ----------
-    L, V : the defining pair, read-only; V has shape (n, p), possibly
-        p = 0. Each is the caller's array when that was frozen (see
-        :func:`make_nnp`), else the pair's own copy. An L that is exactly
-        zero may be the zero kind, np.broadcast_to(0.0, (n, n)).
+    L : the n x n L, read-only, from its kind (see the module docstring):
+        the zero kind's view or the dense array, each held, or for a factor
+        or scaled pair an array formed on each read and not kept. A dense L
+        is the caller's array when that was frozen (see :func:`make_nnp`),
+        else the pair's own copy.
+    V : shape (n, p), possibly p = 0, read-only; the caller's array when
+        that was frozen, else the pair's own copy.
     Q : orthonormal basis of span(V), shape (n, p).
     lam : eigenvalues above beta (descending) of N^T L N, where [Q | N] is
         an orthonormal basis of R^n; one cached eigvalsh on first read.
@@ -77,33 +163,31 @@ class NNP:
         also sets lam when it is not yet known (otherwise U keeps the top q).
     q : number of eigenvalues above beta; q <= n - p.
     logdet_vtv : log det(V^T V), 0.0 when p = 0.
-    factor : (B, C) with L = B C B^T when the pair was built by
-        :func:`make_factored_nnp`, else None.
+    factor : (B, C) of the factor kind, L = B C B^T, else None.
 
     N is never formed, and N^T L N is not kept: each decomposition
-    recompresses L through the p Householder reflectors of Q. A pair built
-    with make_nnp(..., spectrum=...) has lam (and U) from its validation, and
-    a factored pair has both from construction and never decomposes L. Immutable
-    after construction; build through :func:`make_nnp` or
-    :func:`make_factored_nnp`, or scale a validated dense pair by
-    :func:`_scaled_nnp`. The fixed-size sampler caches its read-only
-    acceptance tables here, keyed by the number of eigenvectors drawn, on
-    first use.
+    recompresses L through the p Householder reflectors of Q; a scaled pair
+    compresses gamma L_1, formed for it, and drops that before the
+    eigensolver runs. A pair built with make_nnp(..., spectrum=...) has lam
+    (and U) from its validation, and a factored pair has both from
+    construction and never decomposes L. Immutable after construction; build
+    through :func:`make_nnp` or :func:`make_factored_nnp`, or scale a
+    validated dense pair by :func:`_scaled_nnp`. The fixed-size sampler
+    caches its read-only acceptance tables here, keyed by the number of
+    eigenvectors drawn, on first use.
     """
 
-    def __init__(self, L, V, *, Q, logdet_vtv, bound, lam, U=None, factor=None):
-        self.L = L
+    def __init__(self, L, V, *, Q, logdet_vtv, bound, lam, U=None):
+        self._L = L
         self.V = V
         self.Q = Q
         self.logdet_vtv = logdet_vtv
-        self.factor = factor
-        self.n = L.shape[0]
-        self.p = V.shape[1]
+        self.n, self.p = V.shape
         self._bound = bound
         self._lam: np.ndarray | None = None
         self._U: np.ndarray | None = None
         self._acceptance_tables: dict[int, np.ndarray] = {}
-        for arr in (self.L, self.V, self.Q, *(factor or ())):
+        for arr in (self.V, self.Q):
             arr.setflags(write=False)
         self._keep(lam, U)
 
@@ -119,9 +203,17 @@ class NNP:
             self._U = U
 
     @property
+    def L(self) -> np.ndarray:
+        return self._L.dense("an NNP.L read")
+
+    @property
+    def factor(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return (self._L.B, self._L.C) if isinstance(self._L, _Factor) else None
+
+    @property
     def lam(self) -> np.ndarray:
         if self._lam is None:
-            self._keep(_decomposed(self.L, self.Q, self._bound, False,
+            self._keep(_decomposed(self._L, self.Q, self._bound, False,
                                    "NNP: eigvalsh of N^T L N read")[1])
         return self._lam
 
@@ -132,12 +224,14 @@ class NNP:
     @property
     def U(self) -> np.ndarray:
         if self._U is None:
-            self._keep(*_decomposed(self.L, self.Q, self._bound, True,
+            self._keep(*_decomposed(self._L, self.Q, self._bound, True,
                                     "NNP: eigh of N^T L N read", lam=self._lam)[1:])
         return self._U
 
     def __repr__(self) -> str:
-        return f"NNP(n={self.n}, p={self.p}, q={self.q})"
+        # q is printed only once known: reading it could run an eigensolve
+        q = "?" if self._lam is None else self._lam.size
+        return f"NNP(n={self.n}, p={self.p}, q={q}, L={self._L.name})"
 
 
 def make_nnp(L, V=None, *, spectrum: str | None = None) -> NNP:
@@ -186,8 +280,9 @@ def make_nnp(L, V=None, *, spectrum: str | None = None) -> NNP:
         raise ValueError(f"spectrum must be None, 'values' or 'vectors', not {spectrum!r}")
     L, scale = _checked_square(L)
     V, Q, logdet_vtv = _projective_part(V, L.shape[0])
-    bound, lam, U = _validate(L, Q, scale, spectrum)
-    return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, bound=bound, lam=lam, U=U)
+    kind = _Held(L)
+    bound, lam, U = _validate(kind, Q, scale, spectrum)
+    return NNP(kind, V, Q=Q, logdet_vtv=logdet_vtv, bound=bound, lam=lam, U=U)
 
 
 def _frozen(arr: np.ndarray) -> bool:
@@ -210,15 +305,14 @@ def _kept(arr: np.ndarray) -> np.ndarray:
     return arr if _frozen(arr) else arr.copy(order="K")
 
 
-def _checked_square(L, *, owned: bool = False) -> tuple[np.ndarray, float]:
+def _checked_square(L) -> tuple[np.ndarray, float]:
     """(L as :func:`make_nnp` keeps it, max |L|), or ValueError unless L is
     square, finite and symmetric within 1e-10 * max |L|.
 
     The zero kind is kept as it is, with max |L| = 0. A frozen, C- or
     F-contiguous L that :func:`_symmetric_scale` finds finite and
     bit-symmetric is kept too, C-ordered (an F-ordered L as L^T). Any other
-    L is replaced by 0.5 (L + L^T) from one :func:`_symmetrized` sweep, which
-    writes it into L's own buffer when the caller owns L (owned=True)."""
+    L is replaced by 0.5 (L + L^T) from one :func:`_symmetrized` sweep."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("L must be square")
@@ -230,7 +324,7 @@ def _checked_square(L, *, owned: bool = False) -> tuple[np.ndarray, float]:
         scale = _symmetric_scale(L)
         if scale is not None:
             return (L if L.flags.c_contiguous else L.T), scale
-    S, scale, asymmetry = _symmetrized(L, out=L if owned else None)
+    S, scale, asymmetry = _symmetrized(L)
     if not np.isfinite(scale):
         raise ValueError("L has a non-finite entry")
     if scale > 0 and asymmetry > 1e-10 * scale:
@@ -270,12 +364,16 @@ def _projective_part(V, n: int) -> tuple[np.ndarray, np.ndarray, float]:
 
 def make_factored_nnp(B, C, V=None) -> NNP:
     """Validate the pair (B C B^T; V), B of shape (n, h) and C symmetric
-    h x h, and take its spectrum from the factor: no n x n decomposition.
+    h x h, held as the factor kind, and take its spectrum from the factor: no
+    n x n array is formed or decomposed.
 
-    L = B C B^T is formed once, checked and symmetrised in its own buffer as
-    in :func:`make_nnp`, and kept; make_nnp's Q, rank check and
-    log det(V^T V) are taken too, and B, C and V are kept or copied by its
-    rule for V.
+    B C B^T is swept by row blocks (:func:`_factor_rows`) for max |L|, and
+    is refused as :func:`make_nnp` refuses that L: "L has a non-finite entry"
+    or, for a C that is not bit-symmetric, "L must be symmetric" when
+    max |B (C - C^T) B^T| is above 1e-10 max |L| (a second sweep, run only
+    when max_i |b_i|^2 ||C - C^T||_F does not settle it). make_nnp's Q, rank
+    check and log det(V^T V) are taken too, and B, C and V are kept or copied
+    by its rule for V.
     B is projected off span(V) by the Householder reflectors of Q that
     make_nnp compresses L with: N^T B is the last n - p rows of H^T B. With
     its thin QR N^T B = Q_r R_r, the nonzero spectrum of N^T L N is that of
@@ -290,7 +388,15 @@ def make_factored_nnp(B, C, V=None) -> NNP:
     if not (np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
         raise ValueError("the factor has a non-finite entry")
     n = B.shape[0]
-    L, scale = _checked_square(B @ C @ B.T, owned=True)
+    scale = _factor_max(B, 0.5 * (C + C.T))
+    if not math.isfinite(scale):
+        raise ValueError("L has a non-finite entry")
+    skew = C - C.T
+    if skew.any():
+        # |b_i^T (C - C^T) b_j| <= max_i |b_i|^2 ||C - C^T||_F
+        longest = float(np.einsum("ij,ij->i", B, B).max(initial=0.0))
+        if longest * np.linalg.norm(skew) > 1e-10 * scale and _factor_max(B, skew) > 1e-10 * scale:
+            raise ValueError("L must be symmetric")
     V, Q, logdet_vtv = _projective_part(V, n)
     Y, T = _reflectors(Q)
     p = Q.shape[1]
@@ -304,7 +410,7 @@ def make_factored_nnp(B, C, V=None) -> NNP:
         f"n={n}, p={p}", "L = B C B^T is not CPD with respect to V: the Wronskian "
         "Schur block C, compressed to the complement of span(V), has")
     U = _lift(Qr @ Z[:, ::-1][:, :lam.size], Y, T)
-    return NNP(L, V, Q=Q, logdet_vtv=logdet_vtv, bound=bound, lam=lam, U=U, factor=(B, C))
+    return NNP(_Factor(B, C), V, Q=Q, logdet_vtv=logdet_vtv, bound=bound, lam=lam, U=U)
 
 
 def _scaled_nnp(unit: NNP, gamma: float) -> NNP:
@@ -312,28 +418,32 @@ def _scaled_nnp(unit: NNP, gamma: float) -> NNP:
     validated and a finite gamma >= 0, with no sweep, compression or
     Cholesky: the decision and the bound are homogeneous in gamma.
 
-    gamma L is a new frozen array; V, Q and log det(V^T V) are unit's. The
-    bound is (n, gamma max |L|, gamma ||M||_F): rounding is monotone, so
-    max |fl(gamma L)| = fl(gamma max |L|). lam and U are decomposed from
-    gamma L on first read, as for a pair that make_nnp accepted, so they are
-    those of make_nnp(gamma L, V) with that pair's bound; at gamma = 0 there
-    is no spectrum, as make_nnp finds for L = 0. A gamma that takes max |L|
-    or ||M||_F past float64 is a ValueError: beta would be infinite, and the
-    compression on first read would overflow.
+    The pair is the scaled kind: it holds gamma and unit itself, so unit
+    lives as long as it does, and no second n x n array. V, Q and
+    log det(V^T V) are unit's. L_X is gamma times unit's slice, the bytes of
+    the same slice of fl(gamma L). The bound is (n, gamma max |L|,
+    gamma ||M||_F): rounding is monotone, so max |fl(gamma L)| =
+    fl(gamma max |L|). lam and U are decomposed on first read from
+    fl(gamma L), formed as a transient that is compressed and dropped before
+    the eigensolver runs, so they are those of make_nnp(gamma L, V) with that
+    pair's bound, bit for bit; at gamma = 0 there is no spectrum, as make_nnp
+    finds for L = 0. A gamma that takes max |L| or ||M||_F past float64 is a
+    ValueError: beta would be infinite, and the compression on first read
+    would overflow.
     """
     unit_bound = unit._bound
     bound = _Bound(unit.n, gamma * unit_bound.max_l, gamma * unit_bound.norm_m)
     if not math.isfinite(bound.max_l + bound.norm_m):
         raise ValueError(f"L times gamma = {gamma!r} is past the float64 range: "
                          f"max |L| {bound.max_l:.3e}, ||N^T L N||_F {bound.norm_m:.3e}")
-    return NNP(np.multiply(unit.L, gamma), unit.V, Q=unit.Q, logdet_vtv=unit.logdet_vtv,
+    return NNP(_Scaled(gamma, unit), unit.V, Q=unit.Q, logdet_vtv=unit.logdet_vtv,
                bound=bound, lam=np.zeros(0) if gamma == 0 else None)
 
 
-def _validate(L: np.ndarray, Q: np.ndarray, scale: float, spectrum: str | None
+def _validate(kind: _Held, Q: np.ndarray, scale: float, spectrum: str | None
               ) -> tuple[_Bound, np.ndarray | None, np.ndarray | None]:
-    """(the bound, lam and U if they were computed) for (L; V), whose
-    max |L| is scale, or raise."""
+    """(the bound, lam and U if they were computed) for (L; V), L held by
+    kind with max |L| = scale, or raise."""
     n, p = Q.shape
     if scale == 0.0 or p == n:
         # L = 0, or the sure full set: no spectrum to check
@@ -341,9 +451,9 @@ def _validate(L: np.ndarray, Q: np.ndarray, scale: float, spectrum: str | None
     start, refusal = time.perf_counter(), "L is not CPD with respect to V:"
     if spectrum is not None:
         decider = ("eigh" if spectrum == "vectors" else "eigvalsh") + " (requested by the caller)"
-        return _decomposed(L, Q, scale, spectrum == "vectors", f"make_nnp: {decider} decided",
+        return _decomposed(kind, Q, scale, spectrum == "vectors", f"make_nnp: {decider} decided",
                            refusal, start)
-    M = _compress(L, Q)[0]
+    M = _compress(kind.L, Q)[0]
     bound = _Bound.of(n, scale, M)
     what = (f"make_nnp: blocked Cholesky of N^T L N + beta I in "
             f"{-(-M.shape[0] // _CHOLESKY_BLOCK)} blocks")
@@ -353,18 +463,22 @@ def _validate(L: np.ndarray, Q: np.ndarray, scale: float, spectrum: str | None
         return bound, None, None
     # M is partly factored: the eigenvalues are those of a fresh compression
     del M
-    return _decomposed(L, Q, bound, False, f"{what} failed; eigvalsh decided", refusal, start)
+    return _decomposed(kind, Q, bound, False, f"{what} failed; eigvalsh decided", refusal, start)
 
 
-def _decomposed(L: np.ndarray, Q: np.ndarray, bound: _Bound | float, vectors: bool, what: str,
+def _decomposed(kind, Q: np.ndarray, bound: _Bound | float, vectors: bool, what: str,
                 refusal: str | None = None, start: float | None = None, *,
                 lam: np.ndarray | None = None) -> tuple[_Bound, np.ndarray, np.ndarray | None]:
     """(bound, lam, U or None) from one eigvalsh (with vectors, eigh) of a
-    fresh M = N^T L N; U = N W lifts the eigenvectors of the top lam.size. A
-    float bound is max |L|, completed from M. Unless given, lam is decided
-    (:func:`_decided`) and logged as what, timed from start when given."""
+    fresh M = N^T L N, L read from kind (a dense or scaled pair's): a formed
+    L is dropped before the eigensolver runs. U = N W lifts the eigenvectors
+    of the top lam.size. A float bound is max |L|, completed from M. Unless
+    given, lam is decided (:func:`_decided`) and logged as what, timed from
+    start when given."""
     n, p = Q.shape
+    L = kind.dense("a decomposition's transient")
     M, Y, T = _compress(L, Q)
+    del L
     if not isinstance(bound, _Bound):
         bound = _Bound.of(n, bound, M)
     w, W = np.linalg.eigh(M) if vectors else (np.linalg.eigvalsh(M), None)
@@ -390,10 +504,11 @@ def _decided(bound: _Bound, w: np.ndarray, what: str, where: str,
 
 
 def bordered_matrix(e: NNP, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B, 2 log det S) of :func:`_bordered` for e's L_X and V_X at the
-    indices X; for a (count, m) array of index rows, a stack of one B per row."""
+    """(B, 2 log det S) of :func:`_bordered` for e's L_X, read from its
+    kind, and V_X at the indices X; for a (count, m) array of index rows, a
+    stack of one B per row."""
     idx = np.asarray(idx)
-    return _bordered(e.L[idx[..., :, None], idx[..., None, :]], e.V[idx, :])
+    return _bordered(e._L.block(idx), e.V[idx, :])
 
 
 def _bordered(LX: np.ndarray, VX: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,14 +548,14 @@ def log_unnorm_prob(e: NNP, X: Iterable[int] | np.ndarray) -> tuple:
     The folded sign is +1 for every subset of positive mass, 0 when the mass
     vanishes (including |X| < p, where the bordered matrix is singular). For
     a (count, m) array of index rows (distinct, in range), both are arrays
-    with one entry per row, from :func:`_bordered_slogdets` of e's L_X and
-    V_X.
+    with one entry per row, from :func:`_bordered_slogdets` of e's L_X,
+    read from its kind, and V_X.
     """
     stacked = isinstance(X, np.ndarray) and X.ndim == 2
     idx = X if stacked else _as_indices(X, e.n)[None]
     logabs, sign = np.full(len(idx), -math.inf), np.zeros(len(idx))
     if idx.shape[1] >= e.p:
-        logabs, sign = _bordered_slogdets(e.L[idx[:, :, None], idx[:, None, :]], e.V[idx])
+        logabs, sign = _bordered_slogdets(e._L.block(idx), e.V[idx])
     if stacked:
         return logabs, sign
     return (float(logabs[0]), float(sign[0])) if sign[0] else (-math.inf, 0.0)
@@ -589,13 +704,15 @@ def indices_of(mask: int) -> tuple[int, ...]:
 
 def nnp_to_dict(e: NNP) -> dict:
     """The record of e: n, p, and L and V as arrays; a factored pair adds
-    its factor {"B", "C"}. The arrays are e's own, read-only."""
+    its factor {"B", "C"}. The arrays are e's own, read-only, except the L of
+    a factor or scaled pair, which is formed for the record (``NNP.L``)."""
     obj = {
         "n": e.n,
         "p": e.p,
-        # L is exactly symmetric and, as make_nnp keeps it, C-ordered (a kept
-        # Fortran-ordered block is held as its transpose), so L^T, a
-        # Fortran-ordered view, has L's column-major bytes in L's own buffer
+        # L is exactly symmetric and C-ordered, as make_nnp keeps it (a kept
+        # Fortran-ordered block is held as its transpose) and as a factor or
+        # scaled pair forms it, so L^T, a Fortran-ordered view, has L's
+        # column-major bytes in L's own buffer
         "L": e.L.T,
         "V": e.V,
     }
@@ -630,15 +747,14 @@ def nnp_from_dict(obj: dict, *, spectrum: str | None = None) -> NNP:
     the arrays as they are and keep a frozen block that is finite and
     bit-symmetric (for L) without a copy, as for every record that
     :mod:`flatdpp.store` wrote: the only new n x n array of a dense reload is
-    N^T L N, and that of a factored one the product B C B^T, symmetrised in
-    its own buffer. A factored record's L must match the rebuilt L within
-    1e-10 * max |L|.
+    N^T L N, and a factored one forms none. A factored record's L must match
+    B C B^T within 1e-10 * max |B C B^T|, compared by row blocks.
     """
     L, V = _block(obj, "L"), _block(obj, "V")
     if "factor" in obj:
         factor = obj["factor"]
         e = make_factored_nnp(_block(factor, "B"), _block(factor, "C"), V)
-        _require_match(L, e.L)
+        _require_match(L, *e.factor)
     else:
         e = make_nnp(L, V, spectrum=spectrum)
     for key, size in (("n", e.n), ("p", e.p)):
@@ -648,18 +764,21 @@ def nnp_from_dict(obj: dict, *, spectrum: str | None = None) -> NNP:
     return e
 
 
-def _require_match(L: np.ndarray, S: np.ndarray) -> None:
-    """ValueError unless L matches the exactly symmetric S within
-    1e-10 * max |S|, compared by blocks of _TILE rows of L^T (contiguous for
-    a decoded block), with no n x n temporary."""
-    if L.shape != S.shape:
+def _require_match(L: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
+    """ValueError unless L matches B C B^T, C symmetrised, within
+    1e-10 * max |B C B^T|, compared by the row blocks of
+    :func:`_factor_rows` with the same rows of L^T (contiguous for a decoded
+    block): the n x n product is never formed. A NaN in L is a mismatch."""
+    n = B.shape[0]
+    if L.shape != (n, n):
         raise ValueError(f"ensemble record: L of shape {L.shape} does not match "
-                         f"its factor's {S.shape}")
-    gap = scale = 0.0
-    for lo in range(0, S.shape[0], _TILE):
-        rows = S[lo:lo + _TILE]
-        scale = max(scale, float(np.abs(rows).max()))
-        gap = max(gap, float(np.abs(L.T[lo:lo + _TILE] - rows).max()))
+                         f"its factor's {(n, n)}")
+    gaps, tops = [], []
+    for lo, rows in _factor_rows(B, 0.5 * (C + C.T)):
+        tops.append(np.abs(rows).max())
+        rows -= L.T[lo:lo + rows.shape[0]]
+        gaps.append(np.abs(rows, out=rows).max())
+    gap, scale = float(np.max(gaps, initial=0.0)), float(np.max(tops, initial=0.0))
     if not gap <= 1e-10 * scale:
         raise ValueError(f"ensemble record: L does not match its factor B C B^T "
                          f"(max difference {gap:.3e}, max |L| {scale:.3e})")

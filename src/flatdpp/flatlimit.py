@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._numerics import _Bound
-from .ensembles import (CPDViolationError, NNP, _bordered_slogdets, _decided, _scaled_nnp,
-                        make_factored_nnp, make_nnp, nnp_to_dict, size_distribution)
+from .ensembles import (CPDViolationError, NNP, _bordered_slogdets, _decided, _factor_block,
+                        _scaled_nnp, make_factored_nnp, make_nnp, nnp_to_dict,
+                        size_distribution)
 from .geometry import PointSet, _sq_dists, distance_power_matrix
 from .kernels import StationaryKernel, kernel_matrix
 from .polybasis import (_monomial_columns, count_poly, homogeneous_indices, monomial_indices,
@@ -142,8 +143,9 @@ def _fixed_size_minors(kernel: StationaryKernel, m: int, d: int):
     bordered minor at each row of X, an array of shape (G, m, d), as
     :func:`log_unnorm_prob` gives it on any ground set that holds the row.
     L_X and V_X come from the row's coordinates as :func:`_fixed_size_dispatch`
-    builds L and V, the Wronskian Schur block is decided once per call by
-    make_factored_nnp's rule, and a row whose V_X has rank below p by
+    builds L and V (a Wronskian L_X by the factor kind's :func:`_factor_block`),
+    the Wronskian Schur block is decided once per call by make_factored_nnp's
+    rule, and a row whose V_X has rank below p by
     orthonormal_basis's cut has no mass (-inf, 0); for p <= 1 the cut cannot
     fire and is skipped."""
     regime, k = classify_fixed(d, kernel.smoothness, m)
@@ -160,9 +162,7 @@ def _fixed_size_minors(kernel: StationaryKernel, m: int, d: int):
         if regime == PROJECTION_SMOOTH:
             L = np.zeros(X.shape[:-1] + (m,))
         elif regime == NONMAGIC_WRONSKIAN:
-            B = _monomial_columns(X, block)
-            L = B @ C @ np.swapaxes(B, -1, -2)
-            L = 0.5 * (L + np.swapaxes(L, -1, -2))
+            L = _factor_block(_monomial_columns(X, block), C)
         else:
             L = np.sqrt(_sq_dists(X, X)) ** (2 * k - 1) * (-1.0) ** k
         VX = _monomial_columns(X, basis)
@@ -238,11 +238,13 @@ def default_ensemble(ps: PointSet, beta: int, gamma: float) -> NNP:
 
     The unit pair, gamma = 1, is built and validated by :func:`make_nnp`
     once per PointSet and beta, and every gamma is derived from it: gamma = 1
-    returns it, and any other gamma shares its V, Q and bound, scaled, with
-    L = gamma L_1 (the bytes of D^(beta) times gamma (-1)^ceil(beta/2)). The
-    PointSet keeps the unit pair only while a caller holds it, so limits on
-    one PointSet that differ only by gamma share one D^(beta) and one
-    validation while one of them holds the unit pair.
+    returns it, and any other gamma is the scaled kind of :func:`_scaled_nnp`,
+    which holds the unit pair itself and shares its L, V, Q and bound, scaled:
+    L = gamma L_1, the bytes of D^(beta) times gamma (-1)^ceil(beta/2), is
+    never kept a second time. The PointSet keeps the unit pair while a limit
+    holds it, the derived ones included, so limits on one PointSet that
+    differ only by gamma, built in any order while one of them lives, share
+    one D^(beta) and one validation.
     """
     if beta < 1 or beta % 2 == 0:
         raise ValueError("beta must be a positive odd integer")

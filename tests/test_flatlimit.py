@@ -428,6 +428,18 @@ def test_limits_that_differ_only_by_gamma_share_one_validation(monkeypatch):
     assert (len(distances), len(choleskys)) == (1, 1)
 
 
+def test_varying_then_fixed_builds_one_distance_matrix_and_one_cholesky(monkeypatch):
+    distances = counted(monkeypatch, flatlimit, "distance_power_matrix")
+    choleskys = counted(monkeypatch, _numerics, "_cholesky_in_place")
+    ps = uniform_points(12, 2, seed=22)
+    vary = varying_size_limit(ps, EXPO, 1, 0.1)
+    fixed = fixed_size_limit(ps, EXPO, 10)
+    assert (len(distances), len(choleskys)) == (1, 1)
+    # the derived pair holds the unit pair, which the fixed-size limit is
+    assert vary.process._L.unit is fixed.process
+    assert list(ps._unit_pairs.values()) == [fixed.process]
+
+
 def test_limits_built_in_either_order_have_the_same_laws():
     first, second = uniform_points(12, 2, seed=22), uniform_points(12, 2, seed=22)
     fixed = fixed_size_limit(first, EXPO, 10).process

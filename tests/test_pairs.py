@@ -55,3 +55,47 @@ def test_only_construct_large_setup_is_flagged():
     summary = pairs.summarize("sample-large", runs)
     assert all("flatdpp_free" not in m for m in summary["metrics"].values())
     assert summary["metrics"]["setup_s"]["parent"]["iqr"] == 0.0
+
+
+BOUNDS = {"setup_s": {"name": "setup_s", "better": "lower", "bound": 0.25},
+          "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}}
+
+
+def test_relative_gap_and_the_bound_it_is_past():
+    pairs = load_pairs()
+    # setup_s: 8.44 -> 10.74 ms is +27%, past a 25% bound on a lower-is-better
+    # metric; peak_rss_mb: 294.6 -> 264.1 MB is -10.4%, a gain, not past it
+    runs = [{"first": "parent", "parent": result(0.00844, 294.6),
+             "change": result(0.01074, 264.1)}]
+    summary = pairs.summarize("construct-large", runs, BOUNDS)
+    setup, rss = summary["metrics"]["setup_s"], summary["metrics"]["peak_rss_mb"]
+    assert setup["relative_gap"] == pytest.approx(0.2725, abs=1e-4)
+    assert setup["past_bound"] is True
+    assert rss["relative_gap"] == pytest.approx(-0.1035, abs=1e-4)
+    assert rss["past_bound"] is False
+    # just inside the bound is not past it
+    inside = [{"first": "parent", "parent": result(0.2, 100.0), "change": result(0.24, 109.0)}]
+    summary = pairs.summarize("sample-large", inside, BOUNDS)
+    assert [m["past_bound"] for m in summary["metrics"].values()] == [False, False]
+    # no bound given, or a parent median of 0: nothing to judge
+    summary = pairs.summarize("sample-large", inside)
+    assert [m["past_bound"] for m in summary["metrics"].values()] == [None, None]
+    zero = [{"first": "parent", "parent": result(0.0, 1.0), "change": result(0.1, 1.0)}]
+    setup = pairs.summarize("sample-large", zero, BOUNDS)["metrics"]["setup_s"]
+    assert setup["relative_gap"] is None and setup["past_bound"] is None
+
+
+def test_past_bound_follows_the_better_direction():
+    pairs = load_pairs()
+    higher = {"better": "higher", "bound": 0.1}
+    assert pairs.past_bound(-0.11, higher) and not pairs.past_bound(0.5, higher)
+    lower = {"better": "lower", "bound": 0.1}
+    assert pairs.past_bound(0.11, lower) and not pairs.past_bound(-0.5, lower)
+
+
+def test_fewer_than_ten_pairs_carry_a_warning():
+    pairs = load_pairs()
+    assert pairs.pairs_warning(10) is None and pairs.pairs_warning(12) is None
+    for n in (1, 6, 9):
+        warning = pairs.pairs_warning(n)
+        assert warning.startswith(f"{n} pairs, fewer than 10") and "--pairs 10" in warning

@@ -11,10 +11,13 @@ reuses compiled sources. `bench/selftest.py` runs once, in the change's tree.
 
 The JSON written holds, per workload and end-to-end metric, each side's
 median and quartiles, the per-pair values, the number of pairs where the
-change read lower, and whether the gap between the medians exceeds the
-parent's interquartile range; per workload, each side's failed operations.
-A metric that runs no flatdpp code is flagged, so that its moves are not
-read as the program's.
+change read lower, whether the gap between the medians exceeds the
+parent's interquartile range, the gap relative to the parent's median, and
+whether that relative gap is past the metric's bound in the change tree's
+`BENCHMARK.json`, in the metric's better direction (such a move refuses a
+change); per workload, each side's failed operations. A metric that runs no
+flatdpp code is flagged, so that its moves are not read as the program's. A
+run of fewer than 10 pairs carries a top-level warning.
 """
 
 from __future__ import annotations
@@ -45,6 +48,29 @@ FLATDPP_FREE = {
 }
 
 
+#: Pairs below which a run carries a warning: a bias between two trees that
+#: do the same work has read as a gap in every one of 6 pairs.
+MIN_PAIRS = 10
+
+
+def pairs_warning(pairs: int) -> str | None:
+    """The report's warning for a run of this many pairs, or None."""
+    if pairs >= MIN_PAIRS:
+        return None
+    return (f"{pairs} pairs, fewer than {MIN_PAIRS}: a bias between two trees that do the "
+            f"same work has passed 6 pairs as a gap; rerun with --pairs {MIN_PAIRS} and a "
+            f"second seed before reading a gain")
+
+
+def past_bound(relative_gap: float, bound: dict | None) -> bool | None:
+    """Whether relative_gap is worse than bound {"bound", "better"}, an
+    end-to-end metric of BENCHMARK.json; None without one."""
+    if bound is None:
+        return None
+    worse = relative_gap if bound["better"] == "lower" else -relative_gap
+    return worse > bound["bound"]
+
+
 def quartiles(values: list[float]) -> dict:
     """Median, first and third quartile (linear interpolation) and their spread."""
     if len(values) == 1:
@@ -54,9 +80,11 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(workload: str, pairs: list[dict]) -> dict:
+def summarize(workload: str, pairs: list[dict], bounds: dict | None = None) -> dict:
     """The comparison of one workload from its pairs; a metric that runs no
-    flatdpp code carries the reason as "flatdpp_free".
+    flatdpp code carries the reason as "flatdpp_free". bounds maps a metric's
+    name to its end-to-end entry of BENCHMARK.json ({"bound", "better"}); a
+    metric with none has "past_bound" None.
 
     Each pair is {"first": side, "parent": result, "change": result}, a result
     being {"metrics": {name: {"value", "unit"}}, "attempted", "failed",
@@ -70,6 +98,7 @@ def summarize(workload: str, pairs: list[dict]) -> dict:
                   for p in done]
         parent, change = (quartiles([v[i] for v in values]) for i in (0, 1))
         gap = change["median"] - parent["median"]
+        relative = gap / parent["median"] if parent["median"] else None
         metrics[name] = {
             "unit": done[0]["parent"]["metrics"][name]["unit"],
             "parent": parent,
@@ -79,6 +108,9 @@ def summarize(workload: str, pairs: list[dict]) -> dict:
             "change_higher": sum(c > p for p, c in values),
             "median_gap": gap,
             "gap_exceeds_parent_iqr": abs(gap) > parent["iqr"],
+            "relative_gap": relative,
+            "past_bound": None if relative is None else past_bound(relative,
+                                                                   (bounds or {}).get(name)),
         }
         if (workload, name) in FLATDPP_FREE:
             metrics[name]["flatdpp_free"] = FLATDPP_FREE[workload, name]
@@ -145,11 +177,17 @@ def main(argv=None) -> int:
               "machine": {"cpus": len(os.sched_getaffinity(0)),
                           "python": platform.python_version(), "platform": platform.platform()},
               "workloads": {}}
+    warning = pairs_warning(args.pairs)
+    if warning:
+        report["warning"] = warning
+        print(f"warning: {warning}", file=sys.stderr)
     with tempfile.TemporaryDirectory(prefix="flatdpp-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             trees[side].mkdir()
             export(getattr(args, side), trees[side])
+        declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        bounds = {m["name"]: m for m in declared["end_to_end"]}
         for workload in args.workloads:
             pairs = []
             for i in range(args.pairs):
@@ -161,7 +199,7 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
                     f"{side} {pair[side].get('metrics', {}).get('setup_s', {}).get('value')}"
                     for side in SIDES) + " (setup_s)", file=sys.stderr)
-            report["workloads"][workload] = summarize(workload, pairs)
+            report["workloads"][workload] = summarize(workload, pairs, bounds)
         start = time.perf_counter()
         selftest = subprocess.run([sys.executable, "bench/selftest.py"], cwd=trees["change"],
                                   env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
