@@ -33,8 +33,10 @@ def _reflectors(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Y, T
 
 
-def _compress(L: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(M, Y, T): M = N^T L N as a new array, in O(n^2 p), and the reflectors
+def _compress(L: np.ndarray, Q: np.ndarray, out: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, Y, T): M = N^T L N in O(n^2 p), as the leading rows of out (an
+    n x (n - p) buffer, allocated here when not given), and the reflectors
     (Y, T) of Q whose H = I - Y T Y^T has the columns N past its first p.
 
     L is first projected to L1 = P L P, P = I - Q Q^T, as L - W Q^T - Q W^T
@@ -48,8 +50,11 @@ def _compress(L: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """
     n, p = Q.shape
     Y, T = _reflectors(Q)
+    if out is None:
+        out = np.empty((n, n - p))
     if p == 0:
-        return L.copy(), Y, T
+        out[...] = L
+        return out, Y, T
     ZQ = L @ Q
     W = ZQ - 0.5 * (Q @ (Q.T @ ZQ))
     strip = L[:, :p] - (W @ Q[:p].T + Q @ W[:p].T)
@@ -58,7 +63,7 @@ def _compress(L: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     # (n - p) x (n - p) block is 8 p (n - p) bytes short, so U's placement,
     # and whether it grows the heap by another n x n array, would depend on
     # the small arrays beside it.
-    M = np.empty((n, n - p))[:n - p]
+    M = out[:n - p]
     np.matmul(np.hstack((W, Q))[p:], np.hstack((Q, W))[p:].T, out=M)
     np.subtract(L[p:, p:], M, out=M)
     Z = strip @ Y[:p] + np.vstack((strip[p:].T @ Y[p:], M @ Y[p:]))
@@ -196,19 +201,26 @@ def _symmetric_scale(L: np.ndarray) -> float | None:
     return scale
 
 
-#: Entries of a row block of :func:`_factor_rows` (2 MiB of float64), so that
-#: a sweep over B C B^T holds at most this much of it at any n.
+#: Entries of a row block (2 MiB of float64) of :func:`_factor_rows` and of a
+#: streamed record's L, so that a sweep holds at most this much of an n x n
+#: array at any n.
 _ROW_BLOCK_ENTRIES = 1 << 18
 
 
+def _block_rows(n: int) -> int:
+    """Rows of an n-column row block: as many as fit in _ROW_BLOCK_ENTRIES
+    entries, at least one."""
+    return max(1, _ROW_BLOCK_ENTRIES // max(n, 1))
+
+
 def _factor_rows(B: np.ndarray, C: np.ndarray, upper: bool = False):
-    """(lo, the rows lo:lo + r of B C B^T) for consecutive blocks of r rows,
-    as many as fit in _ROW_BLOCK_ENTRIES entries of a full row (at least
-    one); with upper, only their columns from lo on. Each block is a new
-    array; B C is formed once, and the n x n product never is."""
+    """(lo, the rows lo:lo + r of B C B^T) for consecutive blocks of
+    r = :func:`_block_rows` rows; with upper, only their columns from lo on.
+    Each block is a new array; B C is formed once, and the n x n product
+    never is."""
     n = B.shape[0]
     G = B @ C
-    r = max(1, _ROW_BLOCK_ENTRIES // max(n, 1))
+    r = _block_rows(n)
     for lo in range(0, n, r):
         yield lo, G[lo:lo + r] @ B[lo if upper else 0:].T
 

@@ -12,7 +12,7 @@ unnormalized mass is nonnegative for a valid ensemble, as is the normalizer
 Z = det(I + N^T L N) det(V^T V), where the columns of N are an orthonormal
 basis of the orthogonal complement of span(V).
 
-A pair holds L as one of four kinds, and every reader goes through the kind:
+A pair holds L as one of five kinds, and every reader goes through the kind:
 
 - zero: the read-only zero-stride view ``np.broadcast_to(0.0, (n, n))``,
   which takes no memory, as in every projection limit. :func:`make_nnp`
@@ -20,22 +20,29 @@ A pair holds L as one of four kinds, and every reader goes through the kind:
 - dense: one n x n array, as :func:`make_nnp` keeps it;
 - factor (B, C): L = B C B^T with B of shape (n, h), from
   :func:`make_factored_nnp`, as in every Wronskian limit;
-- scaled (gamma, unit): L = gamma L_1 for a dense pair unit = (L_1; V),
-  which it holds, from :func:`_scaled_nnp`, as in a critical-scaling limit.
+- distance (x, beta, sign): L = sign D^(beta), D_ij = |x_i - x_j|, from the
+  n x d coordinates x, from :func:`_distance_nnp`, as in every
+  finite-smoothness limit;
+- scaled (gamma, unit): L = gamma L_1 for a distance or dense pair
+  unit = (L_1; V), which it holds, from :func:`_scaled_nnp`, as in a
+  critical-scaling limit.
 
-A subset's L_X is read from the kind: zeros, B_X C B_X^T symmetrised, a
-slice, or gamma times a slice. No kind but dense holds an n x n array: the
-scaled kind forms gamma L_1 only as a transient of its decomposition, and
-``NNP.L`` forms the dense L of a factor or scaled pair only when it is read,
-and does not keep it. Each such formation is logged at DEBUG on the
-``flatdpp.ensembles`` logger.
+A subset's L_X is read from the kind: zeros, B_X C B_X^T symmetrised,
+sign D_X^(beta) from X's coordinates (:func:`_distance_block`), a slice, or
+gamma times the unit's L_X. No kind but dense holds an n x n array: a
+distance or scaled pair forms its L only as a transient of its validation or
+decomposition, and ``NNP.L`` forms the dense L of a factor, distance or
+scaled pair only when it is read, and does not keep it. Each such formation
+is logged at DEBUG on the ``flatdpp.ensembles`` logger.
 
 A pair is stored as a record (:func:`nnp_to_dict`, :func:`nnp_from_dict`):
 a dict of n, p, and L and V as float64 arrays. A factored pair's record also
 holds ``"factor": {"B": B, "C": C}``; a reload rebuilds it from the factor
 and requires the stored L to match, by row blocks of B C B^T. The zero kind
-is written and read with no dense array. :mod:`flatdpp.store` writes a record
-to a file and reads it back. The numerics of validation live in
+is written and read with no dense array, and the L of a distance or scaled
+pair is a block source (:class:`_RowSource`) whose row blocks are formed
+only as they are written. :mod:`flatdpp.store` writes a record to a file
+and reads it back. The numerics of validation live in
 :mod:`flatdpp._numerics`.
 """
 
@@ -51,9 +58,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._numerics import (_CHOLESKY_BLOCK, _Bound, _compress, _factor_max, _factor_rows,
-                        _is_zero_kind, _lift, _reflectors, _symmetric_scale, _symmetrized,
-                        log_esp_table)
+from ._numerics import (_CHOLESKY_BLOCK, _Bound, _block_rows, _compress, _factor_max,
+                        _factor_rows, _is_zero_kind, _lift, _reflectors, _symmetric_scale,
+                        _symmetrized, log_esp_table)
+from .geometry import _sq_dists
 from .polybasis import orthonormal_basis
 
 logger = logging.getLogger(__name__)
@@ -89,6 +97,10 @@ class _Held:
     def block(self, idx: np.ndarray) -> np.ndarray:
         return self.L[idx[..., :, None], idx[..., None, :]]
 
+    def rows(self, lo: int, hi: int, scale: float) -> np.ndarray:
+        """Rows lo:hi of L times scale, as a new array."""
+        return np.multiply(self.L[lo:hi], scale)
+
 
 class _Factor:
     """The factor kind, L = B C B^T: B (n x h) and C (h x h), read-only."""
@@ -112,9 +124,32 @@ class _Factor:
         return _factor_block(self.B[idx], self.C)
 
 
+class _Distance:
+    """The distance kind, L = sign D^(beta) with D_ij = |x_i - x_j|: the
+    read-only n x d coordinates x, the odd power beta and the sign."""
+
+    name = "distance"
+
+    def __init__(self, coords: np.ndarray, beta: int, sign: float):
+        self.coords, self.beta, self.sign = coords, beta, sign
+
+    def dense(self, reader: str) -> np.ndarray:
+        start = time.perf_counter()
+        return _formed(self, self.rows(0, self.coords.shape[0]), reader, start)
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        X = self.coords[idx]
+        return _distance_block(X, X, self.beta, self.sign)
+
+    def rows(self, lo: int, hi: int, scale: float = 1.0) -> np.ndarray:
+        """Rows lo:hi of L times scale, as a new array: the bytes of the
+        same rows of fl(scale L), since sign is +-1."""
+        return _distance_block(self.coords[lo:hi], self.coords, self.beta, self.sign * scale)
+
+
 class _Scaled:
-    """The scaled kind, L = gamma L_1: gamma and the dense pair unit =
-    (L_1; V) itself, which it keeps alive."""
+    """The scaled kind, L = gamma L_1: gamma and the distance or dense pair
+    unit = (L_1; V) itself, which it keeps alive."""
 
     name = "scaled"
 
@@ -122,11 +157,41 @@ class _Scaled:
         self.gamma, self.unit = gamma, unit
 
     def dense(self, reader: str) -> np.ndarray:
+        """fl(gamma L_1), formed in one buffer."""
         start = time.perf_counter()
-        return _formed(self, np.multiply(self.unit.L, self.gamma), reader, start)
+        return _formed(self, self.rows(0, self.unit.n), reader, start)
 
     def block(self, idx: np.ndarray) -> np.ndarray:
         return np.multiply(self.unit._L.block(idx), self.gamma)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return self.unit._L.rows(lo, hi, self.gamma)
+
+
+class _RowSource:
+    """The L of a distance or scaled pair as a block source of
+    :func:`flatdpp.store.write_json`: its shape and its row blocks of
+    :func:`_block_rows` rows (at most 2 MiB), each formed by the kind only
+    when it is reached. L is exactly symmetric, so the C-ordered bytes of its
+    row blocks are, in turn, its column-major bytes. ``np.asarray`` of the
+    source, and ``tobytes``, form L whole as ``NNP.L`` does, for readers in
+    memory such as :func:`nnp_from_dict`."""
+
+    def __init__(self, kind, n: int):
+        self.kind, self.shape = kind, (n, n)
+
+    def row_blocks(self):
+        n = self.shape[0]
+        r = _block_rows(n)
+        for lo in range(0, n, r):
+            yield self.kind.rows(lo, min(lo + r, n))
+
+    def __array__(self, dtype=None, copy=None):
+        return self.kind.dense("a record's L read whole")
+
+    def tobytes(self, order: str = "C") -> bytes:
+        # L is symmetric, so its bytes are the same in either order
+        return np.asarray(self).tobytes(order)
 
 
 def _formed(kind, L: np.ndarray, reader: str, start: float) -> np.ndarray:
@@ -143,16 +208,30 @@ def _factor_block(BX: np.ndarray, C: np.ndarray) -> np.ndarray:
     return 0.5 * (L + np.swapaxes(L, -1, -2))
 
 
+def _distance_block(rows: np.ndarray, cols: np.ndarray, beta: int, scale: float) -> np.ndarray:
+    """scale |x_i - x_j|^beta, as np.sqrt(_sq_dists(rows, cols)) ** beta *
+    scale gives it, for coordinate stacks rows (..., a, d) and cols
+    (..., b, d), formed in one buffer. :func:`_sq_dists` gives every pair the
+    same value among any rows and columns, so a block is the same slice of
+    the n x n array, bit for bit."""
+    D = _sq_dists(rows, cols)
+    np.sqrt(D, out=D)
+    if beta > 1:
+        D **= beta
+    D *= scale
+    return D
+
+
 class NNP:
     """Validated extended L-ensemble whose spectrum is computed on first use.
 
     Attributes
     ----------
     L : the n x n L, read-only, from its kind (see the module docstring):
-        the zero kind's view or the dense array, each held, or for a factor
-        or scaled pair an array formed on each read and not kept. A dense L
-        is the caller's array when that was frozen (see :func:`make_nnp`),
-        else the pair's own copy.
+        the zero kind's view or the dense array, each held, or for a factor,
+        distance or scaled pair an array formed on each read and not kept. A
+        dense L is the caller's array when that was frozen (see
+        :func:`make_nnp`), else the pair's own copy.
     V : shape (n, p), possibly p = 0, read-only; the caller's array when
         that was frozen, else the pair's own copy.
     Q : orthonormal basis of span(V), shape (n, p).
@@ -166,13 +245,14 @@ class NNP:
     factor : (B, C) of the factor kind, L = B C B^T, else None.
 
     N is never formed, and N^T L N is not kept: each decomposition
-    recompresses L through the p Householder reflectors of Q; a scaled pair
-    compresses gamma L_1, formed for it, and drops that before the
+    recompresses L through the p Householder reflectors of Q; a distance or
+    scaled pair compresses its L, formed for it, and drops that before the
     eigensolver runs. A pair built with make_nnp(..., spectrum=...) has lam
     (and U) from its validation, and a factored pair has both from
     construction and never decomposes L. Immutable after construction; build
-    through :func:`make_nnp` or :func:`make_factored_nnp`, or scale a
-    validated dense pair by :func:`_scaled_nnp`. The fixed-size sampler
+    through :func:`make_nnp`, :func:`make_factored_nnp` or
+    :func:`_distance_nnp`, or scale a validated distance or dense pair by
+    :func:`_scaled_nnp`. The fixed-size sampler
     caches its read-only acceptance tables here, keyed by the number of
     eigenvectors drawn, on first use.
     """
@@ -381,14 +461,27 @@ def make_factored_nnp(B, C, V=None) -> NNP:
     U = N Q_r Z, so q <= h, by make_nnp's rule with K for M
     (:class:`_Bound`): a dense pair with the same L and V decides alike.
     """
+    B, C = _checked_factor(B, C)
+    return _factored_nnp(B, C, V, _factor_max(B, 0.5 * (C + C.T)))
+
+
+def _checked_factor(B, C) -> tuple[np.ndarray, np.ndarray]:
+    """(B, C) kept or copied by make_nnp's rule for V, or ValueError unless
+    B is n x h and C h x h, both finite."""
     B, C = _kept(np.asarray(B, dtype=float)), _kept(np.asarray(C, dtype=float))
     if B.ndim != 2 or C.shape != (B.shape[1], B.shape[1]):
         raise ValueError(f"a factor needs B of shape (n, h) and C of shape (h, h), "
                          f"not {B.shape} and {C.shape}")
     if not (np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
         raise ValueError("the factor has a non-finite entry")
+    return B, C
+
+
+def _factored_nnp(B: np.ndarray, C: np.ndarray, V, scale: float) -> NNP:
+    """:func:`make_factored_nnp` of a checked factor whose B C B^T, C
+    symmetrised, has max |entry| scale (inf or NaN once an entry is not
+    finite)."""
     n = B.shape[0]
-    scale = _factor_max(B, 0.5 * (C + C.T))
     if not math.isfinite(scale):
         raise ValueError("L has a non-finite entry")
     skew = C - C.T
@@ -413,21 +506,51 @@ def make_factored_nnp(B, C, V=None) -> NNP:
     return NNP(_Factor(B, C), V, Q=Q, logdet_vtv=logdet_vtv, bound=bound, lam=lam, U=U)
 
 
+def _distance_nnp(coords: np.ndarray, beta: int, sign: float, V) -> NNP:
+    """Validate the pair (sign D^(beta); V), D_ij = |x_i - x_j| for the
+    read-only n x d coordinates x, held as the distance kind: the pair keeps
+    x, V and Q, and no n x n array.
+
+    L = sign D^(beta) is formed once, frozen, and validated by make_nnp's
+    steps on it, with its messages (:func:`_checked_square`, then
+    :func:`_validate`); it is dropped when validation ends, so the peak is
+    L and N^T L N, as make_nnp's. An L with an entry past float64 (x far
+    from the origin, or a high beta) is refused by name before those steps:
+    "past the float64 range", with max |x|. L's later readers form it, or
+    its blocks, from x again (:func:`_distance_block`), bit for bit.
+    """
+    kind = _Distance(coords, beta, sign)
+    # an entry past float64 is refused below, not warned of
+    with np.errstate(over="ignore"):
+        L = kind.rows(0, coords.shape[0])
+    # every entry has the sign of sign, or is zero
+    if not math.isfinite(L.max() if sign > 0 else L.min()):
+        raise ValueError(f"L = {sign:+g} D^({beta}) of these points is past the float64 range: "
+                         f"max |x| {float(np.abs(coords).max()):.3e}")
+    L.setflags(write=False)
+    # bit-symmetric by construction and frozen, so kept as it is
+    L, scale = _checked_square(L)
+    V, Q, logdet_vtv = _projective_part(V, L.shape[0])
+    bound, lam, U = _validate(_Held(L), Q, scale, None)
+    return NNP(kind, V, Q=Q, logdet_vtv=logdet_vtv, bound=bound, lam=lam, U=U)
+
+
 def _scaled_nnp(unit: NNP, gamma: float) -> NNP:
-    """(gamma L; V) for a dense pair unit = (L; V) that :func:`make_nnp`
-    validated and a finite gamma >= 0, with no sweep, compression or
-    Cholesky: the decision and the bound are homogeneous in gamma.
+    """(gamma L; V) for a distance or dense pair unit = (L; V) that was
+    validated (:func:`_distance_nnp`, :func:`make_nnp`) and a finite
+    gamma >= 0, with no sweep, compression or Cholesky: the decision and the
+    bound are homogeneous in gamma.
 
     The pair is the scaled kind: it holds gamma and unit itself, so unit
-    lives as long as it does, and no second n x n array. V, Q and
-    log det(V^T V) are unit's. L_X is gamma times unit's slice, the bytes of
-    the same slice of fl(gamma L). The bound is (n, gamma max |L|,
-    gamma ||M||_F): rounding is monotone, so max |fl(gamma L)| =
-    fl(gamma max |L|). lam and U are decomposed on first read from
-    fl(gamma L), formed as a transient that is compressed and dropped before
-    the eigensolver runs, so they are those of make_nnp(gamma L, V) with that
-    pair's bound, bit for bit; at gamma = 0 there is no spectrum, as make_nnp
-    finds for L = 0. A gamma that takes max |L| or ||M||_F past float64 is a
+    lives as long as it does, and no n x n array. V, Q and log det(V^T V)
+    are unit's. L_X is gamma times unit's L_X, the bytes of the same slice
+    of fl(gamma L). The bound is (n, gamma max |L|, gamma ||M||_F):
+    rounding is monotone, so max |fl(gamma L)| = fl(gamma max |L|). lam and
+    U are decomposed on first read from fl(gamma L), formed in one buffer
+    as a transient that is compressed and dropped before the eigensolver
+    runs, so they are those of make_nnp(gamma L, V) with that pair's bound,
+    bit for bit; at gamma = 0 there is no spectrum, as make_nnp finds for
+    L = 0. A gamma that takes max |L| or ||M||_F past float64 is a
     ValueError: beta would be infinite, and the compression on first read
     would overflow.
     """
@@ -470,14 +593,20 @@ def _decomposed(kind, Q: np.ndarray, bound: _Bound | float, vectors: bool, what:
                 refusal: str | None = None, start: float | None = None, *,
                 lam: np.ndarray | None = None) -> tuple[_Bound, np.ndarray, np.ndarray | None]:
     """(bound, lam, U or None) from one eigvalsh (with vectors, eigh) of a
-    fresh M = N^T L N, L read from kind (a dense or scaled pair's): a formed
-    L is dropped before the eigensolver runs. U = N W lifts the eigenvectors
-    of the top lam.size. A float bound is max |L|, completed from M. Unless
-    given, lam is decided (:func:`_decided`) and logged as what, timed from
-    start when given."""
+    fresh M = N^T L N, L read from kind (a dense, distance or scaled
+    pair's): a formed L is dropped before the eigensolver runs. U = N W
+    lifts the eigenvectors of the top lam.size. A float bound is max |L|,
+    completed from M. Unless given, lam is decided (:func:`_decided`) and
+    logged as what, timed from start when given."""
     n, p = Q.shape
+    # M's buffer is taken before a formed L, so that L's space, freed before
+    # the eigensolver runs, lies above M and is reused by the eigensolver's
+    # arrays, rather than left below M as a hole that later small
+    # allocations split (one more n x n array of peak RSS when that happens)
+    buffer = np.empty((n, n - p))
     L = kind.dense("a decomposition's transient")
-    M, Y, T = _compress(L, Q)
+    M, Y, T = _compress(L, Q, buffer)
+    del buffer
     del L
     if not isinstance(bound, _Bound):
         bound = _Bound.of(n, bound, M)
@@ -705,17 +834,15 @@ def indices_of(mask: int) -> tuple[int, ...]:
 def nnp_to_dict(e: NNP) -> dict:
     """The record of e: n, p, and L and V as arrays; a factored pair adds
     its factor {"B", "C"}. The arrays are e's own, read-only, except the L of
-    a factor or scaled pair, which is formed for the record (``NNP.L``)."""
-    obj = {
-        "n": e.n,
-        "p": e.p,
-        # L is exactly symmetric and C-ordered, as make_nnp keeps it (a kept
-        # Fortran-ordered block is held as its transpose) and as a factor or
-        # scaled pair forms it, so L^T, a Fortran-ordered view, has L's
-        # column-major bytes in L's own buffer
-        "L": e.L.T,
-        "V": e.V,
-    }
+    a factor pair, which is formed for the record (``NNP.L``), and the L of
+    a distance or scaled pair, which is a :class:`_RowSource` that forms
+    its row blocks only as they are written."""
+    # L is exactly symmetric and C-ordered, as make_nnp keeps it (a kept
+    # Fortran-ordered block is held as its transpose) and as a factor pair
+    # forms it, so L^T, a Fortran-ordered view, has L's column-major bytes
+    # in L's own buffer
+    L = _RowSource(e._L, e.n) if isinstance(e._L, (_Distance, _Scaled)) else e.L.T
+    obj = {"n": e.n, "p": e.p, "L": L, "V": e.V}
     if e.factor is not None:
         B, C = e.factor
         obj["factor"] = {"B": B, "C": C}
@@ -723,18 +850,21 @@ def nnp_to_dict(e: NNP) -> dict:
 
 
 def _block(obj, key: str) -> np.ndarray:
-    """The array obj[key] of a record; ValueError naming the key when the
-    record is not a JSON object or the value is not an array."""
+    """The array obj[key] of a record (a :class:`_RowSource` formed whole);
+    ValueError naming the key when the record is not a JSON object or the
+    value is not an array."""
     if not isinstance(obj, dict):
         raise ValueError(f"ensemble record: expected a JSON object, not {type(obj).__name__}")
     block = obj.get(key)
+    if isinstance(block, _RowSource):
+        return np.asarray(block)
     if not isinstance(block, np.ndarray):
         raise ValueError(f"ensemble record: {key!r} is not a block {{\"shape\", \"data\"}}")
     return block
 
 
 def nnp_from_dict(obj: dict, *, spectrum: str | None = None) -> NNP:
-    """Rebuild through make_nnp, or through make_factored_nnp when the record
+    """Rebuild through make_nnp, or as make_factored_nnp does when the record
     has a factor; spectrum is passed to make_nnp (a factored pair has its
     spectrum already). A malformed record, or an n or p that is not L's
     order or V's column count, is a ValueError; a record may omit n and p,
@@ -742,19 +872,21 @@ def nnp_from_dict(obj: dict, *, spectrum: str | None = None) -> NNP:
     is not read. obj is not modified, so one record can be reloaded again.
 
     Blocks are arrays, as :mod:`flatdpp.store` reads them and
-    :func:`nnp_to_dict` gives them; a block read from a file is a read-only view of its decoded
-    bytes, which nobody can write, so it is frozen. The constructors get
-    the arrays as they are and keep a frozen block that is finite and
+    :func:`nnp_to_dict` gives them (an L that is a :class:`_RowSource` is
+    formed whole); a block read from a file is a read-only view of its
+    decoded bytes, which nobody can write, so it is frozen. The constructors
+    get the arrays as they are and keep a frozen block that is finite and
     bit-symmetric (for L) without a copy, as for every record that
     :mod:`flatdpp.store` wrote: the only new n x n array of a dense reload is
     N^T L N, and a factored one forms none. A factored record's L must match
-    B C B^T within 1e-10 * max |B C B^T|, compared by row blocks.
+    B C B^T within 1e-10 * max |B C B^T|, compared by row blocks, and that
+    one sweep also gives the max |L| of the pair's bound.
     """
     L, V = _block(obj, "L"), _block(obj, "V")
     if "factor" in obj:
         factor = obj["factor"]
-        e = make_factored_nnp(_block(factor, "B"), _block(factor, "C"), V)
-        _require_match(L, *e.factor)
+        B, C = _checked_factor(_block(factor, "B"), _block(factor, "C"))
+        e = _factored_nnp(B, C, V, _matched_max(L, B, C))
     else:
         e = make_nnp(L, V, spectrum=spectrum)
     for key, size in (("n", e.n), ("p", e.p)):
@@ -764,21 +896,26 @@ def nnp_from_dict(obj: dict, *, spectrum: str | None = None) -> NNP:
     return e
 
 
-def _require_match(L: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
-    """ValueError unless L matches B C B^T, C symmetrised, within
-    1e-10 * max |B C B^T|, compared by the row blocks of
+def _matched_max(L: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
+    """max |B C B^T|, C symmetrised, or ValueError unless L matches that
+    product within 1e-10 times it, compared by the row blocks of
     :func:`_factor_rows` with the same rows of L^T (contiguous for a decoded
-    block): the n x n product is never formed. A NaN in L is a mismatch."""
+    block): one sweep, and the n x n product is never formed. A NaN in L is
+    a mismatch; a product with an entry past float64 gives a max that is not
+    finite, for the caller to refuse."""
     n = B.shape[0]
     if L.shape != (n, n):
         raise ValueError(f"ensemble record: L of shape {L.shape} does not match "
                          f"its factor's {(n, n)}")
     gaps, tops = [], []
-    for lo, rows in _factor_rows(B, 0.5 * (C + C.T)):
-        tops.append(np.abs(rows).max())
-        rows -= L.T[lo:lo + rows.shape[0]]
-        gaps.append(np.abs(rows, out=rows).max())
+    # an entry past float64 makes the max inf or NaN, refused by the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, rows in _factor_rows(B, 0.5 * (C + C.T)):
+            tops += [rows.max(), -rows.min()]
+            rows -= L.T[lo:lo + rows.shape[0]]
+            gaps.append(np.abs(rows, out=rows).max())
     gap, scale = float(np.max(gaps, initial=0.0)), float(np.max(tops, initial=0.0))
-    if not gap <= 1e-10 * scale:
+    if math.isfinite(scale) and not gap <= 1e-10 * scale:
         raise ValueError(f"ensemble record: L does not match its factor B C B^T "
                          f"(max difference {gap:.3e}, max |L| {scale:.3e})")
+    return scale

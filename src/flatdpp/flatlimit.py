@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._numerics import _Bound
-from .ensembles import (CPDViolationError, NNP, _bordered_slogdets, _decided, _factor_block,
-                        _scaled_nnp, make_factored_nnp, make_nnp, nnp_to_dict,
-                        size_distribution)
-from .geometry import PointSet, _sq_dists, distance_power_matrix
+from .ensembles import (CPDViolationError, NNP, _bordered_slogdets, _decided, _distance_block,
+                        _distance_nnp, _factor_block, _scaled_nnp, make_factored_nnp, make_nnp,
+                        nnp_to_dict, size_distribution)
+from .geometry import PointSet
 from .kernels import StationaryKernel, kernel_matrix
 from .polybasis import (_monomial_columns, count_poly, homogeneous_indices, monomial_indices,
                         vandermonde, vandermonde_block)
@@ -143,7 +143,8 @@ def _fixed_size_minors(kernel: StationaryKernel, m: int, d: int):
     bordered minor at each row of X, an array of shape (G, m, d), as
     :func:`log_unnorm_prob` gives it on any ground set that holds the row.
     L_X and V_X come from the row's coordinates as :func:`_fixed_size_dispatch`
-    builds L and V (a Wronskian L_X by the factor kind's :func:`_factor_block`),
+    builds L and V (a Wronskian L_X by the factor kind's :func:`_factor_block`,
+    a finite-smoothness one by the distance kind's :func:`_distance_block`),
     the Wronskian Schur block is decided once per call by make_factored_nnp's
     rule, and a row whose V_X has rank below p by
     orthonormal_basis's cut has no mass (-inf, 0); for p <= 1 the cut cannot
@@ -164,7 +165,7 @@ def _fixed_size_minors(kernel: StationaryKernel, m: int, d: int):
         elif regime == NONMAGIC_WRONSKIAN:
             L = _factor_block(_monomial_columns(X, block), C)
         else:
-            L = np.sqrt(_sq_dists(X, X)) ** (2 * k - 1) * (-1.0) ** k
+            L = _distance_block(X, X, 2 * k - 1, (-1.0) ** k)
         VX = _monomial_columns(X, basis)
         logabs, sign = _bordered_slogdets(L, VX)
         if VX.shape[-1] <= 1:
@@ -236,15 +237,16 @@ def default_ensemble(ps: PointSet, beta: int, gamma: float) -> NNP:
     range); the projective part spans polynomials of degree < ceil(beta/2).
     These are exactly the critical-scaling limits of finitely smooth kernels.
 
-    The unit pair, gamma = 1, is built and validated by :func:`make_nnp`
-    once per PointSet and beta, and every gamma is derived from it: gamma = 1
-    returns it, and any other gamma is the scaled kind of :func:`_scaled_nnp`,
-    which holds the unit pair itself and shares its L, V, Q and bound, scaled:
-    L = gamma L_1, the bytes of D^(beta) times gamma (-1)^ceil(beta/2), is
-    never kept a second time. The PointSet keeps the unit pair while a limit
-    holds it, the derived ones included, so limits on one PointSet that
-    differ only by gamma, built in any order while one of them lives, share
-    one D^(beta) and one validation.
+    The unit pair, gamma = 1, is the distance kind of
+    :func:`_distance_nnp`: it is built and validated once per PointSet and
+    beta, and holds the PointSet's read-only coordinates, V and Q, and no
+    n x n array; D^(beta) is formed for its validation and dropped. Every
+    gamma is derived from it: gamma = 1 returns it, and any other gamma is
+    the scaled kind of :func:`_scaled_nnp`, which holds the unit pair itself
+    and shares its V, Q and bound, scaled. The PointSet keeps the unit pair
+    while a limit holds it, the derived ones included, so limits on one
+    PointSet that differ only by gamma, built in any order while one of them
+    lives, share one validation.
     """
     if beta < 1 or beta % 2 == 0:
         raise ValueError("beta must be a positive odd integer")
@@ -253,9 +255,6 @@ def default_ensemble(ps: PointSet, beta: int, gamma: float) -> NNP:
     unit = ps._unit_pairs.get(beta)
     if unit is None:
         half_up = (beta + 1) // 2
-        L = distance_power_matrix(ps, beta)
-        L *= (-1.0) ** half_up
-        # bit-symmetric by construction: frozen, make_nnp keeps it without a copy
-        L.setflags(write=False)
-        unit = ps._unit_pairs[beta] = make_nnp(L, vandermonde(ps, half_up - 1))
+        unit = ps._unit_pairs[beta] = _distance_nnp(ps.coords, beta, (-1.0) ** half_up,
+                                                    vandermonde(ps, half_up - 1))
     return unit if gamma == 1 else _scaled_nnp(unit, gamma)

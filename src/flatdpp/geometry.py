@@ -41,7 +41,9 @@ class PointSet:
         self.d = d
         self._unit_pairs = weakref.WeakValueDictionary()
         if n > 1:
-            dmin = float(np.sqrt(_min_sq_dist(self.coords)))
+            # a squared distance past float64 is inf: those points are distinct
+            with np.errstate(over="ignore"):
+                dmin = float(np.sqrt(_min_sq_dist(self.coords)))
             if dmin <= coincidence_radius(self.coords):
                 raise ValueError(
                     f"points are not pairwise distinct (min distance {dmin:.3e})"

@@ -4,7 +4,9 @@
 ``{"shape": [rows, cols], "data": base64}``, where data is the base64 of the
 block's float64 entries in column-major order and the machine's byte order,
 written in chunks so that no text of a block is ever held whole; the CLI's
-``limit`` streams its output this way. :func:`read_json` reads such a file
+``limit`` streams its output this way. A block may also come from a block
+source, an object with a shape and row blocks, which is written one row
+block at a time and never held whole. :func:`read_json` reads such a file
 back to the same dict: it cuts each block's base64 out of the file's bytes,
 parses only the skeleton left, and decodes each block from the file's bytes.
 
@@ -34,25 +36,49 @@ logger = logging.getLogger(__name__)
 _CHUNK_BYTES = 3 << 16
 
 
-def _base64_chunks(arr: np.ndarray) -> Iterator[bytes]:
-    """Base64 of arr's float64 entries in column-major order, chunk by chunk.
+def _base64_chunks(arr) -> Iterator[bytes]:
+    """Base64 of a block's float64 entries in column-major order, chunk by
+    chunk, for an array or a block source (see :func:`write_json`).
 
-    Reads arr's own buffer when it is Fortran-contiguous (the transpose of a
-    C-ordered array is); any other layout is copied once, as a whole. The
-    zero kind is written from one cached encoded zero chunk: the bytes of a
-    dense zero array, with nothing copied.
+    An array's own buffer is read when it is Fortran-contiguous (the
+    transpose of a C-ordered array is); any other layout is copied once, as
+    a whole. A source's row blocks are encoded one at a time, each in chunks
+    of at most _CHUNK_BYTES, and the 0-2 bytes at the end of one that do not
+    fill a base64 quantum are carried into the next, so the text is that of
+    the whole block. The zero kind is written from one cached encoded zero
+    chunk: the bytes of a dense zero array, with nothing copied.
     """
-    if _is_zero_kind(arr):
-        full, rest = divmod(8 * arr.size, _CHUNK_BYTES)
-        chunk = _zero_base64(_CHUNK_BYTES)
-        for _ in range(full):
-            yield chunk
-        if rest:
-            yield binascii.b2a_base64(bytes(rest), newline=False)
+    if isinstance(arr, np.ndarray):
+        if _is_zero_kind(arr):
+            full, rest = divmod(8 * arr.size, _CHUNK_BYTES)
+            chunk = _zero_base64(_CHUNK_BYTES)
+            for _ in range(full):
+                yield chunk
+            if rest:
+                yield binascii.b2a_base64(bytes(rest), newline=False)
+            return
+        data = np.asfortranarray(arr, dtype=np.float64).ravel(order="F").view(np.uint8)
+        for lo in range(0, data.size, _CHUNK_BYTES):
+            yield binascii.b2a_base64(data[lo:lo + _CHUNK_BYTES], newline=False)
         return
-    data = np.asfortranarray(arr, dtype=np.float64).ravel(order="F").view(np.uint8)
-    for lo in range(0, data.size, _CHUNK_BYTES):
-        yield binascii.b2a_base64(data[lo:lo + _CHUNK_BYTES], newline=False)
+    carry = b""
+    for block in arr.row_blocks():
+        data = np.ascontiguousarray(block, dtype=np.float64).reshape(-1).view(np.uint8)
+        del block
+        head = min(-len(carry) % 3, data.size)
+        if carry:
+            carry += data[:head].tobytes()
+            if len(carry) < 3:
+                continue
+            yield binascii.b2a_base64(carry, newline=False)
+        end = head + (data.size - head) // 3 * 3
+        for lo in range(head, end, _CHUNK_BYTES):
+            yield binascii.b2a_base64(data[lo:min(lo + _CHUNK_BYTES, end)], newline=False)
+        carry = data[end:].tobytes()
+        # the next row block is formed only once this one is dropped
+        del data
+    if carry:
+        yield binascii.b2a_base64(carry, newline=False)
 
 
 @lru_cache(maxsize=1)
@@ -170,12 +196,16 @@ def read_json(path):
 
 def write_json(obj, write: Callable[[bytes], object]) -> None:
     """Write obj as JSON in ASCII bytes through write, as json.dumps writes
-    it, where each ndarray value is written as a block {"shape": [rows,
-    cols], "data": base64} of its float64 entries in column-major order:
-    its base64 is written chunk by chunk (:func:`_base64_chunks`), so its
-    text is never held whole. Dicts need str keys.
+    it, where each ndarray value, and each block source, is written as a
+    block {"shape": [rows, cols], "data": base64} of its float64 entries in
+    column-major order: its base64 is written chunk by chunk
+    (:func:`_base64_chunks`), so its text is never held whole. A block
+    source is any object with a ``shape`` (rows, cols) and a ``row_blocks()``
+    iterator of float64 arrays whose C-ordered bytes, in turn, are the
+    block's column-major bytes (for a symmetric matrix, its row blocks): only
+    one of them is held at a time. Dicts need str keys.
     """
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, np.ndarray) or hasattr(obj, "row_blocks"):
         write(b'{"shape": %s, "data": "' % json.dumps(list(obj.shape)).encode())
         for chunk in _base64_chunks(obj):
             write(chunk)

@@ -1180,6 +1180,47 @@ def test_encode_writes_column_major_whatever_the_layout(tmp_path):
         np.testing.assert_array_equal(view, A)
 
 
+class Rows:
+    """A block source of a symmetric array: its row blocks of r rows."""
+
+    def __init__(self, A, r):
+        self.A, self.r, self.shape = A, r, A.shape
+
+    def row_blocks(self):
+        for lo in range(0, self.shape[0], self.r):
+            yield self.A[lo:lo + self.r]
+
+
+@pytest.mark.parametrize("chunk", [3, 24, 3 << 16])
+def test_a_block_source_writes_the_bytes_of_its_array(monkeypatch, chunk):
+    # rows of 7 or 5 entries hold 56 or 40 bytes: 2 or 1 left over per block
+    monkeypatch.setattr(store, "_CHUNK_BYTES", chunk)
+    for n, r in ((7, 1), (7, 3), (5, 2), (5, 5), (40, 9)):
+        A = np.random.default_rng(n).standard_normal((n, n))
+        A += A.T
+        expected, parts = [], []
+        write_json({"L": A}, expected.append)
+        write_json({"L": Rows(A, r)}, parts.append)
+        assert b"".join(parts) == b"".join(expected)
+
+
+def test_a_distance_record_streams_row_blocks_of_at_most_2_mib(monkeypatch):
+    e = fixed_size_limit(uniform_points(1000, 2, seed=3), builtin_kernel("exponential"), 10).process
+    rows = ensembles._Distance.rows
+    seen = []
+
+    def spy(self, lo, hi, scale=1.0):
+        block = rows(self, lo, hi, scale)
+        seen.append(block.nbytes)
+        return block
+
+    monkeypatch.setattr(ensembles._Distance, "rows", spy)
+    parts = []
+    write_json(nnp_to_dict(e), parts.append)
+    assert sum(seen) == 8 * 1000 * 1000 and max(seen) <= 2 << 20 and len(seen) == 4
+    assert b"".join(parts) == json_text(make_nnp(e.L, e.V)).encode()
+
+
 # ---------------------------------------------------------------------------
 # the skeleton reader and the zero kind of L
 # ---------------------------------------------------------------------------

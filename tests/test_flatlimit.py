@@ -1,11 +1,12 @@
 import gc
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from flatdpp import _numerics, flatlimit
+from flatdpp import _numerics, ensembles, flatlimit
 from flatdpp.diagnostics import brute_force_distribution, tv_distance
 from flatdpp.ensembles import CPDViolationError, log_unnorm_prob, make_nnp, size_distribution
 from flatdpp.flatlimit import (
@@ -415,13 +416,14 @@ def counted(monkeypatch, module, name) -> list:
 
 
 def test_limits_that_differ_only_by_gamma_share_one_validation(monkeypatch):
-    distances = counted(monkeypatch, flatlimit, "distance_power_matrix")
+    distances = counted(monkeypatch, ensembles, "_distance_block")
     choleskys = counted(monkeypatch, _numerics, "_cholesky_in_place")
     ps = uniform_points(12, 2, seed=22)
     fixed = fixed_size_limit(ps, EXPO, 10)
     vary = varying_size_limit(ps, EXPO, 1, 0.1)
     assert (len(distances), len(choleskys)) == (1, 1)
-    assert vary.process.L is not fixed.process.L
+    # neither holds an n x n L: the unit pair keeps coordinates, the derived one the unit
+    assert (fixed.process._L.name, vary.process._L.name) == ("distance", "scaled")
     assert vary.process.V is fixed.process.V and vary.process.Q is fixed.process.Q
     # gamma = alpha |f_1| = 1 is the unit pair itself
     assert varying_size_limit(ps, EXPO, 1, 1.0).process is fixed.process
@@ -429,7 +431,7 @@ def test_limits_that_differ_only_by_gamma_share_one_validation(monkeypatch):
 
 
 def test_varying_then_fixed_builds_one_distance_matrix_and_one_cholesky(monkeypatch):
-    distances = counted(monkeypatch, flatlimit, "distance_power_matrix")
+    distances = counted(monkeypatch, ensembles, "_distance_block")
     choleskys = counted(monkeypatch, _numerics, "_cholesky_in_place")
     ps = uniform_points(12, 2, seed=22)
     vary = varying_size_limit(ps, EXPO, 1, 0.1)
@@ -463,7 +465,7 @@ def test_the_unit_pair_lives_only_while_a_limit_holds_it():
 
 
 def test_point_sets_with_equal_coordinates_share_nothing(monkeypatch):
-    distances = counted(monkeypatch, flatlimit, "distance_power_matrix")
+    distances = counted(monkeypatch, ensembles, "_distance_block")
     coords = uniform_points(12, 2, seed=24).coords
     a = fixed_size_limit(PointSet(coords), EXPO, 10).process
     b = fixed_size_limit(PointSet(coords), EXPO, 10).process
@@ -489,6 +491,22 @@ def test_default_ensemble_refuses_a_gamma_past_the_float64_range(points, gamma):
     default_ensemble(ps, beta=1, gamma=1e300)
     with pytest.raises(ValueError, match="past the float64 range"):
         default_ensemble(ps, beta=1, gamma=gamma)
+
+
+@pytest.mark.parametrize("scale, kernel, m", [
+    # squared distances of about 1e310 overflow in the distinctness sweep and in D
+    (1e155, "exponential", 5),
+    # distances of about 1e70 are finite, their fifth powers are not
+    (1e70, "(3+3d+d^2)exp(-d)", 7)])
+def test_distances_past_the_float64_range_are_refused_by_name(scale, kernel, m):
+    coords = uniform_points(9, 2, seed=4).coords * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ps = PointSet(coords)
+        with pytest.raises(ValueError, match=r"D\^\(\d\) of these points is past the float64 "
+                                             r"range: max \|x\| \d\.\d{3}e\+\d+$") as err:
+            fixed_size_limit(ps, builtin_kernel(kernel), m)
+    assert f"{np.abs(coords).max():.3e}" in str(err.value)
 
 
 def test_result_serialization():

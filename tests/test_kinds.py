@@ -1,9 +1,11 @@
-"""L by kind: zero, dense, factor (B, C) and scaled (gamma, unit pair).
+"""L by kind: zero, dense, factor (B, C), distance (x, beta, sign) and scaled
+(gamma, unit pair).
 
-A factor or scaled pair holds no n x n array: its subset laws read L_X from
-the kind, its dense L is formed only when ``NNP.L`` is read (and logged), and
-a scaled pair's decomposition drops its transient gamma L_1 before the
-eigensolver runs. Every law equals that of make_nnp on the same dense L.
+A factor, distance or scaled pair holds no n x n array: its subset laws read
+L_X from the kind, its dense L is formed only when ``NNP.L`` is read (and
+logged), and a distance or scaled pair's decomposition drops its transient L
+before the eigensolver runs. Every law equals that of make_nnp on the same
+dense L.
 """
 
 import io
@@ -16,15 +18,16 @@ from contextlib import redirect_stderr
 import numpy as np
 import pytest
 
-from flatdpp import _numerics
+from flatdpp import _numerics, ensembles, flatlimit
 from flatdpp.cli import main
 from flatdpp.diagnostics import brute_force_distribution, tv_distance
 from flatdpp.ensembles import (_scaled_nnp, bordered_matrix, log_unnorm_prob, make_factored_nnp,
                                make_nnp, nnp_from_dict, nnp_to_dict)
-from flatdpp.flatlimit import fixed_size_limit, varying_size_limit
-from flatdpp.geometry import uniform_points
+from flatdpp.flatlimit import default_ensemble, fixed_size_limit, varying_size_limit
+from flatdpp.geometry import PointSet, distance_power_matrix, uniform_points
 from flatdpp.kernels import builtin_kernel
-from flatdpp.sampling import rng_from_seed, sample_fixed
+from flatdpp.polybasis import vandermonde
+from flatdpp.sampling import rng_from_seed, sample, sample_fixed
 
 GAUSS, EXPO = builtin_kernel("gaussian"), builtin_kernel("exponential")
 
@@ -47,7 +50,7 @@ def pairs():
     limits = {
         "projection": (fixed_size_limit(ps, GAUSS, 6), "zero"),
         "wronskian": (fixed_size_limit(ps, GAUSS, 4), "factor"),
-        "finite": (fixed_size_limit(ps, EXPO, 3), "dense"),
+        "finite": (fixed_size_limit(ps, EXPO, 3), "distance"),
         "full set": (fixed_size_limit(ps, GAUSS, 9), "zero"),
         "varying projection": (varying_size_limit(ps, GAUSS, 1), "zero"),
         "varying wronskian": (varying_size_limit(ps, GAUSS, 2, alpha=0.7), "factor"),
@@ -180,6 +183,26 @@ def test_a_scaled_pair_drops_its_transient_before_the_eigensolver(monkeypatch):
     assert seen["live"] < 1.5 * 8 * n * n
 
 
+def test_a_decomposition_takes_ms_buffer_before_it_forms_its_transient(monkeypatch):
+    # so the transient's space, freed before the eigensolver, lies above M
+    n = 300
+    vary = varying_size_limit(uniform_points(n, 2, seed=9), EXPO, 1, 0.1).process
+    rows, seen = ensembles._Distance.rows, {}
+
+    def spy(self, lo, hi, scale=1.0):
+        seen["live"] = tracemalloc.get_traced_memory()[0] - seen["start"]
+        return rows(self, lo, hi, scale)
+
+    monkeypatch.setattr(ensembles._Distance, "rows", spy)
+    tracemalloc.start()
+    try:
+        seen["start"] = tracemalloc.get_traced_memory()[0]
+        vary.U
+    finally:
+        tracemalloc.stop()
+    assert seen["live"] >= 8 * n * (n - vary.p)
+
+
 def test_a_wronskian_limit_and_a_draw_at_n_20000_stay_in_o_n_h_memory():
     n = 20000
     tracemalloc.start()
@@ -229,3 +252,140 @@ def test_a_factor_is_refused_as_make_nnp_refuses_its_product():
         make_factored_nnp(B, np.diag([1.0, math.nan, 1.0]))
     with pytest.raises(ValueError, match=r"^a factor needs B of shape \(n, h\)"):
         make_factored_nnp(B, np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# the distance kind: L = sign D^(beta) from coordinates
+# ---------------------------------------------------------------------------
+
+
+def dense_distance_pair(ps, beta, gamma=1.0):
+    """make_nnp of the dense gamma (-1)^ceil(beta/2) D^(beta), as the unit
+    pair was built when it held that array."""
+    L = distance_power_matrix(ps, beta)
+    L *= (-1.0) ** ((beta + 1) // 2)
+    L = L if gamma == 1 else np.multiply(L, gamma)
+    return make_nnp(L, vandermonde(ps, (beta + 1) // 2 - 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("beta", [1, 3, 5])
+def test_a_distance_pairs_blocks_are_the_dense_slices(beta, d):
+    ps = uniform_points(12, d, seed=30 + d)
+    e = default_ensemble(ps, beta, 1.0)
+    L = e.L
+    assert kind(e) == "distance" and L.tobytes() == dense_distance_pair(ps, beta).L.tobytes()
+    idx = np.random.default_rng(beta).permuted(np.tile(np.arange(12), (5, 1)), axis=1)[:, :7]
+    m = idx.shape[1]
+    LX = bordered_matrix(e, idx)[0][:, :m, :m]
+    assert LX.tobytes() == L[idx[:, :, None], idx[:, None, :]].tobytes()
+
+
+@pytest.mark.parametrize("points, beta", [((12, 2, 40), 1), ((3, 2, 41), 3)],
+                         ids=["p = 1", "p = n"])
+@pytest.mark.parametrize("gamma", [1.0, 0.0, 1e-5, 0.1])
+def test_distance_and_scaled_pairs_have_the_dense_pairs_laws_bit_for_bit(points, beta, gamma):
+    n, d, seed = points
+    ps = uniform_points(n, d, seed=seed)
+    e, ref = default_ensemble(ps, beta, gamma), dense_distance_pair(ps, beta, gamma)
+    assert kind(e) == ("distance" if gamma == 1 else "scaled") and e.p == (1 if n > 3 else 3)
+    np.testing.assert_array_equal(e.lam, ref.lam)
+    np.testing.assert_array_equal(e.U, ref.U)
+    for size in (None, e.p + min(e.q, 2)):
+        law, expected = brute_force_distribution(e, size), brute_force_distribution(ref, size)
+        np.testing.assert_array_equal(law.masks, expected.masks)
+        np.testing.assert_array_equal(law.values, expected.values)
+
+
+def test_the_minors_and_a_distance_pair_read_l_x_through_one_block_function(monkeypatch):
+    ps = uniform_points(9, 2, seed=5)
+    e = fixed_size_limit(ps, EXPO, 3).process
+    block, calls = ensembles._distance_block, []
+
+    def spy(rows, cols, beta, scale):
+        calls.append((rows.shape, beta, scale))
+        return block(rows, cols, beta, scale)
+
+    assert flatlimit._distance_block is block
+    monkeypatch.setattr(ensembles, "_distance_block", spy)
+    monkeypatch.setattr(flatlimit, "_distance_block", spy)
+    idx = np.array([[0, 2, 5], [1, 4, 8]])
+    ref = log_unnorm_prob(e, idx)
+    got = flatlimit._fixed_size_minors(EXPO, 3, 2)(ps.coords[idx])
+    assert calls == [((2, 3, 2), 1, -1.0)] * 2
+    np.testing.assert_array_equal(got[0], ref[0])
+    np.testing.assert_array_equal(got[1], ref[1])
+
+
+def test_distance_limits_hold_no_l_and_a_draw_keeps_only_u():
+    n = 1500
+    ps = uniform_points(n, 2, seed=12)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fixed = fixed_size_limit(ps, EXPO, 10).process
+        vary = varying_size_limit(ps, EXPO, 1, 0.1).process
+        built = tracemalloc.get_traced_memory()[0] - start
+        assert len(sample_fixed(fixed, 10, rng_from_seed(1))) == 10
+        sample(vary, rng_from_seed(2))
+        drawn = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert (kind(fixed), kind(vary)) == ("distance", "scaled")
+    # an L held by either pair would add 8 n^2 bytes to each figure
+    assert built < 0.05 * 8 * n * n
+    assert drawn < fixed.U.nbytes + vary.U.nbytes + 0.05 * 8 * n * n
+
+
+def test_a_distance_or_scaled_record_round_trips_in_memory():
+    ps = uniform_points(30, 2, seed=13)
+    for e in (fixed_size_limit(ps, EXPO, 10).process, varying_size_limit(ps, EXPO, 1, 0.1).process):
+        record = nnp_to_dict(e)
+        assert record["L"].shape == (30, 30) and not isinstance(record["L"], np.ndarray)
+        assert np.asarray(record["L"]).tobytes() == e.L.tobytes() == record["L"].tobytes("F")
+        e2 = nnp_from_dict(record, spectrum="vectors")
+        assert (kind(e2), e2.L.tobytes()) == ("dense", e.L.tobytes())
+        np.testing.assert_array_equal(e2.U, e.U)
+
+
+# ---------------------------------------------------------------------------
+# a factored reload: one sweep of B C B^T gives its match and its max |L|
+# ---------------------------------------------------------------------------
+
+
+def construct_large_cloud(seed):
+    """The 2000-point cloud of the bench's construct-large workload at seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+    return PointSet(rng.uniform(size=(2000, 2)))
+
+
+@pytest.mark.parametrize("seed, limit", [
+    (1, lambda ps: fixed_size_limit(ps, GAUSS, 13)),
+    (2, lambda ps: fixed_size_limit(ps, GAUSS, 13)),
+    (3, lambda ps: varying_size_limit(ps, GAUSS, 2)),
+], ids=["gaussian m = 13, seed 1", "gaussian m = 13, seed 2", "gaussian p = 2, seed 3"])
+def test_a_reloads_full_row_max_is_the_builds_upper_block_max(seed, limit):
+    e = limit(construct_large_cloud(seed)).process
+    B, C = e.factor
+    S = 0.5 * (C + C.T)
+    full = max(float(np.abs(rows).max()) for _, rows in _numerics._factor_rows(B, S))
+    assert full == _numerics._factor_max(B, S) == e._bound.max_l
+    assert ensembles._matched_max(e.L, B, C) == full
+
+
+def test_a_factored_reload_takes_one_pass_of_the_row_blocks(monkeypatch):
+    e = fixed_size_limit(uniform_points(60, 2, seed=6), GAUSS, 13).process
+    record = nnp_to_dict(e)
+    rows, passes = _numerics._factor_rows, []
+
+    def spy(*args, **kwargs):
+        passes.append(kwargs.get("upper", False))
+        return rows(*args, **kwargs)
+
+    monkeypatch.setattr(_numerics, "_factor_rows", spy)
+    monkeypatch.setattr(ensembles, "_factor_rows", spy)
+    e2 = nnp_from_dict(record)
+    assert passes == [False]
+    np.testing.assert_array_equal(e2.lam, e.lam)
+    make_factored_nnp(*e.factor, e.V)
+    assert passes == [False, True]
