@@ -33,7 +33,9 @@ gamma times the unit's L_X. No kind but dense holds an n x n array: a
 distance or scaled pair forms its L only as a transient of its validation or
 decomposition, and ``NNP.L`` forms the dense L of a factor, distance or
 scaled pair only when it is read, and does not keep it. Each such formation
-is logged at DEBUG on the ``flatdpp.ensembles`` logger.
+is logged at DEBUG on the ``flatdpp.ensembles`` logger. A scaled pair whose
+U is read before its lam takes its unit's spectrum, U_1 itself and
+fl(gamma lam_1), so a unit and its scaled pairs share one eigendecomposition.
 
 A pair is stored as a record (:func:`nnp_to_dict`, :func:`nnp_from_dict`):
 a dict of n, p, and L and V as float64 arrays. A factored pair's record also
@@ -167,6 +169,15 @@ class _Scaled:
     def rows(self, lo: int, hi: int) -> np.ndarray:
         return self.unit._L.rows(lo, hi, self.gamma)
 
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(fl(gamma lam_1), U_1): the unit's spectrum scaled, with its U
+        itself, decomposed once for both pairs."""
+        U = self.unit.U
+        lam = np.multiply(self.unit.lam, self.gamma)
+        logger.debug("scaled pair: lam and U taken from its unit pair's spectrum, gamma %r, "
+                     "q = %d: no decomposition", self.gamma, lam.size)
+        return lam, U
+
 
 class _RowSource:
     """The L of a distance or scaled pair as a block source of
@@ -240,6 +251,10 @@ class NNP:
     U : their eigenvectors lifted back as U = N W, column-major and
         orthogonal to Q by construction; one cached eigh on first read, which
         also sets lam when it is not yet known (otherwise U keeps the top q).
+        A scaled pair's U read before its lam is its unit's U, the same
+        read-only array, and sets lam = fl(gamma lam_1), the unit's q
+        eigenvalues scaled: the unit decomposes once, if it has not yet, and
+        the scaled pair not at all.
     q : number of eigenvalues above beta; q <= n - p.
     logdet_vtv : log det(V^T V), 0.0 when p = 0.
     factor : (B, C) of the factor kind, L = B C B^T, else None.
@@ -247,9 +262,11 @@ class NNP:
     N is never formed, and N^T L N is not kept: each decomposition
     recompresses L through the p Householder reflectors of Q; a distance or
     scaled pair compresses its L, formed for it, and drops that before the
-    eigensolver runs. A pair built with make_nnp(..., spectrum=...) has lam
-    (and U) from its validation, and a factored pair has both from
-    construction and never decomposes L. Immutable after construction; build
+    eigensolver runs. A scaled pair whose U is read first runs no
+    decomposition of its own (see U). A pair built with
+    make_nnp(..., spectrum=...) has lam (and U) from its validation, and a
+    factored pair has both from construction and never decomposes L.
+    Immutable after construction; build
     through :func:`make_nnp`, :func:`make_factored_nnp` or
     :func:`_distance_nnp`, or scale a validated distance or dense pair by
     :func:`_scaled_nnp`. The fixed-size sampler
@@ -304,8 +321,11 @@ class NNP:
     @property
     def U(self) -> np.ndarray:
         if self._U is None:
-            self._keep(*_decomposed(self._L, self.Q, self._bound, True,
-                                    "NNP: eigh of N^T L N read", lam=self._lam)[1:])
+            if self._lam is None and isinstance(self._L, _Scaled):
+                self._keep(*self._L.spectrum())
+            else:
+                self._keep(*_decomposed(self._L, self.Q, self._bound, True,
+                                        "NNP: eigh of N^T L N read", lam=self._lam)[1:])
         return self._U
 
     def __repr__(self) -> str:
@@ -545,14 +565,20 @@ def _scaled_nnp(unit: NNP, gamma: float) -> NNP:
     lives as long as it does, and no n x n array. V, Q and log det(V^T V)
     are unit's. L_X is gamma times unit's L_X, the bytes of the same slice
     of fl(gamma L). The bound is (n, gamma max |L|, gamma ||M||_F):
-    rounding is monotone, so max |fl(gamma L)| = fl(gamma max |L|). lam and
-    U are decomposed on first read from fl(gamma L), formed in one buffer
-    as a transient that is compressed and dropped before the eigensolver
-    runs, so they are those of make_nnp(gamma L, V) with that pair's bound,
-    bit for bit; at gamma = 0 there is no spectrum, as make_nnp finds for
-    L = 0. A gamma that takes max |L| or ||M||_F past float64 is a
-    ValueError: beta would be infinite, and the compression on first read
-    would overflow.
+    rounding is monotone, so max |fl(gamma L)| = fl(gamma max |L|).
+
+    The spectrum depends on which is read first. U first, as both samplers
+    read it: U is unit's U, the same array, and lam is fl(gamma lam_1), with
+    unit's q, since the decision is homogeneous in gamma; no L is formed and
+    no eigensolver runs beyond unit's own, once. lam first, as the size laws
+    read it: one eigvalsh of fl(gamma L), formed in one buffer as a
+    transient that is compressed and dropped before the eigensolver runs,
+    so lam is that of make_nnp(gamma L, V) with that pair's bound, bit for
+    bit, and a later U read is that pair's eigh. Each lam is within beta of
+    the exact spectrum (Weyl), so the two differ by at most 2 beta. At
+    gamma = 0 there is no spectrum, as make_nnp finds for L = 0. A gamma
+    that takes max |L| or ||M||_F past float64 is a ValueError: beta would
+    be infinite, and the compression on first read would overflow.
     """
     unit_bound = unit._bound
     bound = _Bound(unit.n, gamma * unit_bound.max_l, gamma * unit_bound.norm_m)

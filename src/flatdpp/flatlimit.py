@@ -246,7 +246,9 @@ def default_ensemble(ps: PointSet, beta: int, gamma: float) -> NNP:
     and shares its V, Q and bound, scaled. The PointSet keeps the unit pair
     while a limit holds it, the derived ones included, so limits on one
     PointSet that differ only by gamma, built in any order while one of them
-    lives, share one validation.
+    lives, share one validation, and their samplers share one eigh: a
+    scaled pair's U, read before its lam, is the unit pair's U, with lam the
+    unit's scaled by gamma.
     """
     if beta < 1 or beta % 2 == 0:
         raise ValueError("beta must be a positive odd integer")

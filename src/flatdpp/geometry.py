@@ -77,11 +77,14 @@ def grid_points(n: int, d: int) -> PointSet:
     return PointSet(coords)
 
 
-#: Rows per block of PointSet's distinctness sweep and of :func:`_sq_dists`,
-#: and columns per piece of a sweep block's partners: the sweep's
-#: temporaries are two arrays of at most this many rows by columns.
+#: Rows per block of PointSet's distinctness sweep, and columns per piece of
+#: a sweep block's partners: the sweep's temporaries are two arrays of at
+#: most this many rows by columns.
 _BLOCK_ROWS = 128
 _BLOCK_COLS = 1024
+#: Rows per block of :func:`_sq_dists`: for 2000 points in the plane, 32
+#: rows timed 18.5 ms a matrix, 128 rows 21.1 ms (2 vCPUs, numpy 2.4).
+_SQ_BLOCK_ROWS = 32
 
 
 def _sq_dists(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -92,20 +95,25 @@ def _sq_dists(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     Each term (x_ik - x_jk)^2 is symmetric in (i, j) and the terms are added
     in the same order for both, so _sq_dists(x, x) is exactly symmetric with
     a zero diagonal, and every pair gets the same value whichever rows and
-    columns it is computed among. Blocks of _BLOCK_ROWS rows are accumulated
-    straight into the result, with one scratch array of a block's size for
-    the next coordinate's terms, so the result is the only large array.
+    columns it is computed among. Each coordinate is first copied to a
+    contiguous array of shape (..., a) or (..., b), so the terms read no
+    strided column. Blocks of _SQ_BLOCK_ROWS rows are accumulated straight
+    into the result, with one scratch array of a block's size for the next
+    coordinate's terms, so the result is the only large array.
     """
     a = rows.shape[-2]
     out = np.empty(rows.shape[:-1] + cols.shape[-2:-1])
-    scratch = np.empty(rows.shape[:-2] + (min(_BLOCK_ROWS, a), cols.shape[-2]))
-    for lo in range(0, a, _BLOCK_ROWS):
-        block = rows[..., lo:lo + _BLOCK_ROWS, :]
-        sq, diff = out[..., lo:lo + block.shape[-2], :], scratch[..., :block.shape[-2], :]
-        np.subtract(block[..., :, None, 0], cols[..., None, :, 0], out=sq)
+    scratch = np.empty(rows.shape[:-2] + (min(_SQ_BLOCK_ROWS, a), cols.shape[-2]))
+    # coordinate k of every row is xs[k], and of every column ys[k]
+    xs = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
+    ys = xs if cols is rows else np.ascontiguousarray(np.moveaxis(cols, -1, 0))
+    for lo in range(0, a, _SQ_BLOCK_ROWS):
+        hi = min(lo + _SQ_BLOCK_ROWS, a)
+        sq, diff = out[..., lo:hi, :], scratch[..., :hi - lo, :]
+        np.subtract(xs[0][..., lo:hi, None], ys[0][..., None, :], out=sq)
         sq *= sq
-        for k in range(1, rows.shape[-1]):
-            np.subtract(block[..., :, None, k], cols[..., None, :, k], out=diff)
+        for k in range(1, xs.shape[0]):
+            np.subtract(xs[k][..., lo:hi, None], ys[k][..., None, :], out=diff)
             diff *= diff
             sq += diff
     return out

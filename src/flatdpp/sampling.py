@@ -89,7 +89,9 @@ def _stack_basis(e: NNP, chosen: np.ndarray) -> np.ndarray:
 
 def sample(e: NNP, rng: np.random.Generator) -> list[int]:
     """One draw from the varying-size law of the ensemble; always |X| >= p."""
-    e.U  # one eigh gives U and lam; reading lam first would add an eigvalsh
+    # U first: one eigh gives U and lam, and a scaled pair takes its unit's;
+    # reading lam first would add an eigvalsh
+    e.U
     probs = e.lam / (1.0 + e.lam)
     chosen = (rng.random(probs.size) < probs).nonzero()[0]
     return sample_projection(_stack_basis(e, chosen), rng, check=False)
@@ -121,7 +123,9 @@ def sample_fixed(e: NNP, m: int, rng: np.random.Generator) -> list[int]:
     m - p vectorised scans takes the highest remaining j whose uniform falls
     below its acceptance probability.
     """
-    e.U  # one eigh gives U and lam; reading q first would add an eigvalsh
+    # U first: one eigh gives U and lam, and a scaled pair takes its unit's;
+    # reading q first would add an eigvalsh
+    e.U
     if m < e.p or m > e.p + e.q:
         raise ValueError(
             f"fixed size m={m} outside the support [p, p+q] = [{e.p}, {e.p + e.q}]"

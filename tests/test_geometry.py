@@ -83,6 +83,39 @@ def test_blocked_powers_bit_identical_to_unblocked(n, d):
         assert np.all(np.diagonal(D) == (1.0 if p == 0 else 0.0))
 
 
+def _strided_sq_dists(rows, cols):
+    """The squared distances from a strided broadcast of each coordinate,
+    in 128-row blocks: the reference whose bits _sq_dists must give."""
+    out = np.empty(rows.shape[:-1] + cols.shape[-2:-1])
+    for lo in range(0, rows.shape[-2], 128):
+        block = rows[..., lo:lo + 128, :]
+        sq = out[..., lo:lo + block.shape[-2], :]
+        np.subtract(block[..., :, None, 0], cols[..., None, :, 0], out=sq)
+        sq *= sq
+        for k in range(1, rows.shape[-1]):
+            diff = np.subtract(block[..., :, None, k], cols[..., None, :, k])
+            diff *= diff
+            sq += diff
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(31, 31), (33, 300), (300, 33), (130, 129)])
+def test_contiguous_coordinates_give_the_strided_formulas_bits(shape, d):
+    a, b = shape
+    rng = np.random.default_rng(a + b + d)
+    rows, cols = rng.uniform(-2.0, 5.0, size=(a, d)), rng.uniform(-2.0, 5.0, size=(b, d))
+    for x, y in ((rows, cols), (rows, rows)):
+        assert geometry._sq_dists(x, y).tobytes() == _strided_sq_dists(x, y).tobytes()
+    # stacks of (G, m, d) coordinates, as the minors read them
+    X, Y = rng.uniform(size=(7, a % 13 + 1, d)), rng.uniform(size=(7, b % 11 + 1, d))
+    for x, y in ((X, Y), (X, X)):
+        assert geometry._sq_dists(x, y).tobytes() == _strided_sq_dists(x, y).tobytes()
+    # a non-contiguous slice of the coordinates, as a record's row block reads them
+    assert geometry._sq_dists(rows[1::2], rows).tobytes() == \
+        _strided_sq_dists(rows[1::2], rows).tobytes()
+
+
 def test_distance_powers_make_no_n_by_n_temporary():
     n = 2000
     ps = uniform_points(n, 3, seed=11)
@@ -93,7 +126,7 @@ def test_distance_powers_make_no_n_by_n_temporary():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the result and one block of 128 rows (3 n^2 when each coordinate's
+        # the result and one block of 32 rows (3 n^2 when each coordinate's
         # differences were an n x n array)
         assert peak <= 1.1 * n * n * 8
 

@@ -22,7 +22,7 @@ from flatdpp import _numerics, ensembles, flatlimit
 from flatdpp.cli import main
 from flatdpp.diagnostics import brute_force_distribution, tv_distance
 from flatdpp.ensembles import (_scaled_nnp, bordered_matrix, log_unnorm_prob, make_factored_nnp,
-                               make_nnp, nnp_from_dict, nnp_to_dict)
+                               make_nnp, nnp_from_dict, nnp_to_dict, size_distribution)
 from flatdpp.flatlimit import default_ensemble, fixed_size_limit, varying_size_limit
 from flatdpp.geometry import PointSet, distance_power_matrix, uniform_points
 from flatdpp.kernels import builtin_kernel
@@ -147,6 +147,8 @@ def test_a_draw_from_a_fresh_factored_pair_forms_no_l(caplog):
 
 
 def test_a_scaled_pairs_decomposition_forms_one_transient(caplog):
+    # read U first, a scaled pair takes its unit's spectrum: the one
+    # transient is the unit's own, and the scaled pair forms none
     ps = uniform_points(300, 2, seed=3)
     unit = fixed_size_limit(ps, EXPO, 10).process
     with caplog.at_level(logging.DEBUG, logger="flatdpp.ensembles"):
@@ -155,32 +157,77 @@ def test_a_scaled_pairs_decomposition_forms_one_transient(caplog):
         vary.U
     formed = formations(caplog)
     assert len(formed) == 1
-    assert formed[0].startswith("scaled L formed as a dense 300x300 array for a "
+    assert formed[0].startswith("distance L formed as a dense 300x300 array for a "
                                 "decomposition's transient (")
+    assert vary.U is unit.U
+    assert vary.lam.tobytes() == (0.1 * unit.lam).tobytes()
+    # the dense pair is the referee: each spectrum is within beta of the
+    # exact one (Weyl), so they differ by at most 2 beta
     ref = make_nnp(np.multiply(unit.L, 0.1), unit.V, spectrum="vectors")
-    np.testing.assert_array_equal(vary.U, ref.U)
-    np.testing.assert_array_equal(vary.lam, ref.lam)
+    assert vary.q == ref.q
+    assert np.abs(vary.lam - ref.lam).max() <= 2 * vary._bound.beta
 
 
 def test_a_scaled_pair_drops_its_transient_before_the_eigensolver(monkeypatch):
-    # of the n x n arrays made for the decomposition, only M = N^T L N is
-    # alive when eigh runs: the transient gamma L_1 is gone
+    # read lam first, a scaled pair decomposes fl(gamma L_1): of the n x n
+    # arrays made for that, only M = N^T L N is alive when eigvalsh runs
     n = 400
     vary = varying_size_limit(uniform_points(n, 2, seed=9), EXPO, 1, 0.1).process
-    eigh, seen = np.linalg.eigh, {}
+    eigvalsh, seen = np.linalg.eigvalsh, {}
 
     def spy(a, *args, **kwargs):
         seen["live"] = tracemalloc.get_traced_memory()[0] - seen["start"]
-        return eigh(a, *args, **kwargs)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     tracemalloc.start()
     try:
         seen["start"] = tracemalloc.get_traced_memory()[0]
-        vary.U
+        vary.lam
     finally:
         tracemalloc.stop()
     assert seen["live"] < 1.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("first", ["fixed", "varying"])
+def test_a_unit_and_its_scaled_pair_run_one_eigh_between_them(first, caplog, decompositions):
+    n = 200
+    ps = uniform_points(n, 2, seed=14)
+    fixed = fixed_size_limit(ps, EXPO, 10).process
+    vary = varying_size_limit(ps, EXPO, 1, 0.1).process
+    decompositions.orders.clear()
+    if first == "fixed":
+        fixed.U
+        # the unit is decomposed: the scaled pair's read runs no eigensolver
+        # and forms no n x n array
+        tracemalloc.start()
+        try:
+            with caplog.at_level(logging.DEBUG, logger="flatdpp.ensembles"):
+                vary.U
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert formations(caplog) == [] and peak < 0.05 * 8 * n * n
+    else:
+        vary.U
+        fixed.U
+    assert decompositions.orders == [("eigh", n - fixed.p)]
+    assert vary.U is fixed.U and vary.lam.tobytes() == (0.1 * fixed.lam).tobytes()
+
+
+def test_a_scaled_pair_over_a_dense_unit_shares_its_spectrum(caplog, decompositions):
+    unit = make_nnp(random_pd(40, 6))
+    scaled = _scaled_nnp(unit, 2.5)
+    decompositions.orders.clear()
+    with caplog.at_level(logging.DEBUG, logger="flatdpp.ensembles"):
+        scaled.U
+    assert decompositions.orders == [("eigh", 40)]
+    assert scaled.U is unit.U and scaled.lam.tobytes() == (2.5 * unit.lam).tobytes()
+    shared = [r.getMessage() for r in caplog.records
+              if r.name == "flatdpp.ensembles" and r.getMessage().startswith("scaled pair:")]
+    assert shared == [f"scaled pair: lam and U taken from its unit pair's spectrum, gamma 2.5, "
+                      f"q = {unit.q}: no decomposition"]
+    assert formations(caplog) == []
 
 
 def test_a_decomposition_takes_ms_buffer_before_it_forms_its_transient(monkeypatch):
@@ -334,18 +381,30 @@ def test_distance_limits_hold_no_l_and_a_draw_keeps_only_u():
     assert (kind(fixed), kind(vary)) == ("distance", "scaled")
     # an L held by either pair would add 8 n^2 bytes to each figure
     assert built < 0.05 * 8 * n * n
-    assert drawn < fixed.U.nbytes + vary.U.nbytes + 0.05 * 8 * n * n
+    # the scaled pair's draw takes the unit's U: one U is live, not two
+    assert vary.U is fixed.U
+    assert drawn < fixed.U.nbytes + 0.05 * 8 * n * n
 
 
 def test_a_distance_or_scaled_record_round_trips_in_memory():
     ps = uniform_points(30, 2, seed=13)
-    for e in (fixed_size_limit(ps, EXPO, 10).process, varying_size_limit(ps, EXPO, 1, 0.1).process):
+    fixed = fixed_size_limit(ps, EXPO, 10).process
+    for e in (fixed, varying_size_limit(ps, EXPO, 1, 0.1).process):
         record = nnp_to_dict(e)
         assert record["L"].shape == (30, 30) and not isinstance(record["L"], np.ndarray)
         assert np.asarray(record["L"]).tobytes() == e.L.tobytes() == record["L"].tobytes("F")
         e2 = nnp_from_dict(record, spectrum="vectors")
         assert (kind(e2), e2.L.tobytes()) == ("dense", e.L.tobytes())
-        np.testing.assert_array_equal(e2.U, e.U)
+        if e is fixed:
+            np.testing.assert_array_equal(e2.U, e.U)
+            continue
+        # read U first, the scaled pair's spectrum is its unit's scaled: each
+        # is within beta of the exact one (Weyl), and the laws agree
+        e.U
+        assert e2.q == e.q and np.abs(e2.lam - e.lam).max() <= 2 * e._bound.beta
+        assert tv_distance(size_distribution(e), size_distribution(e2)) <= 1e-12
+        m = e.p + 2
+        assert tv_distance(brute_force_distribution(e, m), brute_force_distribution(e2, m)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
